@@ -1,6 +1,6 @@
 """Benchmark of the concat_augment pipeline: ``cold``, ``warm`` and ``audit``.
 
-    python3 perfbench/run.py --workload cold --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload cold --seed 1 --seconds 35 --trace 0
 
 Run it from the root of a source checkout: it imports the package from
 ``src/`` and works under ``.perfbench/``, which it empties when it
@@ -46,11 +46,10 @@ NPROC = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 # A run must end within 180 s, so no call may run past this many seconds.
 DEADLINE_S = 170.0
 MIN_REPS = 2
-# Set-up samples: at least this many, and more while the calls that make
-# them have taken less than SETUP_SAMPLING_S (a short set-up is noisy).
+# Set-up samples: calls that stop at the start of epoch 0 take this share
+# of a run's time, and there are at least MIN_SETUP_SAMPLES of them.
+SETUP_SHARE = 0.1
 MIN_SETUP_SAMPLES = 5
-MAX_SETUP_SAMPLES = 25
-SETUP_SAMPLING_S = 4.0
 
 # The pool supplies the parallelism; BLAS threads on top of it only
 # oversubscribe the cores and make every timing noisy.
@@ -426,9 +425,16 @@ class Runs:
 def measure(workload: Workload, seed: int, seconds: float, trace: bool, runs: Runs) -> dict:
     """Make full calls for ``seconds`` (at least MIN_REPS; a traced run
     spends half of it, then makes one traced call) and return the
-    metrics, name -> value, with the samples they came from."""
+    metrics, name -> value, with the samples they came from.
+
+    Between full calls, calls that stop at the start of epoch 0 take
+    SETUP_SHARE of the time, so the set-up samples span the run as the
+    full calls do. The last call starts while less than half a call's
+    time is left, so the run ends close to ``seconds`` on average.
+    """
     samples = {"wall_s": [], "setup_s": [], "peak_rss_mb": []}
     durations = []
+    setup_spent = 0.0
     started = time.monotonic()
     budget = seconds / 2 if trace else seconds
     while True:
@@ -437,8 +443,12 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool, runs: Ru
         durations.append(time.monotonic() - t0)
         for key in samples:
             samples[key].append(result[key])
+        while not trace and setup_spent < SETUP_SHARE * (time.monotonic() - started):
+            t0 = time.monotonic()
+            samples["setup_s"].append(runs(mode="setup")["setup_s"])
+            setup_spent += time.monotonic() - t0
         enough = len(durations) >= (1 if trace else MIN_REPS)
-        if enough and time.monotonic() - started + statistics.median(durations) > budget:
+        if enough and time.monotonic() - started + statistics.median(durations) / 2 > budget:
             break
 
     if trace:
@@ -452,12 +462,7 @@ def measure(workload: Workload, seed: int, seconds: float, trace: bool, runs: Ru
         samples["traced_wall_s"] = [result["wall_s"]]
         return {"metrics": metrics, "samples": samples, "spans": str(spans.relative_to(ROOT))}
 
-    # More set-up samples: calls that stop at the start of epoch 0.
-    started = time.monotonic()
-    while len(samples["setup_s"]) < MIN_SETUP_SAMPLES or (
-        len(samples["setup_s"]) < MAX_SETUP_SAMPLES
-        and time.monotonic() - started < SETUP_SAMPLING_S
-    ):
+    while len(samples["setup_s"]) < MIN_SETUP_SAMPLES:
         samples["setup_s"].append(runs(mode="setup")["setup_s"])
     walls = samples["wall_s"]
     frames = runs.report["totals"]["total_frames_emitted"]
@@ -481,7 +486,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--write-golden", action="store_true")
     args = parser.parse_args(argv)
@@ -506,10 +511,14 @@ def main(argv=None) -> int:
         workload = WORKLOADS[args.workload]
         units = declared_units(bool(args.trace))
         notes: list[str] = []
+        t0 = time.monotonic()
         check_golden(workload, golden_digests(workload, work, call), notes)
+        t1 = time.monotonic()
         checker = prepare(workload, work, args.seed, call)
+        t2 = time.monotonic()
         runs = Runs(workload, work, workload.argv(args.seed, "out"), call, checker)
         outcome = measure(workload, args.seed, args.seconds, bool(args.trace), runs)
+        phases = {"golden_s": t1 - t0, "prepare_s": t2 - t1, "measure_s": time.monotonic() - t2}
         check(set(outcome["metrics"]) == set(units), "measured metrics differ from BENCHMARK.json")
     except CheckFailed as exc:
         print(f"perfbench: check failed: {exc}", file=sys.stderr)
@@ -528,6 +537,7 @@ def main(argv=None) -> int:
         "report_sha256": checker.digests[1],
         "out_bytes": checker.out_bytes,
         "samples": outcome["samples"],
+        "phases": phases,
         "notes": notes,
     }
     if "spans" in outcome:
