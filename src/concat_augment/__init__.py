@@ -8,8 +8,6 @@ SpecAugment, and packs frame-budget batches, all seed-reproducible.
 
 from .archive import FeatureArchive
 from .augment import (
-    CombineResult,
-    EpochPlan,
     Strategy,
     TrainingInstance,
     combine_and_filter,
@@ -17,23 +15,9 @@ from .augment import (
     instance_from_utterance,
     materialize,
     plan_epoch,
-    with_features,
 )
-from .batching import (
-    Batch,
-    EpochStream,
-    compose_batches,
-    make_batches,
-    pad_and_collate,
-    padding_waste,
-)
-from .batchio import (
-    decode_batch,
-    encode_batch,
-    iter_stream,
-    read_batch_file,
-    write_batch_file,
-)
+from .batching import compose_batches, pad_and_collate, padding_waste
+from .batchio import decode_batch, encode_batch, read_batch_file
 from .errors import (
     ArchiveError,
     BatchingError,
@@ -43,25 +27,13 @@ from .errors import (
     MaterializationError,
     PipelineError,
 )
-from .features import (
-    FeatureConfig,
-    compute_logmel,
-    frame_count,
-    load_or_compute,
-    load_pcm,
-    mel_filterbank,
-    power_spectrogram,
-)
+from .features import FeatureConfig, compute_logmel, frame_count
 from .manifest import (
-    ParseResult,
-    SpeakerIndex,
     Utterance,
     build_speaker_index,
     ingestion_report,
-    load_manifest,
     normalize_target,
     parse_manifest,
-    serialize_manifest,
 )
 from .pipeline import AuditReport, PipelineConfig, audit, iter_epoch_batches, run
 from .rng import keyed_rng
@@ -72,22 +44,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ArchiveError",
     "AuditReport",
-    "Batch",
     "BatchingError",
-    "CombineResult",
     "ConfigurationError",
-    "EpochPlan",
-    "EpochStream",
     "FeatureArchive",
     "FeatureConfig",
     "FeatureError",
     "ManifestError",
     "MaskPolicy",
     "MaterializationError",
-    "ParseResult",
     "PipelineConfig",
     "PipelineError",
-    "SpeakerIndex",
     "Strategy",
     "TrainingInstance",
     "Utterance",
@@ -104,23 +70,13 @@ __all__ = [
     "instance_from_plan",
     "instance_from_utterance",
     "iter_epoch_batches",
-    "iter_stream",
     "keyed_rng",
-    "load_manifest",
-    "load_or_compute",
-    "load_pcm",
-    "make_batches",
     "materialize",
-    "mel_filterbank",
     "normalize_target",
     "pad_and_collate",
     "padding_waste",
     "parse_manifest",
     "plan_epoch",
-    "power_spectrogram",
     "read_batch_file",
     "run",
-    "serialize_manifest",
-    "with_features",
-    "write_batch_file",
 ]

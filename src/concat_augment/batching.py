@@ -13,7 +13,7 @@ original sequences either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,22 +49,6 @@ class Batch:
     @property
     def padded_frames(self) -> int:
         return self.size * self.t_max
-
-
-@dataclass
-class EpochStream:
-    """All batches of one epoch; each surviving instance appears once."""
-
-    batches: list[Batch]
-    seed: int
-    epoch: int
-    groups: list[list[TrainingInstance]] = field(default_factory=list, repr=False)
-
-    def __iter__(self):
-        return iter(self.batches)
-
-    def __len__(self) -> int:
-        return len(self.batches)
 
 
 def _target_codes(target) -> list[int]:
@@ -164,21 +148,6 @@ def pad_and_collate(group: Sequence[TrainingInstance], target_pad_id: int = 0) -
         target_pad_id=target_pad_id,
         instance_ids=[inst.constituents for inst in group],
     )
-
-
-def make_batches(
-    instances: Sequence[TrainingInstance],
-    budget_frames: int,
-    seed: int,
-    epoch: int,
-    bucketing: bool = True,
-    accounting: str = "padded",
-    target_pad_id: int = 0,
-) -> EpochStream:
-    """Compose and collate one epoch of batches (features required)."""
-    groups = compose_batches(instances, budget_frames, seed, epoch, bucketing, accounting)
-    batches = [pad_and_collate(g, target_pad_id) for g in groups]
-    return EpochStream(batches=batches, seed=seed, epoch=epoch, groups=groups)
 
 
 def padding_waste(groups: Sequence[Sequence[TrainingInstance]]) -> float:

@@ -5,7 +5,7 @@
         [--no-original] [--specaugment on]
     concat-augment audit --manifest M --strategy speaker ...
 
-``audit`` shares the planning path with ``run`` but touches no audio
+``audit`` runs the same epoch engine as ``run`` but touches no audio
 and writes no batches. The worker pool size is taken from the
 CONCAT_AUGMENT_WORKERS environment variable.
 """

@@ -24,7 +24,6 @@ behavior should pre-normalize and use ``tokens`` mode.
 from __future__ import annotations
 
 import io
-import json
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -216,9 +215,3 @@ def ingestion_report(result: ParseResult, index: SpeakerIndex) -> dict:
         "speakerless": speakerless,
         "singleton_speakers": len(index.singletons),
     }
-
-
-def write_ingestion_report(path: str | Path, result: ParseResult, index: SpeakerIndex) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(ingestion_report(result, index), f, indent=2)
-        f.write("\n")

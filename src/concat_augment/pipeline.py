@@ -1,8 +1,12 @@
 """Per-epoch orchestration: plan, filter, batch, mask, emit, report.
 
-Planning, filtering and batch composition run on manifest metadata only
-(frame counts are exactly additive under concatenation), so the full
-augmented corpus is never resident in memory. Features are materialized
+One epoch engine runs plan -> filter -> compose for every epoch and
+yields each batch group's result in plan order; ``run``, ``audit`` and
+``iter_epoch_batches`` are sinks over it, so ``audit`` reports exactly
+the plan and counts ``run`` emits. Planning, filtering and batch
+composition run on manifest metadata only (frame counts are exactly
+additive under concatenation), so the full augmented corpus is never
+resident in memory. When features are loaded, they are materialized
 lazily per batch through a bounded LRU loader, masked, collated, and
 written by a single writer in plan order; a configurable worker pool
 overlaps materialization with writing without ever reordering batches.
@@ -22,12 +26,10 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from threading import Lock
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .archive import FeatureArchive
 from .augment import (
-    CombineResult,
-    EpochPlan,
     Strategy,
     TrainingInstance,
     combine_and_filter,
@@ -36,7 +38,7 @@ from .augment import (
     plan_epoch,
     with_features,
 )
-from .batching import Batch, compose_batches, pad_and_collate, padding_waste
+from .batching import Batch, compose_batches, pad_and_collate
 from .batchio import StreamWriter, write_batch_file
 from .errors import ConfigurationError, MaterializationError, PipelineError
 from .features import FeatureConfig, load_or_compute
@@ -54,6 +56,9 @@ from .specaugment import MaskPolicy, apply_masks
 WORKERS_ENV_VAR = "CONCAT_AUGMENT_WORKERS"
 
 EMIT_MODES = ("files", "stream")
+
+# Feature matrices the loader keeps per run (LRU).
+FEATURE_CACHE_SIZE = 256
 
 
 @dataclass
@@ -76,16 +81,21 @@ class PipelineConfig:
     target_pad_id: int = 0
     audio_root: str | Path | None = None
     archive_dir: str | Path | None = None
-    feature_cache_size: int = 256
     workers: int | None = None  # None -> CONCAT_AUGMENT_WORKERS or 1
 
     def resolved_workers(self) -> int:
         if self.workers is not None:
             return max(1, self.workers)
         env = os.environ.get(WORKERS_ENV_VAR)
-        if env:
-            return max(1, int(env))
-        return 1
+        if not env:
+            return 1
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigurationError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
+        return workers
 
     def summary(self) -> dict:
         return {
@@ -206,40 +216,34 @@ def _prepare(config: PipelineConfig, with_loader: bool) -> _Prepared:
                     by_id[utt_id], config.feature, audio_root=config.audio_root
                 )
 
-        load = lru_cache(maxsize=config.feature_cache_size)(fetch)
+        load = lru_cache(maxsize=FEATURE_CACHE_SIZE)(fetch)
 
     return _Prepared(parse, utterances, by_id, index, load, archive)
 
 
-def _plan_and_filter(
-    prepared: _Prepared, config: PipelineConfig, epoch: int
-) -> tuple[EpochPlan, CombineResult, list[TrainingInstance]]:
-    plan = plan_epoch(prepared.utterances, prepared.index, config.strategy, config.seed, epoch)
-    originals = (
-        [instance_from_utterance(u) for u in prepared.utterances]
-        if config.include_original
-        else []
-    )
-    augmented = [instance_from_plan(e, prepared.by_id, config.strategy) for e in plan.pairings]
-    combined = combine_and_filter(originals, augmented, config.max_frames)
-    survivors = [replace(inst, ordinal=i) for i, inst in enumerate(combined.instances)]
-    return plan, combined, survivors
-
-
 @dataclass
-class _BuiltBatch:
+class _Group:
+    """One composed group's result: its batch (None in an audit, or when
+    every instance failed to load), its size and its frame mass."""
+
     batch: Batch | None
-    failed_original: int
-    failed_augmented: int
-    diagnostics: list[str]
+    size: int
+    padded_frames: int
+    true_frames: int
+    failed_original: int = 0
+    failed_augmented: int = 0
+    diagnostics: list[str] = field(default_factory=list)
 
 
-def _build_batch(
+def _build_group(
     group: list[TrainingInstance],
     config: PipelineConfig,
     epoch: int,
-    load: Callable,
-) -> _BuiltBatch:
+    load: Callable | None,
+) -> _Group:
+    if load is None:
+        frames = [inst.n_frames for inst in group]
+        return _Group(None, len(group), len(group) * max(frames), sum(frames))
     kept = []
     failed_original = 0
     failed_augmented = 0
@@ -260,8 +264,18 @@ def _build_batch(
                 materialized, features=apply_masks(materialized.features, config.specaugment, rng)
             )
         kept.append(materialized)
-    batch = pad_and_collate(kept, config.target_pad_id) if kept else None
-    return _BuiltBatch(batch, failed_original, failed_augmented, diagnostics)
+    if not kept:
+        return _Group(None, 0, 0, 0, failed_original, failed_augmented, diagnostics)
+    batch = pad_and_collate(kept, config.target_pad_id)
+    return _Group(
+        batch,
+        batch.size,
+        batch.padded_frames,
+        sum(batch.feature_lengths),
+        failed_original,
+        failed_augmented,
+        diagnostics,
+    )
 
 
 _EXHAUSTED = object()
@@ -293,162 +307,120 @@ def _ordered_pool_map(fn, items, workers: int):
             yield done.result()
 
 
-def iter_epoch_batches(
-    config: PipelineConfig, epoch: int, prepared: _Prepared | None = None
-) -> Iterator[Batch]:
-    """Yield one epoch's collated (and masked) batches in plan order.
+def _epochs(
+    config: PipelineConfig, epochs: Iterable[int], report: AuditReport, load_features: bool
+) -> Iterator[tuple[int, Iterator[_Group]]]:
+    """The epoch engine behind ``run``, ``audit`` and ``iter_epoch_batches``.
 
-    Library-level access to the exact batches ``run`` would emit,
-    including provenance ids, without writing anything.
+    Yields ``(epoch, groups)`` per epoch, where ``groups`` yields every
+    non-empty group in plan order and, once exhausted, appends the
+    epoch's entry to ``report``. The archive is closed when the engine
+    ends, however it ends.
     """
-    if prepared is None:
-        prepared = _prepare(config, with_loader=True)
-    _, _, survivors = _plan_and_filter(prepared, config, epoch)
+    workers = config.resolved_workers()
+    prepared = _prepare(config, with_loader=load_features)
+    report.ingestion = ingestion_report(prepared.parse, prepared.index)
+    if not load_features:
+        workers = 1  # metadata-only groups gain nothing from threads
+    try:
+        for epoch in epochs:
+            yield epoch, _epoch(prepared, config, epoch, workers, report)
+    finally:
+        if prepared.archive is not None:
+            prepared.archive.close()
+
+
+def _epoch(
+    prepared: _Prepared, config: PipelineConfig, epoch: int, workers: int, report: AuditReport
+) -> Iterator[_Group]:
+    """Plan, filter and compose one epoch now; return the generator that
+    builds its groups. Only the groups outlive this call, so the engine
+    holds one epoch's lists at a time."""
+    t0 = time.perf_counter()
+    plan = plan_epoch(prepared.utterances, prepared.index, config.strategy, config.seed, epoch)
+    originals = (
+        [instance_from_utterance(u) for u in prepared.utterances]
+        if config.include_original
+        else []
+    )
+    augmented = [instance_from_plan(e, prepared.by_id, config.strategy) for e in plan.pairings]
+    combined = combine_and_filter(originals, augmented, config.max_frames)
+    survivors = [replace(inst, ordinal=i) for i, inst in enumerate(combined.instances)]
+    t_plan = time.perf_counter()
     groups = compose_batches(
         survivors, config.budget_frames, config.seed, epoch, config.bucketing, config.accounting
     )
-    workers = config.resolved_workers()
+    t_compose = time.perf_counter()
 
-    def build(group):
-        return _build_batch(group, config, epoch, prepared.load)
-
-    for built in _ordered_pool_map(build, groups, workers):
-        if built.batch is not None:
-            yield built.batch
-
-
-def _epoch_stats(
-    epoch: int,
-    plan: EpochPlan,
-    combined: CombineResult,
-    survivors: list[TrainingInstance],
-    n_originals: int,
-) -> dict:
     histogram: dict[str, int] = {}
     for inst in survivors:
         key = inst.strategy or "original"
         histogram[key] = histogram.get(key, 0) + 1
-    return {
-        "epoch": epoch,
-        "planned": len(plan.pairings),
-        "excluded_by_strategy": len(plan.excluded),
-        "originals_in": n_originals,
-        "dropped_by_filter": {
-            "original": combined.dropped_original,
-            "augmented": combined.dropped_augmented,
-        },
-        "materialized": len(plan.pairings),
-        "materialization_failures": 0,
-        "failed_originals": 0,
-        "emitted_instances": len(survivors),
-        "total_frames_emitted": sum(i.n_frames for i in survivors),
-        "strategy_histogram": histogram,
-        "batch_count": 0,
-        "padding_waste": 0.0,
-        "timings_s": {},
-    }
+    planned = len(plan.pairings)
+    excluded = len(plan.excluded)
+    originals_in = len(originals)
+    dropped = {"original": combined.dropped_original, "augmented": combined.dropped_augmented}
+
+    def build(group):
+        return _build_group(group, config, epoch, prepared.load)
+
+    def results():
+        failed_original = failed_augmented = batches = emitted = padded = true = 0
+        for built in _ordered_pool_map(build, groups, workers):
+            failed_original += built.failed_original
+            failed_augmented += built.failed_augmented
+            report.diagnostics.extend(built.diagnostics)
+            if built.size:
+                batches += 1
+                emitted += built.size
+                padded += built.padded_frames
+                true += built.true_frames
+                yield built
+        report.epochs.append(
+            {
+                "epoch": epoch,
+                "planned": planned,
+                "excluded_by_strategy": excluded,
+                "originals_in": originals_in,
+                "dropped_by_filter": dropped,
+                "materialized": planned - failed_augmented,
+                "materialization_failures": failed_augmented,
+                "failed_originals": failed_original,
+                "emitted_instances": emitted,
+                "total_frames_emitted": true,
+                "strategy_histogram": histogram,
+                "batch_count": batches,
+                "padding_waste": (padded - true) / padded if padded else 0.0,
+                "timings_s": {
+                    "plan_and_filter": t_plan - t0,
+                    "compose": t_compose - t_plan,
+                    "materialize_and_emit": time.perf_counter() - t_compose,
+                },
+            }
+        )
+
+    return results()
 
 
-def _run_or_audit(config: PipelineConfig, emit_artifacts: bool) -> AuditReport:
+def _drive(
+    config: PipelineConfig, sink: Callable[[int, Iterator[_Group]], object], load_features: bool
+) -> AuditReport:
+    """Feed every epoch of the engine to ``sink``, then total and write the report."""
     if config.emit not in EMIT_MODES:
         raise ConfigurationError(f"unknown emit mode {config.emit!r}")
-    if emit_artifacts and config.out_dir is None:
-        raise ConfigurationError("run requires an output directory")
-
     started = time.perf_counter()
-    prepared = _prepare(config, with_loader=emit_artifacts)
-    report = AuditReport(
-        config=config.summary(),
-        ingestion=ingestion_report(prepared.parse, prepared.index),
-    )
-    out_dir = Path(config.out_dir) if config.out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
+    report = AuditReport(config=config.summary(), ingestion={})
+    engine = _epochs(config, range(config.epochs), report, load_features)
     try:
-        for epoch in range(config.epochs):
-            t0 = time.perf_counter()
-            plan, combined, survivors = _plan_and_filter(prepared, config, epoch)
-            t_plan = time.perf_counter()
-            groups = compose_batches(
-                survivors,
-                config.budget_frames,
-                config.seed,
-                epoch,
-                config.bucketing,
-                config.accounting,
-            )
-            t_compose = time.perf_counter()
-
-            n_orig = len(prepared.utterances) if config.include_original else 0
-            stats = _epoch_stats(epoch, plan, combined, survivors, n_orig)
-
-            if emit_artifacts:
-                failed_aug = 0
-                failed_orig = 0
-                emitted = 0
-                padded_mass = 0
-                true_mass = 0
-                batch_index = 0
-                writer = None
-                if config.emit == "stream":
-                    writer = StreamWriter(out_dir / f"epoch-{epoch:03d}.cabxs")
-                else:
-                    (out_dir / f"epoch-{epoch:03d}").mkdir(exist_ok=True)
-
-                def build(group, _epoch=epoch):
-                    return _build_batch(group, config, _epoch, prepared.load)
-
-                try:
-                    for built in _ordered_pool_map(build, groups, config.resolved_workers()):
-                        failed_aug += built.failed_augmented
-                        failed_orig += built.failed_original
-                        report.diagnostics.extend(built.diagnostics)
-                        if built.batch is None:
-                            continue
-                        batch = built.batch
-                        if config.emit == "stream":
-                            writer.write(batch)
-                        else:
-                            write_batch_file(
-                                batch,
-                                out_dir / f"epoch-{epoch:03d}" / f"batch-{batch_index:05d}.cabx",
-                            )
-                        emitted += batch.size
-                        padded_mass += batch.padded_frames
-                        true_mass += sum(batch.feature_lengths)
-                        batch_index += 1
-                finally:
-                    if writer is not None:
-                        writer.close()
-                stats["materialization_failures"] = failed_aug
-                stats["failed_originals"] = failed_orig
-                stats["materialized"] = len(plan.pairings) - failed_aug
-                stats["emitted_instances"] = emitted
-                stats["total_frames_emitted"] = true_mass
-                stats["batch_count"] = batch_index
-                stats["padding_waste"] = (
-                    (padded_mass - true_mass) / padded_mass if padded_mass else 0.0
-                )
-            else:
-                stats["batch_count"] = len(groups)
-                stats["padding_waste"] = padding_waste(groups)
-
-            t_end = time.perf_counter()
-            stats["timings_s"] = {
-                "plan_and_filter": t_plan - t0,
-                "compose": t_compose - t_plan,
-                "materialize_and_emit": t_end - t_compose,
-            }
-            report.epochs.append(stats)
+        for epoch, groups in engine:
+            sink(epoch, groups)
     except PipelineError as exc:
-        report.error = str(exc)
-        _write_report(report, config, out_dir)
+        if report.ingestion:  # the manifest was read: record how far the epochs got
+            report.error = str(exc)
+            _write_report(report, config)
         raise
-
     finally:
-        if prepared.archive is not None:
-            prepared.archive.close()
+        engine.close()
 
     report.totals = {
         "epochs": len(report.epochs),
@@ -458,14 +430,15 @@ def _run_or_audit(config: PipelineConfig, emit_artifacts: bool) -> AuditReport:
         "materialization_failures": sum(e["materialization_failures"] for e in report.epochs),
     }
     report.timings_s["total"] = time.perf_counter() - started
-    _write_report(report, config, out_dir)
+    _write_report(report, config)
     return report
 
 
-def _write_report(report: AuditReport, config: PipelineConfig, out_dir: Path | None) -> None:
+def _write_report(report: AuditReport, config: PipelineConfig) -> None:
     path = config.report_path
-    if path is None and out_dir is not None:
-        path = out_dir / "report.json"
+    if path is None and config.out_dir is not None:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        path = Path(config.out_dir) / "report.json"
     if path is not None:
         report.write(path)
 
@@ -477,13 +450,43 @@ def run(config: PipelineConfig) -> AuditReport:
     report. All emitted bytes are a pure function of (manifest, config,
     seed); only the report's ``timings_s`` fields vary between reruns.
     """
-    return _run_or_audit(config, emit_artifacts=True)
+    if config.out_dir is None:
+        raise ConfigurationError("run requires an output directory")
+    out_dir = Path(config.out_dir)
+
+    def write(epoch: int, groups: Iterator[_Group]) -> None:
+        if config.emit == "stream":
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with StreamWriter(out_dir / f"epoch-{epoch:03d}.cabxs") as writer:
+                for built in groups:
+                    writer.write(built.batch)
+        else:
+            epoch_dir = out_dir / f"epoch-{epoch:03d}"
+            epoch_dir.mkdir(parents=True, exist_ok=True)
+            for index, built in enumerate(groups):
+                write_batch_file(built.batch, epoch_dir / f"batch-{index:05d}.cabx")
+
+    return _drive(config, write, load_features=True)
 
 
 def audit(config: PipelineConfig) -> AuditReport:
-    """Dry run: identical planning, filtering and batch composition,
-    with frame counts taken from the manifest and no feature I/O."""
-    return _run_or_audit(config, emit_artifacts=False)
+    """Dry run through the same engine as :func:`run`: identical planning,
+    filtering and batch composition, with frame counts taken from the
+    manifest and no feature I/O."""
+    return _drive(config, lambda epoch, groups: deque(groups, maxlen=0), load_features=False)
+
+
+def iter_epoch_batches(config: PipelineConfig, epoch: int) -> Iterator[Batch]:
+    """Yield one epoch's collated (and masked) batches in plan order.
+
+    Library-level access to the exact batches ``run`` would emit,
+    including provenance ids, without writing anything but the feature
+    archive, which is closed when the iteration ends.
+    """
+    report = AuditReport(config={}, ingestion={})
+    for _, groups in _epochs(config, [epoch], report, load_features=True):
+        for built in groups:
+            yield built.batch
 
 
 def format_summary(report: AuditReport) -> str:

@@ -6,7 +6,6 @@ import pytest
 from concat_augment.augment import TrainingInstance
 from concat_augment.batching import (
     compose_batches,
-    make_batches,
     pad_and_collate,
     padding_waste,
 )
@@ -137,10 +136,12 @@ class TestPadAndCollate:
 
 
 class TestMakeBatches:
+    """An epoch's batches made the way the pipeline makes them: compose, then collate."""
+
     def test_stream_covers_all_instances_once(self):
         rng = np.random.default_rng(5)
         group = [with_feats(f"u{i}", int(rng.integers(5, 50)), seed=i) for i in range(40)]
-        stream = make_batches(group, budget_frames=500, seed=3, epoch=0)
+        stream = [pad_and_collate(g) for g in compose_batches(group, 500, seed=3, epoch=0)]
         ids = [ids_ for b in stream for ids_ in b.instance_ids]
         assert Counter(ids) == Counter(i.constituents for i in group)
         for batch in stream:

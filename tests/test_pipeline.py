@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from concat_augment.archive import FeatureArchive
 from concat_augment.augment import Strategy
 from concat_augment.batchio import iter_stream, read_batch_file
 from concat_augment.cli import main as cli_main
@@ -186,6 +187,10 @@ class TestRun:
     def test_workers_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONCAT_AUGMENT_WORKERS", "3")
         assert PipelineConfig(manifest_path="x").resolved_workers() == 3
+        for bad in ("abc", "0"):
+            monkeypatch.setenv("CONCAT_AUGMENT_WORKERS", bad)
+            with pytest.raises(ConfigurationError, match=f"CONCAT_AUGMENT_WORKERS.*{bad}"):
+                PipelineConfig(manifest_path="x").resolved_workers()
         monkeypatch.delenv("CONCAT_AUGMENT_WORKERS")
         assert PipelineConfig(manifest_path="x").resolved_workers() == 1
 
@@ -214,6 +219,25 @@ class TestRun:
         )
         run(config2)
         assert read_tree(tmp_path / "out1") == read_tree(tmp_path / "out2")
+
+    def test_iter_epoch_batches_closes_archive(self, small_audio_corpus, tmp_path):
+        manifest = small_audio_corpus
+        config = PipelineConfig(
+            manifest_path=manifest,
+            audio_root=manifest.parent,
+            archive_dir=tmp_path / "arch",
+            seed=2,
+            budget_frames=600,
+        )
+        assert list(iter_epoch_batches(config, epoch=0))
+        shards = sorted((tmp_path / "arch").glob("shard-*.bin"))
+        sizes = [p.stat().st_size for p in shards]
+        assert list(iter_epoch_batches(config, epoch=0))
+        # the second call is served from the index the first one wrote
+        assert [p.stat().st_size for p in shards] == sizes
+        assert sorted((tmp_path / "arch").glob("shard-*.bin")) == shards
+        archive = FeatureArchive(tmp_path / "arch", "r")
+        assert all(f"u{i:06d}" in archive for i in range(12))
 
 
 class TestAudit:
@@ -340,6 +364,18 @@ class TestCli:
         code = cli_main(["audit", "--manifest", str(manifest), "--strategy", "speaker"])
         assert code == 1
         assert "fatal" in capsys.readouterr().err
+
+    def test_bad_workers_env_var_is_fatal_before_output(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(14)
+        manifest = write_audio_corpus(tmp_path / "c", 3, rng)
+        monkeypatch.setenv("CONCAT_AUGMENT_WORKERS", "abc")
+        code = cli_main(
+            ["run", "--manifest", str(manifest), "--audio-root", str(manifest.parent),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "fatal" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_manifest_exit_code(self, tmp_path, capsys):
         code = cli_main(["audit", "--manifest", str(tmp_path / "nope.tsv")])
