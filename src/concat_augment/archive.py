@@ -15,6 +15,7 @@ size threshold. One writer at a time; any number of concurrent readers
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -112,19 +113,34 @@ class FeatureArchive:
             shard_name, offset = self._index[utt_id]
         except KeyError:
             raise ArchiveError(f"id not in archive: {utt_id!r}") from None
-        with open(self.root / shard_name, "rb") as f:
+        truncated = ArchiveError(f"truncated record for {utt_id!r} in {shard_name}")
+        # Unbuffered, and the payload is read straight into the buffer the
+        # returned array keeps: a run reads every record once per use.
+        with open(os.path.join(self.root, shard_name), "rb", buffering=0) as f:
+            available = os.fstat(f.fileno()).st_size - offset
             f.seek(offset)
-            (id_len,) = _HEADER.unpack(f.read(4))
-            stored_id = f.read(id_len)
-            t, fdim = _DIMS.unpack(f.read(8))
-            payload = f.read(t * fdim * 4)
-            (crc,) = _HEADER.unpack(f.read(4))
-        body = _HEADER.pack(id_len) + stored_id + _DIMS.pack(t, fdim) + payload
-        if zlib.crc32(body) != crc:
+            head = f.read(_HEADER.size)
+            if len(head) != _HEADER.size:
+                raise truncated
+            (id_len,) = _HEADER.unpack(head)
+            if _HEADER.size + id_len + _DIMS.size > available:
+                raise truncated
+            head += f.read(id_len + _DIMS.size)
+            t, fdim = _DIMS.unpack_from(head, _HEADER.size + id_len)
+            size = t * fdim * 4 + _HEADER.size  # payload and CRC trailer
+            if len(head) + size > available:
+                raise truncated
+            record = bytearray(size)
+            if f.readinto(record) != size:
+                raise truncated
+        payload = memoryview(record)[: -_HEADER.size]
+        (crc,) = _HEADER.unpack_from(record, len(payload))
+        if zlib.crc32(payload, zlib.crc32(head)) != crc:
             raise ArchiveError(f"checksum mismatch for {utt_id!r} in {shard_name}")
+        stored_id = head[_HEADER.size : _HEADER.size + id_len]
         if stored_id.decode("utf-8") != utt_id:
             raise ArchiveError(f"index points at record {stored_id!r}, expected {utt_id!r}")
-        return np.frombuffer(payload, dtype="<f4").reshape(t, fdim).copy()
+        return np.frombuffer(record, dtype="<f4", count=t * fdim).reshape(t, fdim)
 
     def flush(self) -> None:
         if not self._dirty:

@@ -45,7 +45,9 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--accounting", choices=("padded", "true"), default="padded")
     parser.add_argument("--report", default=None, help="report JSON path")
     parser.add_argument("--audio-root", default=None, help="base dir for relative audio refs")
-    parser.add_argument("--archive", default=None, help="feature archive directory (cache)")
+    parser.add_argument(
+        "--archive", default=None, help="feature archive the run extracts into and reads from"
+    )
     parser.add_argument("--pad-id", type=int, default=0, help="target pad symbol")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import wave
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,17 @@ def filter_center_freqs(cfg: FeatureConfig) -> np.ndarray:
     return mel_to_hz(mel_points)[1:-1]
 
 
+@lru_cache(maxsize=8)
+def _analysis_arrays(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The Hann window and Mel filterbank of ``cfg``, built once per
+    config and read-only, since every caller shares them."""
+    window = hann_window(cfg.win_samples)
+    fb = mel_filterbank(cfg)
+    window.flags.writeable = False
+    fb.flags.writeable = False
+    return window, fb
+
+
 def _frame_signal(pcm: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     n_frames = frame_count(len(pcm), cfg)
     idx = np.arange(cfg.win_samples)[None, :] + cfg.hop_samples * np.arange(n_frames)[:, None]
@@ -175,7 +187,8 @@ def power_spectrogram(pcm, cfg: FeatureConfig) -> np.ndarray:
         )
     if not np.all(np.isfinite(pcm)):
         raise FeatureError("PCM contains non-finite samples")
-    frames = _frame_signal(pcm, cfg) * hann_window(cfg.win_samples)
+    window, _ = _analysis_arrays(cfg)
+    frames = _frame_signal(pcm, cfg) * window
     spectrum = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
     return spectrum.real**2 + spectrum.imag**2
 
@@ -196,7 +209,8 @@ def compute_logmel(pcm, cfg: FeatureConfig | None = None) -> np.ndarray:
     if cfg is None:
         cfg = FeatureConfig()
     power = power_spectrogram(pcm, cfg)
-    energies = power @ mel_filterbank(cfg).T
+    _, fb = _analysis_arrays(cfg)
+    energies = power @ fb.T
     feats = np.log(energies + cfg.log_floor)
     if cfg.mean_var_norm:
         mean = feats.mean(axis=0)

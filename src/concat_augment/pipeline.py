@@ -6,10 +6,13 @@ yields each batch group's result in plan order; ``run``, ``audit`` and
 the plan and counts ``run`` emits. Planning, filtering and batch
 composition run on manifest metadata only (frame counts are exactly
 additive under concatenation), so the full augmented corpus is never
-resident in memory. When features are loaded, they are materialized
-lazily per batch through a bounded LRU loader, masked, collated, and
-written by a single writer in plan order; a configurable worker pool
-overlaps materialization with writing without ever reordering batches.
+resident in memory. When features are loaded, each utterance's log-Mel
+matrix is extracted once per run into a feature store (the run's
+archive) before the first epoch that references it; batches are then
+materialized lazily from the store, masked, collated, and written by a
+single writer in plan order. A configurable worker pool runs the
+extraction and overlaps materialization with writing without ever
+reordering batches or archive records.
 
 Reports are JSON; all wall-clock measurements live under ``timings_s``
 keys so reproducibility checks can strip them.
@@ -19,14 +22,15 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from pathlib import Path
-from threading import Lock
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .archive import FeatureArchive
 from .augment import (
@@ -40,7 +44,7 @@ from .augment import (
 )
 from .batching import Batch, compose_batches, pad_and_collate
 from .batchio import StreamWriter, write_batch_file
-from .errors import ConfigurationError, MaterializationError, PipelineError
+from .errors import ConfigurationError, FeatureError, MaterializationError, PipelineError
 from .features import FeatureConfig, load_or_compute
 from .manifest import (
     ParseResult,
@@ -56,9 +60,6 @@ from .specaugment import MaskPolicy, apply_masks
 WORKERS_ENV_VAR = "CONCAT_AUGMENT_WORKERS"
 
 EMIT_MODES = ("files", "stream")
-
-# Feature matrices the loader keeps per run (LRU).
-FEATURE_CACHE_SIZE = 256
 
 
 @dataclass
@@ -175,14 +176,93 @@ class AuditReport:
                 raise AssertionError(f"epoch {ep['epoch']}: emitted != survivors - failures")
 
 
+class _FeatureStore:
+    """Every utterance's features for one run, extracted at most once.
+
+    :meth:`extract` computes, on the worker pool, the ids a batch plan
+    references that the store does not hold yet; the calling thread, the
+    one writer, appends them to a :class:`FeatureArchive` in first-use
+    order, so the archive's bytes do not depend on the pool size. The
+    archive is the user's ``archive_dir``, or a scratch one in a
+    temporary directory; it is opened at the first extraction and
+    :meth:`close` removes the scratch directory. After an extraction
+    :meth:`load` reads without a lock. An id that failed keeps its
+    message, and every load of it raises ``FeatureError(message)``.
+    """
+
+    def __init__(self, config: PipelineConfig, by_id: dict[str, Utterance]):
+        self._config = config
+        self._by_id = by_id
+        self._archive: FeatureArchive | None = None
+        self._scratch: tempfile.TemporaryDirectory | None = None
+        self._failed: dict[str, str] = {}
+
+    def _open(self) -> FeatureArchive:
+        if self._config.archive_dir is None:
+            self._scratch = tempfile.TemporaryDirectory(prefix="concat-augment-")
+            return FeatureArchive(self._scratch.name, mode="a")
+        archive = FeatureArchive(self._config.archive_dir, mode="a")
+        ids = archive.ids()
+        if ids:
+            width = archive.read(ids[0]).shape[1]
+            if width != self._config.feature.n_mels:
+                archive.close()
+                raise ConfigurationError(
+                    f"archive {self._config.archive_dir} holds {width}-bin features; "
+                    f"the feature config asks for {self._config.feature.n_mels} mels"
+                )
+        return archive
+
+    def extract(self, groups: list[list[TrainingInstance]], workers: int) -> None:
+        if self._archive is None:
+            self._archive = self._open()
+        archive = self._archive
+        missing = dict.fromkeys(
+            utt_id
+            for group in groups
+            for inst in group
+            for utt_id in inst.constituents
+            if utt_id not in archive and utt_id not in self._failed
+        )
+        for utt_id, feats, error in _ordered_pool_map(self._compute, missing, workers):
+            if error is None:
+                archive.write(utt_id, feats)
+            else:
+                self._failed[utt_id] = error
+
+    def _compute(self, utt_id: str) -> tuple[str, np.ndarray | None, str | None]:
+        try:
+            feats = load_or_compute(
+                self._by_id[utt_id], self._config.feature, audio_root=self._config.audio_root
+            )
+        except Exception as exc:  # with_features drops an instance on any failed load
+            return utt_id, None, str(exc)
+        return utt_id, feats, None
+
+    def load(self, utt_id: str) -> np.ndarray:
+        error = self._failed.get(utt_id)
+        if error is not None:
+            raise FeatureError(error)
+        return self._archive.read(utt_id)
+
+    def close(self) -> None:
+        try:
+            if self._archive is not None:
+                self._archive.close()
+        finally:
+            if self._scratch is not None:
+                self._scratch.cleanup()
+
+
 @dataclass
 class _Prepared:
     parse: ParseResult
     utterances: list[Utterance]
     by_id: dict[str, Utterance]
     index: SpeakerIndex
-    load: Callable | None
-    archive: FeatureArchive | None
+    store: _FeatureStore | None
+    # Built at the first epoch's first use; they never change between epochs.
+    originals: list[TrainingInstance] | None = None
 
 
 def _prepare(config: PipelineConfig, with_loader: bool) -> _Prepared:
@@ -195,30 +275,8 @@ def _prepare(config: PipelineConfig, with_loader: bool) -> _Prepared:
         raise ConfigurationError(f"manifest {config.manifest_path} has no accepted utterances")
     by_id = {u.id: u for u in utterances}
     index = build_speaker_index(utterances)
-
-    archive = None
-    load = None
-    if with_loader:
-        if config.archive_dir is not None:
-            archive = FeatureArchive(config.archive_dir, mode="a")
-            lock = Lock()  # the archive permits a single writer
-
-            def fetch(utt_id: str):
-                with lock:
-                    return load_or_compute(
-                        by_id[utt_id], config.feature, cache=archive, audio_root=config.audio_root
-                    )
-
-        else:
-
-            def fetch(utt_id: str):
-                return load_or_compute(
-                    by_id[utt_id], config.feature, audio_root=config.audio_root
-                )
-
-        load = lru_cache(maxsize=FEATURE_CACHE_SIZE)(fetch)
-
-    return _Prepared(parse, utterances, by_id, index, load, archive)
+    store = _FeatureStore(config, by_id) if with_loader else None
+    return _Prepared(parse, utterances, by_id, index, store)
 
 
 @dataclass
@@ -314,8 +372,8 @@ def _epochs(
 
     Yields ``(epoch, groups)`` per epoch, where ``groups`` yields every
     non-empty group in plan order and, once exhausted, appends the
-    epoch's entry to ``report``. The archive is closed when the engine
-    ends, however it ends.
+    epoch's entry to ``report``. The feature store is closed when the
+    engine ends, however it ends.
     """
     workers = config.resolved_workers()
     prepared = _prepare(config, with_loader=load_features)
@@ -326,23 +384,26 @@ def _epochs(
         for epoch in epochs:
             yield epoch, _epoch(prepared, config, epoch, workers, report)
     finally:
-        if prepared.archive is not None:
-            prepared.archive.close()
+        if prepared.store is not None:
+            prepared.store.close()
 
 
 def _epoch(
     prepared: _Prepared, config: PipelineConfig, epoch: int, workers: int, report: AuditReport
 ) -> Iterator[_Group]:
-    """Plan, filter and compose one epoch now; return the generator that
-    builds its groups. Only the groups outlive this call, so the engine
-    holds one epoch's lists at a time."""
+    """Plan, filter and compose one epoch and extract the features it
+    references now; return the generator that builds its groups. Only
+    the groups outlive this call, so the engine holds one epoch's lists
+    at a time."""
     t0 = time.perf_counter()
     plan = plan_epoch(prepared.utterances, prepared.index, config.strategy, config.seed, epoch)
-    originals = (
-        [instance_from_utterance(u) for u in prepared.utterances]
-        if config.include_original
-        else []
-    )
+    if prepared.originals is None:
+        prepared.originals = (
+            [instance_from_utterance(u) for u in prepared.utterances]
+            if config.include_original
+            else []
+        )
+    originals = prepared.originals
     augmented = [instance_from_plan(e, prepared.by_id, config.strategy) for e in plan.pairings]
     combined = combine_and_filter(originals, augmented, config.max_frames)
     survivors = [replace(inst, ordinal=i) for i, inst in enumerate(combined.instances)]
@@ -351,6 +412,11 @@ def _epoch(
         survivors, config.budget_frames, config.seed, epoch, config.bucketing, config.accounting
     )
     t_compose = time.perf_counter()
+    load = None
+    if prepared.store is not None:
+        prepared.store.extract(groups, workers)
+        load = prepared.store.load
+    t_extract = time.perf_counter()
 
     histogram: dict[str, int] = {}
     for inst in survivors:
@@ -362,7 +428,7 @@ def _epoch(
     dropped = {"original": combined.dropped_original, "augmented": combined.dropped_augmented}
 
     def build(group):
-        return _build_group(group, config, epoch, prepared.load)
+        return _build_group(group, config, epoch, load)
 
     def results():
         failed_original = failed_augmented = batches = emitted = padded = true = 0
@@ -394,7 +460,8 @@ def _epoch(
                 "timings_s": {
                     "plan_and_filter": t_plan - t0,
                     "compose": t_compose - t_plan,
-                    "materialize_and_emit": time.perf_counter() - t_compose,
+                    "extract_features": t_extract - t_compose,
+                    "materialize_and_emit": time.perf_counter() - t_extract,
                 },
             }
         )
@@ -481,7 +548,8 @@ def iter_epoch_batches(config: PipelineConfig, epoch: int) -> Iterator[Batch]:
 
     Library-level access to the exact batches ``run`` would emit,
     including provenance ids, without writing anything but the feature
-    archive, which is closed when the iteration ends.
+    archive (a scratch one when ``archive_dir`` is unset), which is
+    closed when the iteration ends.
     """
     report = AuditReport(config={}, ingestion={})
     for _, groups in _epochs(config, [epoch], report, load_features=True):

@@ -72,6 +72,17 @@ class TestArchive:
         with pytest.raises(ArchiveError, match="checksum"):
             reader.read("u1")
 
+    def test_truncated_record_detected_at_every_length(self, tmp_path):
+        rng = np.random.default_rng(12)
+        with FeatureArchive(tmp_path / "arch", mode="a") as arch:
+            arch.write("u1", random_matrix(rng, t=3))
+        shard = next((tmp_path / "arch").glob("shard-*.bin"))
+        blob = shard.read_bytes()
+        for cut in range(len(blob)):
+            shard.write_bytes(blob[:cut])
+            with pytest.raises(ArchiveError, match="truncated"):
+                FeatureArchive(tmp_path / "arch", mode="r").read("u1")
+
     def test_shard_rollover(self, tmp_path):
         rng = np.random.default_rng(13)
         with FeatureArchive(tmp_path / "arch", mode="a", max_shard_bytes=2048) as arch:

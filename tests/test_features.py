@@ -3,7 +3,10 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from concat_augment import features
 from concat_augment.archive import FeatureArchive
 from concat_augment.errors import FeatureError
 from concat_augment.features import (
@@ -11,6 +14,7 @@ from concat_augment.features import (
     compute_logmel,
     filter_center_freqs,
     frame_count,
+    hann_window,
     load_or_compute,
     load_pcm,
     mel_filterbank,
@@ -154,6 +158,54 @@ class TestComputeLogmel:
         # every filter has support, every interior bin is covered
         assert np.all(fb.sum(axis=1) > 0)
         assert np.all(fb.sum(axis=0)[1:-1] > 0)
+
+
+def uncached_logmel(pcm, cfg):
+    """compute_logmel with the window and filterbank rebuilt on every call."""
+    frames = features._frame_signal(np.asarray(pcm, dtype=np.float64), cfg)
+    spectrum = np.fft.rfft(frames * hann_window(cfg.win_samples), n=cfg.n_fft, axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    feats = np.log(power @ mel_filterbank(cfg).T + cfg.log_floor)
+    if cfg.mean_var_norm:
+        feats = (feats - feats.mean(axis=0)) / np.maximum(feats.std(axis=0), 1e-8)
+    return feats
+
+
+@st.composite
+def feature_configs(draw):
+    sample_rate = draw(st.sampled_from([8000, 16000, 22050]))
+    win_ms = draw(st.sampled_from([10.0, 20.0, 25.0, 32.0]))
+    hop_ms = draw(st.sampled_from([h for h in (5.0, 10.0, 12.5) if h <= win_ms]))
+    win_samples = int(round(win_ms * sample_rate / 1000.0))
+    fft_size = draw(st.sampled_from([None, 1 << win_samples.bit_length()]))
+    return FeatureConfig(
+        sample_rate_hz=sample_rate,
+        n_mels=draw(st.integers(1, 96)),
+        win_ms=win_ms,
+        hop_ms=hop_ms,
+        fft_size=fft_size,
+        log_floor=draw(st.sampled_from([1e-10, 1e-6, 1e-3])),
+        mean_var_norm=draw(st.booleans()),
+    )
+
+
+class TestAnalysisCache:
+    @settings(max_examples=40, deadline=None)
+    @given(a=feature_configs(), b=feature_configs(), seed=st.integers(0, 2**32 - 1))
+    def test_interleaved_configs_match_uncached(self, a, b, seed):
+        rng = np.random.default_rng(seed)
+        pcm = rng.uniform(-1, 1, size=int(rng.integers(1200, 4000)))
+        for cfg in (a, b, a, b):
+            assert compute_logmel(pcm, cfg).tobytes() == uncached_logmel(pcm, cfg).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        window, fb = features._analysis_arrays(CFG)
+        assert features._analysis_arrays(FeatureConfig())[1] is fb  # equal configs share it
+        for array in (window, fb):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        np.testing.assert_array_equal(fb, mel_filterbank(CFG))
+        np.testing.assert_array_equal(window, hann_window(CFG.win_samples))
 
 
 class TestLoadPcm:

@@ -1,14 +1,24 @@
+import gc
 import json
 import os
+import re
+import sys
+import tempfile
+import threading
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from concat_augment import pipeline
 from concat_augment.archive import FeatureArchive
 from concat_augment.augment import Strategy
 from concat_augment.batchio import iter_stream, read_batch_file
 from concat_augment.cli import main as cli_main
 from concat_augment.errors import ConfigurationError
+from concat_augment.features import FeatureConfig, load_or_compute
+from concat_augment.manifest import load_manifest
 from concat_augment.pipeline import (
     PipelineConfig,
     audit,
@@ -238,6 +248,133 @@ class TestRun:
         assert sorted((tmp_path / "arch").glob("shard-*.bin")) == shards
         archive = FeatureArchive(tmp_path / "arch", "r")
         assert all(f"u{i:06d}" in archive for i in range(12))
+
+
+MISSING = "u000004"
+
+
+@pytest.fixture
+def store_corpus(tmp_path):
+    """16 utterances, one of whose audio file is missing."""
+    manifest = write_audio_corpus(tmp_path / "c", 16, np.random.default_rng(15), n_speakers=4)
+    os.remove(manifest.parent / f"{MISSING}.npy")
+    return manifest
+
+
+def store_config(manifest, **overrides):
+    """A 2-epoch random run; every utterance is referenced as an original."""
+    base = dict(
+        manifest_path=manifest,
+        audio_root=manifest.parent,
+        strategy=Strategy("random"),
+        seed=21,
+        epochs=2,
+        budget_frames=600,
+        specaugment=MaskPolicy(),
+        workers=1,
+    )
+    base.update(overrides)
+    return PipelineConfig(**base)
+
+
+class TestFeatureStore:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_each_id_extracted_once_per_run(self, store_corpus, tmp_path, monkeypatch, workers):
+        calls = Counter()
+        lock = threading.Lock()
+
+        def counting(utt, *args, **kwargs):
+            with lock:
+                calls[utt.id] += 1
+            return load_or_compute(utt, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_or_compute", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside the pool
+        try:
+            report = run(store_config(store_corpus, out_dir=tmp_path / "out", workers=workers))
+        finally:
+            sys.setswitchinterval(interval)
+        ids = {u.id for u in load_manifest(store_corpus).utterances}
+        assert set(calls) == ids
+        assert set(calls.values()) == {1}
+        assert report.totals["materialization_failures"] > 0
+        report.check_consistency()
+
+    def test_prefilled_archive_gives_same_bytes_and_report(self, store_corpus, tmp_path):
+        cfg = FeatureConfig()
+        with FeatureArchive(tmp_path / "arch", mode="a") as archive:
+            for utt in load_manifest(store_corpus).utterances:
+                if utt.id != MISSING:
+                    load_or_compute(utt, cfg, cache=archive, audio_root=store_corpus.parent)
+        scratch = run(store_config(store_corpus, out_dir=tmp_path / "o1"))
+        fed = run(store_config(store_corpus, out_dir=tmp_path / "o2", archive_dir=tmp_path / "arch"))
+        assert read_tree(tmp_path / "o1") == read_tree(tmp_path / "o2")
+        assert strip_timings(scratch.to_dict()) == strip_timings(fed.to_dict())
+        assert any(MISSING in d for d in fed.diagnostics)
+
+    def test_archive_bytes_do_not_depend_on_workers(self, store_corpus, tmp_path):
+        for workers in (1, 2):
+            run(store_config(
+                store_corpus, out_dir=tmp_path / f"o{workers}",
+                archive_dir=tmp_path / f"arch{workers}", workers=workers,
+            ))
+        one = read_tree(tmp_path / "arch1")
+        assert any(name.startswith("shard-") for name in one)
+        assert one == read_tree(tmp_path / "arch2")
+
+    def test_only_batches_and_report_in_out_dir(self, store_corpus, tmp_path):
+        run(store_config(store_corpus, out_dir=tmp_path / "out"))
+        names = [p.relative_to(tmp_path / "out").as_posix()
+                 for p in (tmp_path / "out").rglob("*") if p.is_file()]
+        assert "report.json" in names
+        pattern = re.compile(r"epoch-\d{3}/batch-\d{5}\.cabx|report\.json")
+        assert all(pattern.fullmatch(name) for name in names), names
+
+    @pytest.fixture
+    def scratch_root(self, tmp_path, monkeypatch):
+        """Where the scratch archive goes; warnings are recorded, since an
+        implicit clean-up of a TemporaryDirectory warns instead of failing."""
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield root
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert list(root.iterdir()) == []
+
+    def test_scratch_archive_removed_after_success(self, store_corpus, tmp_path, scratch_root):
+        run(store_config(store_corpus, out_dir=tmp_path / "out"))
+        assert list(scratch_root.iterdir()) == []
+
+    def test_scratch_archive_removed_after_failure(
+        self, store_corpus, tmp_path, monkeypatch, scratch_root
+    ):
+        held = []
+
+        def fail_second(batch, path):
+            if held:
+                raise RuntimeError("disk full")
+            held.extend(scratch_root.iterdir())
+
+        monkeypatch.setattr(pipeline, "write_batch_file", fail_second)
+        with pytest.raises(RuntimeError, match="disk full"):
+            run(store_config(store_corpus, out_dir=tmp_path / "out"))
+        assert held  # the scratch archive existed mid-epoch
+        assert list(scratch_root.iterdir()) == []
+
+    def test_archive_of_other_width_is_fatal_before_batches(self, store_corpus, tmp_path):
+        run(store_config(store_corpus, out_dir=tmp_path / "o80", archive_dir=tmp_path / "arch"))
+        config = store_config(
+            store_corpus, out_dir=tmp_path / "o40", archive_dir=tmp_path / "arch",
+            feature=FeatureConfig(n_mels=40),
+        )
+        with pytest.raises(ConfigurationError, match="80-bin.*40 mels"):
+            run(config)
+        assert not list((tmp_path / "o40").rglob("*.cabx"))
+        assert "80-bin" in json.loads((tmp_path / "o40" / "report.json").read_text())["error"]
 
 
 class TestAudit:
