@@ -48,6 +48,45 @@ GOLDEN = {
     "iter-speaker-epoch1": "93a406f8bc59c463987107025b44177648001f390b71a1fe4e10ee054411d5ff",
 }
 
+# Plan, filter and batching branches the cases above leave out (arity 3,
+# no originals, true-frame accounting without buckets, dropped
+# originals): overrides, then the digests of the run's tree, the run's
+# report and the audit's report.
+BRANCHES = {
+    "speaker-k3": (
+        dict(strategy=Strategy("speaker", 3)),
+        (
+            "63e69511b9f22df0d19db3b679c640dd8023dbfff63533a70afbebb0e97e6165",
+            "dab63a05b1cf6a45d75106424deba90073ab2cf3bbd6388f8ccc56bf44e2947d",
+            "07c357e4d39016d243c26f986475d7711634d9dbd36b177cf0e412cc06039e6d",
+        ),
+    ),
+    "random-k3": (
+        dict(strategy=Strategy("random", 3)),
+        (
+            "46a4bb9e4099f7678d3bd2a8098a04bb2c6d3e7cbc6c82bac603063cc53f88d3",
+            "d7aae96d035801d73554614009eb1088665f2587d50f6cd912ffd4401476c6e0",
+            "cc1acafe2ce15334f5440055431bd7952f6cca382d3df11e33561f7025d22d5f",
+        ),
+    ),
+    "self-no-original": (
+        dict(strategy=Strategy("self"), include_original=False),
+        (
+            "916a08aa356b56a2f61eb3d05c6e5847747dca46820d3ea9c9de72e6e59ccc5a",
+            "9cbffdc904d508f83c2f8f026fd19669f1b924240522bcb6df06b671725cd092",
+            "b3dd836d965a658bfa6bb3bb1a29e8dd7d2f6ed15829f58e8c91f193a40c6325",
+        ),
+    ),
+    "random-true-unbucketed": (
+        dict(bucketing=False, accounting="true", max_frames=110),
+        (
+            "683037eba20a6c2500871ae8c8d12692767074ded8657061f398780eb31f9eb9",
+            "ac2505b23518060abafc8edaac78a0c60ac275c72167a4a79ce349975f170ef8",
+            "761401204b7b0a799e6d9d57424d60ea7c9c67394dcd637c8b449a97df570d2b",
+        ),
+    ),
+}
+
 
 def write_corpus(root):
     """30 rows: 4 speakers of 7, one singleton speaker, one speakerless."""
@@ -77,7 +116,7 @@ def corpus(tmp_path, monkeypatch):
     return tmp_path
 
 
-def config(kind, **overrides):
+def config(kind="random", **overrides):
     base = dict(
         manifest_path="corpus/train.tsv",
         audio_root="corpus",
@@ -133,3 +172,16 @@ def test_iter_epoch_batches_bytes(corpus):
     for batch in iter_epoch_batches(config("speaker"), epoch=1):
         h.update(encode_batch(batch))
     assert h.hexdigest() == GOLDEN["iter-speaker-epoch1"]
+
+
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+def test_branch_bytes(corpus, branch):
+    overrides, digests = BRANCHES[branch]
+    run(config(out_dir="out", **overrides)).check_consistency()
+    audit(config(report_path="audit.json", **overrides))
+    got = (
+        tree_digest(corpus / "out"),
+        report_digest(corpus / "out" / "report.json"),
+        report_digest(corpus / "audit.json"),
+    )
+    assert got == digests
