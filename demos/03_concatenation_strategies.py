@@ -12,9 +12,7 @@ from concat_augment import (
     Strategy,
     Utterance,
     build_speaker_index,
-    combine_and_filter,
-    instance_from_plan,
-    instance_from_utterance,
+    length_filter,
     materialize,
     plan_epoch,
 )
@@ -51,10 +49,15 @@ parts = [by_id[c] for c in inst.constituents]
 print(f"\nmaterialized {inst.constituents}: {inst.n_frames} frames "
       f"(= {' + '.join(str(p.n_frames) for p in parts)}), target {inst.target}")
 
-# Eventually the originals and the augmented instances are merged and
-# length-filtered before batching. A 3000-frame cap drops nothing here.
-originals = [instance_from_utterance(u) for u in corpus]
-augmented = [instance_from_plan(e, by_id, Strategy("random")) for e in plan.pairings]
-merged = combine_and_filter(originals, augmented, max_frames=3000)
-print(f"\ncombined: {len(merged.instances)} instances "
-      f"({merged.dropped_original}/{merged.dropped_augmented} dropped orig/aug)")
+# Plans hold utterance positions; frame counts add exactly, so the
+# length filter over the originals and the augmented instances runs on
+# integer arrays. A 3000-frame cap drops nothing here. Survivors are
+# numbered originals first; only a batch that loads features builds
+# its instances.
+frames = np.array([u.n_frames for u in corpus])
+survivors = length_filter(plan, frames, max_frames=3000)
+print(f"\ncombined: {len(survivors)} instances "
+      f"({survivors.dropped_original}/{survivors.dropped_augmented} dropped orig/aug), "
+      f"frames {survivors.frames.tolist()}")
+last = survivors.instance(len(survivors) - 1, by_id)
+print(f"last survivor: {last.constituents} ({last.strategy}), {last.n_frames} frames")

@@ -21,18 +21,16 @@ from concat_augment import (
 )
 
 rng = np.random.default_rng(5)
-instances = [
-    TrainingInstance(constituents=(f"u{i}",), n_frames=int(n), target=(1, 2, 3))
-    for i, n in enumerate(rng.integers(50, 1200, size=500))
-]
+# Batch membership needs frame counts only: groups hold positions into them.
+frames = rng.integers(50, 1200, size=500)
 
 BUDGET = 8000  # padded accounting: batch_size * longest_instance <= budget
 
 for bucketing in (False, True):
-    groups = compose_batches(instances, BUDGET, seed=3, epoch=0, bucketing=bucketing)
+    groups = compose_batches(frames, BUDGET, seed=3, epoch=0, bucketing=bucketing)
     sizes = [len(g) for g in groups]
     print(f"bucketing={bucketing}: {len(groups)} batches, "
-          f"sizes {min(sizes)}..{max(sizes)}, waste {padding_waste(groups):.3f}")
+          f"sizes {min(sizes)}..{max(sizes)}, waste {padding_waste(groups, frames):.3f}")
 
 # Collation pads features with zeros and targets with the pad symbol;
 # true lengths recover the originals exactly.

@@ -10,9 +10,7 @@ from .archive import FeatureArchive
 from .augment import (
     Strategy,
     TrainingInstance,
-    combine_and_filter,
-    instance_from_plan,
-    instance_from_utterance,
+    length_filter,
     materialize,
     plan_epoch,
 )
@@ -60,17 +58,15 @@ __all__ = [
     "apply_masks",
     "audit",
     "build_speaker_index",
-    "combine_and_filter",
     "compose_batches",
     "compute_logmel",
     "decode_batch",
     "encode_batch",
     "frame_count",
     "ingestion_report",
-    "instance_from_plan",
-    "instance_from_utterance",
     "iter_epoch_batches",
     "keyed_rng",
+    "length_filter",
     "materialize",
     "normalize_target",
     "pad_and_collate",

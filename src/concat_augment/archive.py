@@ -66,8 +66,18 @@ class FeatureArchive:
             self._index = {k: (v[0], int(v[1])) for k, v in raw.items()}
         elif mode == "r":
             raise ArchiveError(f"no archive index at {index_path}")
+        # The shard appends go to, its size and the shard count, found once
+        # here and then kept up to date by write.
+        self._shard: Path | None = None
+        self._shard_bytes = 0
+        self._shard_count = 0
         if mode == "a":
             self.root.mkdir(parents=True, exist_ok=True)
+            shards = sorted(self.root.glob("shard-*.bin"))
+            self._shard_count = len(shards)
+            if shards:
+                self._shard = shards[-1]
+                self._shard_bytes = self._shard.stat().st_size
 
     @property
     def writable(self) -> bool:
@@ -82,15 +92,6 @@ class FeatureArchive:
     def ids(self) -> list[str]:
         return list(self._index)
 
-    def _shard_paths(self) -> list[Path]:
-        return sorted(self.root.glob("shard-*.bin"))
-
-    def _current_shard(self) -> Path:
-        shards = self._shard_paths()
-        if shards and shards[-1].stat().st_size < self.max_shard_bytes:
-            return shards[-1]
-        return self.root / _SHARD_TEMPLATE.format(len(shards))
-
     def write(self, utt_id: str, feats: np.ndarray) -> None:
         if not self.writable:
             raise ArchiveError("archive opened read-only")
@@ -99,12 +100,16 @@ class FeatureArchive:
             raise ArchiveError(f"expected a T x F matrix, got shape {feats.shape}")
         if utt_id in self._index:
             raise ArchiveError(f"id already archived: {utt_id!r}")
-        shard = self._current_shard()
+        if self._shard is None or self._shard_bytes >= self.max_shard_bytes:
+            self._shard = self.root / _SHARD_TEMPLATE.format(self._shard_count)
+            self._shard_bytes = 0
+            self._shard_count += 1
         record = _encode_record(utt_id, feats)
-        with open(shard, "ab") as f:
+        with open(self._shard, "ab") as f:
             offset = f.tell()
             f.write(record)
-        self._index[utt_id] = (shard.name, offset)
+        self._shard_bytes = offset + len(record)
+        self._index[utt_id] = (self._shard.name, offset)
         self._dirty = True
 
     def read(self, utt_id: str) -> np.ndarray:

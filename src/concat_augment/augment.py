@@ -15,14 +15,17 @@ Plans are drawn once per epoch over the entire corpus: every eligible
 utterance anchors exactly one augmented instance, so pre-filter the
 augmented set is the same size as the eligible original set. Plans are
 a pure function of (seed, epoch, strategy, utterance order) and rerun
-bit-identically.
+bit-identically. A plan and its length filter hold utterance positions
+and frame counts only; a :class:`TrainingInstance` is built from them
+when a batch needs its features.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,9 +66,7 @@ class TrainingInstance:
     Originals have a single constituent and ``strategy is None``;
     augmented instances record their ordered constituent utterance ids
     and the strategy that created them. ``features`` is filled by
-    materialization and stays ``None`` on metadata-only paths (planning,
-    filtering, batch composition). ``ordinal`` is the instance's stable
-    position in the epoch's post-filter sequence; mask streams key on it.
+    materialization and stays ``None`` until a batch loads them.
     """
 
     constituents: tuple[str, ...]
@@ -73,22 +74,48 @@ class TrainingInstance:
     target: Target
     strategy: str | None = None
     features: np.ndarray | None = field(default=None, compare=False, repr=False)
-    ordinal: int | None = field(default=None, compare=False)
 
     @property
     def is_original(self) -> bool:
         return self.strategy is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpochPlan:
-    """All pairings for one epoch, before materialization."""
+    """All pairings for one epoch, before materialization, by position.
+
+    Row ``i`` concatenates utterance ``anchors[i]`` with the utterances
+    ``partners[i]``, in that order; positions index ``ids``, the corpus
+    order the plan was drawn over. ``excluded`` lists the ``(id,
+    reason)`` of every utterance that anchors nothing.
+    """
 
     epoch: int
     seed: int
     strategy: Strategy
-    pairings: tuple[PlanEntry, ...]
+    ids: Sequence[str] = field(repr=False)
+    anchors: np.ndarray  # n, int
+    partners: np.ndarray  # n x (k - 1), int
     excluded: tuple[tuple[str, str], ...]
+
+    def __len__(self) -> int:
+        return len(self.anchors)
+
+    def entry(self, row: int) -> PlanEntry:
+        """Row ``row`` as ``(anchor_id, partner_ids)``."""
+        return self.ids[self.anchors[row]], tuple(self.ids[p] for p in self.partners[row])
+
+    @property
+    def pairings(self) -> tuple[PlanEntry, ...]:
+        """Every row as ``(anchor_id, partner_ids)``, in plan order."""
+        get = self.ids.__getitem__
+        partner_ids = zip(*(map(get, column) for column in self.partners.T.tolist()))
+        return tuple(zip(map(get, self.anchors.tolist()), partner_ids))
+
+    def instance_frames(self, frames: np.ndarray) -> np.ndarray:
+        """Each row's frame count, given every utterance's: frame counts
+        add exactly under concatenation."""
+        return frames[self.anchors] + frames[self.partners].sum(axis=1)
 
     def canonical_bytes(self) -> bytes:
         """Stable byte serialization, for determinism audits."""
@@ -121,6 +148,16 @@ def _gap_partners(rng: np.random.Generator, pool: int, anchor_pos: int, n_partne
     return [int(j) + (int(j) >= anchor_pos) for j in draws]
 
 
+def _within(rng: np.random.Generator, pool: int, n_partners: int) -> np.ndarray:
+    """Partner positions in range(pool) for every anchor position in it,
+    as a pool x n_partners array (vectorized gap trick for one partner)."""
+    if n_partners == 1 and pool > 1:
+        draws = rng.integers(0, pool - 1, size=pool)
+        return (draws + (draws >= np.arange(pool)))[:, None]
+    rows = [_gap_partners(rng, pool, i, n_partners) for i in range(pool)]
+    return np.array(rows, dtype=np.int64).reshape(pool, n_partners)
+
+
 def plan_epoch(
     utterances: Sequence[Utterance],
     index: SpeakerIndex | None,
@@ -141,58 +178,47 @@ def plan_epoch(
         raise ConfigurationError("cannot plan an epoch over an empty corpus")
     rng = keyed_rng(seed, PLAN_STREAM, epoch)
     ids = [u.id for u in utterances]
+    n = len(ids)
+    n_partners = strategy.k - 1
 
     if strategy.kind == "self":
-        pairings = tuple((uid, (uid,) * (strategy.k - 1)) for uid in ids)
-        return EpochPlan(epoch, seed, strategy, pairings, ())
+        everyone = np.arange(n)
+        partners = np.repeat(everyone[:, None], n_partners, axis=1)
+        return EpochPlan(epoch, seed, strategy, ids, everyone, partners, ())
 
     if strategy.kind == "random":
-        n = len(ids)
-        entries: list[PlanEntry] = []
-        if strategy.k == 2 and n > 1:
-            # vectorized gap trick: j uniform over [0, n-2], skip the anchor slot
-            draws = rng.integers(0, n - 1, size=n)
-            partner_pos = draws + (draws >= np.arange(n))
-            entries = [(ids[i], (ids[int(p)],)) for i, p in enumerate(partner_pos)]
-        else:
-            for i, uid in enumerate(ids):
-                partners = _gap_partners(rng, n, i, strategy.k - 1)
-                entries.append((uid, tuple(ids[p] for p in partners)))
-        return EpochPlan(epoch, seed, strategy, tuple(entries), ())
+        partners = _within(rng, n, n_partners)
+        return EpochPlan(epoch, seed, strategy, ids, np.arange(n), partners, ())
 
     # speaker strategy
     if index is None or len(index.groups) == 0:
         raise ConfigurationError("speaker strategy requires a manifest with speaker labels")
-    # Pre-draw partner positions group by group (vectorized for k=2);
-    # emission below follows utterance list order.
-    group_pos: dict[str, int] = {}
-    drawn: dict[str, list[list[int]]] = {}
-    for speaker, members in index.groups.items():
-        g = len(members)
-        if g < 2:
-            continue
-        if strategy.k == 2:
-            draws = rng.integers(0, g - 1, size=g)
-            partner_pos = draws + (draws >= np.arange(g))
-            drawn[speaker] = [[int(p)] for p in partner_pos]
-        else:
-            drawn[speaker] = [_gap_partners(rng, g, i, strategy.k - 1) for i in range(g)]
+    # Draw group by group in index order. A group's j-th member is the
+    # j-th utterance of that speaker in list order, so the members'
+    # positions, concatenated, are the anchors, and sorting them puts
+    # the anchors back in list order.
+    groups = [members for members in index.groups.values() if len(members) >= 2]
+    sizes = [len(members) for members in groups]
+    position = dict(zip(ids, range(n)))
+    anchors = np.fromiter(
+        map(position.__getitem__, itertools.chain.from_iterable(groups)),
+        dtype=np.int64,
+        count=sum(sizes),
+    )
+    starts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
+    within = [start + _within(rng, size, n_partners) for start, size in zip(starts, sizes)]
+    partners = anchors[np.concatenate(within)] if within else np.zeros((0, n_partners), np.int64)
+    order = np.argsort(anchors, kind="stable")
+    anchors = anchors[order]
+    partners = partners[order]
 
-    pairings_list: list[PlanEntry] = []
-    excluded: list[tuple[str, str]] = []
-    for utt in utterances:
-        if utt.speaker_id is None:
-            excluded.append((utt.id, EXCLUDED_SPEAKERLESS))
-            continue
-        members = index.groups[utt.speaker_id]
-        if len(members) < 2:
-            excluded.append((utt.id, EXCLUDED_SINGLETON))
-            continue
-        pos = group_pos.setdefault(utt.speaker_id, 0)
-        group_pos[utt.speaker_id] = pos + 1
-        partners = drawn[utt.speaker_id][pos]
-        pairings_list.append((utt.id, tuple(members[p] for p in partners)))
-    return EpochPlan(epoch, seed, strategy, tuple(pairings_list), tuple(excluded))
+    anchored = np.zeros(n, dtype=bool)
+    anchored[anchors] = True
+    excluded = tuple(
+        (ids[i], EXCLUDED_SPEAKERLESS if utterances[i].speaker_id is None else EXCLUDED_SINGLETON)
+        for i in np.flatnonzero(~anchored).tolist()
+    )
+    return EpochPlan(epoch, seed, strategy, ids, anchors, partners, excluded)
 
 
 def _join_targets(targets: list[Target]) -> Target:
@@ -263,37 +289,54 @@ def materialize(
     return with_features(instance_from_plan(entry, utterances_by_id, strategy), load_features)
 
 
-@dataclass
-class CombineResult:
-    instances: list[TrainingInstance]
+@dataclass(frozen=True, eq=False)
+class Survivors:
+    """An epoch's instances that pass the length filter, by position.
+
+    Survivor ``r``, whose ordinal is ``r``, is the original of utterance
+    ``originals[r]`` when ``r < len(originals)``, else the augmented
+    instance of plan row ``augmented[r - len(originals)]``: originals
+    come first (a later keyed shuffle decides batch composition).
+    ``frames[r]`` is its frame count.
+    """
+
+    plan: EpochPlan
+    frames: np.ndarray
+    originals: np.ndarray
+    augmented: np.ndarray
     dropped_original: int
     dropped_augmented: int
 
+    def __len__(self) -> int:
+        return len(self.frames)
 
-def combine_and_filter(
-    original: Iterable[TrainingInstance],
-    augmented: Iterable[TrainingInstance],
-    max_frames: int = 3000,
-) -> CombineResult:
-    """Merge originals and augmented, dropping anything over max_frames.
+    def instance(self, r: int, utterances_by_id: Mapping[str, Utterance]) -> TrainingInstance:
+        """Metadata-only instance of survivor ``r``."""
+        n_original = len(self.originals)
+        if r < n_original:
+            return instance_from_utterance(utterances_by_id[self.plan.ids[self.originals[r]]])
+        entry = self.plan.entry(self.augmented[r - n_original])
+        return instance_from_plan(entry, utterances_by_id, self.plan.strategy)
 
-    Originals come first, augmented after (a later keyed shuffle decides
-    batch composition). Drop counts are reported per source. Pass an
-    empty ``original`` to reproduce the augmented-only ablation.
-    """
-    if max_frames < 1:
-        raise ConfigurationError(f"max_frames must be >= 1, got {max_frames}")
-    kept: list[TrainingInstance] = []
-    dropped_orig = 0
-    dropped_aug = 0
-    for inst in original:
-        if inst.n_frames > max_frames:
-            dropped_orig += 1
-        else:
-            kept.append(inst)
-    for inst in augmented:
-        if inst.n_frames > max_frames:
-            dropped_aug += 1
-        else:
-            kept.append(inst)
-    return CombineResult(kept, dropped_orig, dropped_aug)
+
+def length_filter(
+    plan: EpochPlan, frames: np.ndarray, max_frames: int, include_original: bool = True
+) -> Survivors:
+    """Keep the originals and the plan's augmented instances that have at
+    most ``max_frames`` frames. ``frames[i]`` is the frame count of the
+    utterance at position ``i`` of the plan's corpus. Pass
+    ``include_original=False`` for the augmented-only ablation."""
+    augmented_frames = plan.instance_frames(frames)
+    augmented = np.flatnonzero(augmented_frames <= max_frames)
+    if include_original:
+        originals = np.flatnonzero(frames <= max_frames)
+    else:
+        originals = np.zeros(0, dtype=np.int64)
+    return Survivors(
+        plan,
+        np.concatenate([frames[originals], augmented_frames[augmented]]),
+        originals,
+        augmented,
+        (len(frames) - len(originals)) if include_original else 0,
+        len(plan) - len(augmented),
+    )

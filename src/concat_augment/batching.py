@@ -58,54 +58,58 @@ def _target_codes(target) -> list[int]:
 
 
 def compose_batches(
-    instances: Sequence[TrainingInstance],
+    n_frames: Sequence[int] | np.ndarray,
     budget_frames: int,
     seed: int,
     epoch: int,
     bucketing: bool = True,
     accounting: str = "padded",
-) -> list[list[TrainingInstance]]:
-    """Decide batch membership from metadata only (no features needed).
+) -> list[np.ndarray]:
+    """Decide batch membership from frame counts only (no features needed).
 
-    Deterministic for fixed (seed, epoch, input order). Raises
+    ``n_frames[i]`` is instance ``i``'s frame count; each returned group
+    holds the positions of its instances, and the groups come in batch
+    order. Deterministic for fixed (seed, epoch, input order). Raises
     :class:`BatchingError` when any single instance exceeds the budget.
     """
     if accounting not in ACCOUNTING_MODES:
         raise BatchingError(f"unknown accounting mode {accounting!r}")
-    for inst in instances:
-        if inst.n_frames > budget_frames:
-            raise BatchingError(
-                f"instance {inst.constituents} has {inst.n_frames} frames, "
-                f"over the budget of {budget_frames}"
-            )
-    if not instances:
+    frames = np.asarray(n_frames, dtype=np.int64)
+    over = np.flatnonzero(frames > budget_frames)
+    if over.size:
+        first = int(over[0])
+        raise BatchingError(
+            f"instance {first} has {frames[first]} frames, over the budget of {budget_frames}"
+        )
+    if frames.size == 0:
         return []
 
     rng = keyed_rng(seed, BATCH_STREAM, epoch)
-    order = rng.permutation(len(instances))
-    shuffled = [instances[i] for i in order]
+    order = rng.permutation(len(frames))
     if bucketing:
         # stable sort keeps the shuffled order inside each bucket
-        shuffled.sort(key=lambda inst: inst.n_frames // BUCKET_WIDTH_FRAMES)
+        order = order[np.argsort(frames[order] // BUCKET_WIDTH_FRAMES, kind="stable")]
 
-    groups: list[list[TrainingInstance]] = []
-    current: list[TrainingInstance] = []
-    current_max = 0
-    current_sum = 0
-    for inst in shuffled:
-        if current:
-            if accounting == "padded":
-                fits = (len(current) + 1) * max(current_max, inst.n_frames) <= budget_frames
-            else:
-                fits = current_sum + inst.n_frames <= budget_frames
-            if not fits:
-                groups.append(current)
-                current, current_max, current_sum = [], 0, 0
-        current.append(inst)
-        current_max = max(current_max, inst.n_frames)
-        current_sum += inst.n_frames
-    if current:
-        groups.append(current)
+    # Greedy pack in that order: a group closes when the next instance
+    # would take it over the budget.
+    starts = []
+    size = peak = total = 0
+    if accounting == "padded":
+        for i, n in enumerate(frames[order].tolist()):
+            grown = n if n > peak else peak
+            if size and (size + 1) * grown > budget_frames:
+                starts.append(i)
+                size, grown = 0, n
+            size += 1
+            peak = grown
+    else:
+        for i, n in enumerate(frames[order].tolist()):
+            if size and total + n > budget_frames:
+                starts.append(i)
+                size = total = 0
+            size += 1
+            total += n
+    groups = np.split(order, starts)
 
     batch_order = rng.permutation(len(groups))
     return [groups[i] for i in batch_order]
@@ -150,14 +154,16 @@ def pad_and_collate(group: Sequence[TrainingInstance], target_pad_id: int = 0) -
     )
 
 
-def padding_waste(groups: Sequence[Sequence[TrainingInstance]]) -> float:
-    """Fraction of padded frame mass that is padding, over composed groups."""
+def padding_waste(groups: Sequence[Sequence[int]], n_frames: Sequence[int] | np.ndarray) -> float:
+    """Fraction of padded frame mass that is padding, over composed groups
+    of positions into ``n_frames``."""
+    frames = np.asarray(n_frames, dtype=np.int64)
     padded = 0
     true = 0
     for group in groups:
-        t_max = max(inst.n_frames for inst in group)
-        padded += len(group) * t_max
-        true += sum(inst.n_frames for inst in group)
+        sizes = frames[np.asarray(group, dtype=np.intp)]
+        padded += len(sizes) * int(sizes.max())
+        true += int(sizes.sum())
     if padded == 0:
         return 0.0
     return (padded - true) / padded

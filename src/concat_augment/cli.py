@@ -101,8 +101,8 @@ def config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
+        config = config_from_args(args)
         if args.command == "run":
             report = run(config)
         else:

@@ -33,18 +33,16 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .archive import FeatureArchive
-from .augment import (
-    Strategy,
-    TrainingInstance,
-    combine_and_filter,
-    instance_from_plan,
-    instance_from_utterance,
-    plan_epoch,
-    with_features,
-)
-from .batching import Batch, compose_batches, pad_and_collate
+from .augment import Strategy, TrainingInstance, length_filter, plan_epoch, with_features
+from .batching import ACCOUNTING_MODES, Batch, compose_batches, pad_and_collate
 from .batchio import StreamWriter, write_batch_file
-from .errors import ConfigurationError, FeatureError, MaterializationError, PipelineError
+from .errors import (
+    BatchingError,
+    ConfigurationError,
+    FeatureError,
+    MaterializationError,
+    PipelineError,
+)
 from .features import FeatureConfig, load_or_compute
 from .manifest import (
     ParseResult,
@@ -260,9 +258,8 @@ class _Prepared:
     utterances: list[Utterance]
     by_id: dict[str, Utterance]
     index: SpeakerIndex
+    frames: np.ndarray  # every utterance's manifest frame count, in list order
     store: _FeatureStore | None
-    # Built at the first epoch's first use; they never change between epochs.
-    originals: list[TrainingInstance] | None = None
 
 
 def _prepare(config: PipelineConfig, with_loader: bool) -> _Prepared:
@@ -275,8 +272,9 @@ def _prepare(config: PipelineConfig, with_loader: bool) -> _Prepared:
         raise ConfigurationError(f"manifest {config.manifest_path} has no accepted utterances")
     by_id = {u.id: u for u in utterances}
     index = build_speaker_index(utterances)
+    frames = np.array([u.n_frames for u in utterances], dtype=np.int64)
     store = _FeatureStore(config, by_id) if with_loader else None
-    return _Prepared(parse, utterances, by_id, index, store)
+    return _Prepared(parse, utterances, by_id, index, frames, store)
 
 
 @dataclass
@@ -294,19 +292,17 @@ class _Group:
 
 
 def _build_group(
-    group: list[TrainingInstance],
+    ordinals: list[int],
+    instances: list[TrainingInstance],
     config: PipelineConfig,
     epoch: int,
-    load: Callable | None,
+    load: Callable,
 ) -> _Group:
-    if load is None:
-        frames = [inst.n_frames for inst in group]
-        return _Group(None, len(group), len(group) * max(frames), sum(frames))
     kept = []
     failed_original = 0
     failed_augmented = 0
     diagnostics = []
-    for inst in group:
+    for ordinal, inst in zip(ordinals, instances):
         try:
             materialized = with_features(inst, load)
         except MaterializationError as exc:
@@ -317,7 +313,7 @@ def _build_group(
             diagnostics.append(f"epoch {epoch}: dropped {inst.constituents}: {exc}")
             continue
         if config.specaugment is not None:
-            rng = keyed_rng(config.seed, MASK_STREAM, epoch, inst.ordinal)
+            rng = keyed_rng(config.seed, MASK_STREAM, epoch, ordinal)
             materialized = replace(
                 materialized, features=apply_masks(materialized.features, config.specaugment, rng)
             )
@@ -334,6 +330,11 @@ def _build_group(
         failed_augmented,
         diagnostics,
     )
+
+
+def _sized_group(frames: np.ndarray) -> _Group:
+    """A metadata-only group: sizes from the manifest's frame counts."""
+    return _Group(None, len(frames), len(frames) * int(frames.max()), int(frames.sum()))
 
 
 _EXHAUSTED = object()
@@ -365,6 +366,22 @@ def _ordered_pool_map(fn, items, workers: int):
             yield done.result()
 
 
+def _check_config(config: PipelineConfig) -> None:
+    """Reject a setting no epoch can run with, naming it and its value."""
+    for name in ("epochs", "budget_frames", "max_frames"):
+        value = getattr(config, name)
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    if config.accounting not in ACCOUNTING_MODES:
+        raise ConfigurationError(
+            f"unknown accounting mode {config.accounting!r}; expected one of {ACCOUNTING_MODES}"
+        )
+    if not 0 <= config.target_pad_id < 2**32:
+        raise ConfigurationError(
+            f"target_pad_id must fit in an unsigned 32-bit field, got {config.target_pad_id}"
+        )
+
+
 def _epochs(
     config: PipelineConfig, epochs: Iterable[int], report: AuditReport, load_features: bool
 ) -> Iterator[tuple[int, Iterator[_Group]]]:
@@ -373,9 +390,11 @@ def _epochs(
     Yields ``(epoch, groups)`` per epoch, where ``groups`` yields every
     non-empty group in plan order and, once exhausted, appends the
     epoch's entry to ``report``. The feature store is closed when the
-    engine ends, however it ends.
+    engine ends, however it ends. A bad setting is fatal before the
+    manifest is read or any output exists.
     """
     workers = config.resolved_workers()
+    _check_config(config)
     prepared = _prepare(config, with_loader=load_features)
     report.ingestion = ingestion_report(prepared.parse, prepared.index)
     if not load_features:
@@ -391,48 +410,62 @@ def _epochs(
 def _epoch(
     prepared: _Prepared, config: PipelineConfig, epoch: int, workers: int, report: AuditReport
 ) -> Iterator[_Group]:
-    """Plan, filter and compose one epoch and extract the features it
-    references now; return the generator that builds its groups. Only
-    the groups outlive this call, so the engine holds one epoch's lists
-    at a time."""
+    """Plan, filter and compose one epoch on position arrays, build the
+    instances of its batches and extract the features they reference
+    now; return the generator that builds its groups. Only the groups
+    outlive this call, so the engine holds one epoch's lists at a time.
+    An audit builds no instance: it sizes each group from frame counts."""
     t0 = time.perf_counter()
     plan = plan_epoch(prepared.utterances, prepared.index, config.strategy, config.seed, epoch)
-    if prepared.originals is None:
-        prepared.originals = (
-            [instance_from_utterance(u) for u in prepared.utterances]
-            if config.include_original
-            else []
-        )
-    originals = prepared.originals
-    augmented = [instance_from_plan(e, prepared.by_id, config.strategy) for e in plan.pairings]
-    combined = combine_and_filter(originals, augmented, config.max_frames)
-    survivors = [replace(inst, ordinal=i) for i, inst in enumerate(combined.instances)]
+    survivors = length_filter(plan, prepared.frames, config.max_frames, config.include_original)
     t_plan = time.perf_counter()
+    over = np.flatnonzero(survivors.frames > config.budget_frames)
+    if over.size:
+        inst = survivors.instance(int(over[0]), prepared.by_id)
+        raise BatchingError(
+            f"instance {inst.constituents} has {inst.n_frames} frames, "
+            f"over the budget of {config.budget_frames}"
+        )
     groups = compose_batches(
-        survivors, config.budget_frames, config.seed, epoch, config.bucketing, config.accounting
+        survivors.frames,
+        config.budget_frames,
+        config.seed,
+        epoch,
+        config.bucketing,
+        config.accounting,
     )
     t_compose = time.perf_counter()
-    load = None
-    if prepared.store is not None:
-        prepared.store.extract(groups, workers)
+    if prepared.store is None:
+        jobs = [survivors.frames[group] for group in groups]
+        build = _sized_group
+    else:
+        # Built in the main thread, groups then members then constituents,
+        # so the store extracts (and archives) ids in first-use order.
+        jobs = []
+        for group in groups:
+            ordinals = group.tolist()
+            jobs.append((ordinals, [survivors.instance(r, prepared.by_id) for r in ordinals]))
+        prepared.store.extract([instances for _, instances in jobs], workers)
         load = prepared.store.load
+
+        def build(job):
+            return _build_group(*job, config, epoch, load)
+
     t_extract = time.perf_counter()
 
     histogram: dict[str, int] = {}
-    for inst in survivors:
-        key = inst.strategy or "original"
-        histogram[key] = histogram.get(key, 0) + 1
-    planned = len(plan.pairings)
+    if len(survivors.originals):
+        histogram["original"] = len(survivors.originals)
+    if len(survivors.augmented):
+        histogram[config.strategy.kind] = len(survivors.augmented)
+    planned = len(plan)
     excluded = len(plan.excluded)
-    originals_in = len(originals)
-    dropped = {"original": combined.dropped_original, "augmented": combined.dropped_augmented}
-
-    def build(group):
-        return _build_group(group, config, epoch, load)
+    originals_in = len(prepared.utterances) if config.include_original else 0
+    dropped = {"original": survivors.dropped_original, "augmented": survivors.dropped_augmented}
 
     def results():
         failed_original = failed_augmented = batches = emitted = padded = true = 0
-        for built in _ordered_pool_map(build, groups, workers):
+        for built in _ordered_pool_map(build, jobs, workers):
             failed_original += built.failed_original
             failed_augmented += built.failed_augmented
             report.diagnostics.extend(built.diagnostics)

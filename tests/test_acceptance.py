@@ -10,14 +10,7 @@ from collections import Counter
 import numpy as np
 import scipy.stats
 
-from concat_augment.augment import (
-    Strategy,
-    TrainingInstance,
-    combine_and_filter,
-    instance_from_plan,
-    materialize,
-    plan_epoch,
-)
+from concat_augment.augment import Strategy, length_filter, materialize, plan_epoch
 from concat_augment.batching import compose_batches, padding_waste
 from concat_augment.batchio import read_batch_file
 from concat_augment.features import FeatureConfig, compute_logmel
@@ -170,11 +163,11 @@ def test_criterion_4_filter_fidelity():
     none_overlong = True
     for epoch in range(100):
         plan = plan_epoch(utts, None, strategy, seed=1717, epoch=epoch)
-        augmented = [instance_from_plan(e, by_id, strategy) for e in plan.pairings]
-        result = combine_and_filter([], augmented, max_frames=MAX_FRAMES)
+        result = length_filter(plan, lengths, MAX_FRAMES, include_original=False)
         planned += len(plan.pairings)
         dropped += result.dropped_augmented
-        none_overlong &= all(i.n_frames <= MAX_FRAMES for i in result.instances)
+        survivors = [result.instance(r, by_id) for r in range(len(result))]
+        none_overlong &= all(i.n_frames <= MAX_FRAMES for i in survivors)
     observed = dropped / planned
 
     # Monte-Carlo oracle: anchor uniform over the corpus, partner uniform
@@ -200,24 +193,18 @@ def test_criterion_4_filter_fidelity():
 def test_criterion_5_batch_contract():
     rng = np.random.default_rng(505)
     corpus = synth_utterances(10_000, 10, 100, 2900, rng)
-    instances = [
-        TrainingInstance(constituents=(u.id,), n_frames=u.n_frames, target=u.target)
-        for u in corpus
-    ]
-    groups = compose_batches(instances, BUDGET, seed=31, epoch=0)
-    budget_ok = all(len(g) * max(i.n_frames for i in g) <= BUDGET for g in groups)
-    emitted = Counter(i.constituents[0] for g in groups for i in g)
-    partition_ok = emitted == Counter(i.constituents[0] for i in instances)
+    frames = np.array([u.n_frames for u in corpus])
+    groups = compose_batches(frames, BUDGET, seed=31, epoch=0)
+    budget_ok = all(len(g) * frames[g].max() <= BUDGET for g in groups)
+    emitted = Counter(corpus[p].id for g in groups for p in g)
+    partition_ok = emitted == Counter(u.id for u in corpus)
 
     waste_ok = True
     for trial in range(20):
         sub_rng = np.random.default_rng(600 + trial)
-        sub = [
-            TrainingInstance(constituents=(f"t{trial}-{i}",), n_frames=int(n), target=(1,))
-            for i, n in enumerate(sub_rng.integers(20, 2500, size=400))
-        ]
-        bucketed = padding_waste(compose_batches(sub, BUDGET, trial, 0, bucketing=True))
-        loose = padding_waste(compose_batches(sub, BUDGET, trial, 0, bucketing=False))
+        sub = sub_rng.integers(20, 2500, size=400)
+        bucketed = padding_waste(compose_batches(sub, BUDGET, trial, 0, bucketing=True), sub)
+        loose = padding_waste(compose_batches(sub, BUDGET, trial, 0, bucketing=False), sub)
         waste_ok &= bucketed <= loose
 
     _report(

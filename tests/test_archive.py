@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,23 @@ class TestArchive:
         assert len(reader) == 30
         for i in range(30):
             reader.read(f"u{i}")
+
+    def test_rollover_and_reopen_keep_shard_layout(self, tmp_path):
+        # Digest of the shards and index.json written by the rule "append to
+        # the newest shard while it is under max_shard_bytes, else start the
+        # next one", which a reopened archive continues.
+        rng = np.random.default_rng(31)
+        matrices = [random_matrix(rng, f=4, t=int(rng.integers(1, 9))) for _ in range(24)]
+        root = tmp_path / "arch"
+        for part in (range(0, 11), range(11, 17), range(17, 24)):
+            with FeatureArchive(root, mode="a", max_shard_bytes=300) as arch:
+                for i in part:
+                    arch.write(f"u{i:02d}", matrices[i])
+                    # the store reads a record as soon as it is written
+                    assert arch.read(f"u{i:02d}").tobytes() == matrices[i].tobytes()
+        files = sorted(p for p in root.iterdir())
+        assert len(files) > 4
+        h = hashlib.sha256()
+        for path in files:
+            h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+        assert h.hexdigest() == "0556979833612cf048ca84ebf0f777736c3197c1db49be4b59afa533f8b8d845"

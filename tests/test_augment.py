@@ -3,15 +3,16 @@ import pytest
 
 from concat_augment.augment import (
     Strategy,
-    combine_and_filter,
     instance_from_plan,
     instance_from_utterance,
+    length_filter,
     materialize,
     plan_epoch,
     with_features,
 )
 from concat_augment.errors import ConfigurationError, MaterializationError
 from concat_augment.manifest import Utterance, build_speaker_index
+from concat_augment.pipeline import PipelineConfig, audit
 
 from conftest import synth_utterances
 
@@ -241,58 +242,59 @@ class TestMaterialize:
 
 
 class TestCombineAndFilter:
-    def _meta(self, uid, n_frames, strategy=None):
-        from concat_augment.augment import TrainingInstance
+    """The length filter over originals and an epoch's plan, by position."""
 
-        return TrainingInstance(constituents=(uid,), n_frames=n_frames, target=(1,),
-                                strategy=strategy)
+    @staticmethod
+    def _filter(utts, strategy, max_frames=3000, include_original=True):
+        plan = plan_epoch(utts, None, strategy, seed=0, epoch=0)
+        frames = np.array([u.n_frames for u in utts])
+        survivors = length_filter(plan, frames, max_frames, include_original)
+        by_id = {u.id: u for u in utts}
+        return survivors, [survivors.instance(r, by_id) for r in range(len(survivors))]
 
     def test_overlong_augmented_dropped(self):
-        originals = [self._meta("o1", 100)]
-        augmented = [self._meta("a1", 3200, strategy="random")]
-        result = combine_and_filter(originals, augmented, max_frames=3000)
-        assert [i.constituents for i in result.instances] == [("o1",)]
+        result, instances = self._filter([utt("o1", n_frames=1600)], Strategy("self"))
+        assert [i.constituents for i in instances] == [("o1",)]
         assert result.dropped_augmented == 1
         assert result.dropped_original == 0
 
     def test_nothing_dropped_when_under_limit(self):
-        originals = [self._meta(f"o{i}", 100) for i in range(5)]
-        augmented = [self._meta(f"a{i}", 2900, strategy="self") for i in range(4)]
-        result = combine_and_filter(originals, augmented)
-        assert len(result.instances) == 9
+        utts = [utt(f"o{i}", n_frames=1450) for i in range(5)]
+        result, instances = self._filter(utts, Strategy("self"))
+        assert len(instances) == 10
+        assert result.frames.tolist() == [1450] * 5 + [2900] * 5
 
     def test_originals_precede_augmented(self):
-        originals = [self._meta("o1", 10)]
-        augmented = [self._meta("a1", 10, strategy="random")]
-        result = combine_and_filter(originals, augmented)
-        assert [i.strategy for i in result.instances] == [None, "random"]
+        _, instances = self._filter([utt("o1", n_frames=10)], Strategy("random"))
+        assert [i.strategy for i in instances] == [None, "random"]
 
     def test_survivors_match_brute_force_on_random_pairs(self):
         rng = np.random.default_rng(15)
         utts = synth_utterances(500, 5, 1500, 2000, rng)
         by_id = {u.id: u for u in utts}
         plan = plan_epoch(utts, None, Strategy("random"), seed=4, epoch=0)
-        augmented = [instance_from_plan(e, by_id, Strategy("random")) for e in plan.pairings]
-        result = combine_and_filter([], augmented, max_frames=3000)
+        frames = np.array([u.n_frames for u in utts])
+        result = length_filter(plan, frames, max_frames=3000, include_original=False)
         expected = sum(
             1
             for anchor, partners in plan.pairings
             if by_id[anchor].n_frames + sum(by_id[p].n_frames for p in partners) <= 3000
         )
-        assert len(result.instances) == expected
+        assert len(result) == expected
         assert result.dropped_augmented == len(plan.pairings) - expected
-        assert all(i.n_frames <= 3000 for i in result.instances)
+        instances = [result.instance(r, by_id) for r in range(len(result))]
+        assert all(i.n_frames <= 3000 for i in instances)
+        assert [i.n_frames for i in instances] == result.frames.tolist()
 
     def test_augmented_only_mode_keeps_no_originals(self):
         rng = np.random.default_rng(16)
         utts = synth_utterances(100, 5, 5, 20, rng)
-        by_id = {u.id: u for u in utts}
-        plan = plan_epoch(utts, None, Strategy("random"), seed=5, epoch=0)
-        augmented = [instance_from_plan(e, by_id, Strategy("random")) for e in plan.pairings]
-        result = combine_and_filter([], augmented, max_frames=3000)
-        assert len(result.instances) <= 100
-        assert all(not i.is_original for i in result.instances)
+        result, instances = self._filter(utts, Strategy("random"), include_original=False)
+        assert len(instances) <= 100
+        assert all(not i.is_original for i in instances)
+        assert result.dropped_original == 0
 
-    def test_bad_max_frames(self):
-        with pytest.raises(ConfigurationError):
-            combine_and_filter([], [], max_frames=0)
+    def test_bad_max_frames(self, tmp_path):
+        config = PipelineConfig(manifest_path=tmp_path / "never-read.tsv", max_frames=0)
+        with pytest.raises(ConfigurationError, match="max_frames must be >= 1, got 0"):
+            audit(config)

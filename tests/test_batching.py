@@ -27,51 +27,50 @@ def with_feats(uid, n_frames, n_bins=6, target=(1, 2), seed=0):
     )
 
 
-def random_corpus(rng, n, lo=50, hi=400):
-    return [meta(f"u{i}", int(rng.integers(lo, hi + 1))) for i in range(n)]
+def random_frames(rng, n, lo=50, hi=400):
+    return rng.integers(lo, hi + 1, size=n)
+
+
+def as_lists(groups):
+    return [g.tolist() for g in groups]
 
 
 class TestCompose:
     def test_exact_fit_single_batch(self):
-        groups = compose_batches([meta(f"u{i}", 1000) for i in range(3)], 3000, 0, 0)
+        groups = compose_batches([1000] * 3, 3000, 0, 0)
         assert len(groups) == 1
         assert len(groups[0]) == 3
 
     def test_padded_accounting_forces_split(self):
-        groups = compose_batches([meta("a", 2000), meta("b", 2000)], 3000, 0, 0)
+        groups = compose_batches([2000, 2000], 3000, 0, 0)
         assert [len(g) for g in groups] == [1, 1]
 
     def test_instance_over_budget_is_fatal(self):
-        with pytest.raises(BatchingError, match="u0"):
-            compose_batches([meta("u0", 5000)], 3000, 0, 0)
+        with pytest.raises(BatchingError, match="instance 1 has 5000 frames"):
+            compose_batches([100, 5000], 3000, 0, 0)
 
     def test_budget_property_and_partition(self):
         rng = np.random.default_rng(1)
-        instances = random_corpus(rng, 2000)
-        groups = compose_batches(instances, 4000, seed=7, epoch=2)
+        frames = random_frames(rng, 2000)
+        groups = compose_batches(frames, 4000, seed=7, epoch=2)
         for group in groups:
-            t_max = max(i.n_frames for i in group)
+            t_max = frames[group].max()
             assert len(group) * t_max <= 4000
-        emitted = Counter(i.constituents[0] for g in groups for i in g)
-        assert emitted == Counter(i.constituents[0] for i in instances)
+        emitted = Counter(p for g in groups for p in g.tolist())
+        assert emitted == Counter(range(len(frames)))
 
     def test_true_frame_accounting(self):
-        instances = [meta("a", 2000), meta("b", 900)]
-        groups = compose_batches(instances, 3000, 0, 0, accounting="true")
+        groups = compose_batches([2000, 900], 3000, 0, 0, accounting="true")
         assert len(groups) == 1  # 2900 true frames fit; padded would be 4000
 
     def test_deterministic_for_same_key(self):
         rng = np.random.default_rng(2)
-        instances = random_corpus(rng, 500)
-        a = compose_batches(instances, 4000, seed=5, epoch=1)
-        b = compose_batches(instances, 4000, seed=5, epoch=1)
-        assert [[i.constituents for i in g] for g in a] == [
-            [i.constituents for i in g] for g in b
-        ]
-        c = compose_batches(instances, 4000, seed=5, epoch=2)
-        assert [[i.constituents for i in g] for g in a] != [
-            [i.constituents for i in g] for g in c
-        ]
+        frames = random_frames(rng, 500)
+        a = compose_batches(frames, 4000, seed=5, epoch=1)
+        b = compose_batches(frames, 4000, seed=5, epoch=1)
+        assert as_lists(a) == as_lists(b)
+        c = compose_batches(frames, 4000, seed=5, epoch=2)
+        assert as_lists(a) != as_lists(c)
 
     def test_empty_input(self):
         assert compose_batches([], 1000, 0, 0) == []
@@ -79,10 +78,10 @@ class TestCompose:
     def test_bucketing_reduces_waste(self):
         rng = np.random.default_rng(3)
         for trial in range(5):
-            instances = random_corpus(rng, 800, lo=20, hi=2000)
-            bucketed = compose_batches(instances, 8000, seed=trial, epoch=0, bucketing=True)
-            loose = compose_batches(instances, 8000, seed=trial, epoch=0, bucketing=False)
-            assert padding_waste(bucketed) <= padding_waste(loose)
+            frames = random_frames(rng, 800, lo=20, hi=2000)
+            bucketed = compose_batches(frames, 8000, seed=trial, epoch=0, bucketing=True)
+            loose = compose_batches(frames, 8000, seed=trial, epoch=0, bucketing=False)
+            assert padding_waste(bucketed, frames) <= padding_waste(loose, frames)
 
 
 class TestPadAndCollate:
@@ -141,7 +140,8 @@ class TestMakeBatches:
     def test_stream_covers_all_instances_once(self):
         rng = np.random.default_rng(5)
         group = [with_feats(f"u{i}", int(rng.integers(5, 50)), seed=i) for i in range(40)]
-        stream = [pad_and_collate(g) for g in compose_batches(group, 500, seed=3, epoch=0)]
+        groups = compose_batches([i.n_frames for i in group], 500, seed=3, epoch=0)
+        stream = [pad_and_collate([group[p] for p in g]) for g in groups]
         ids = [ids_ for b in stream for ids_ in b.instance_ids]
         assert Counter(ids) == Counter(i.constituents for i in group)
         for batch in stream:
@@ -149,7 +149,7 @@ class TestMakeBatches:
 
     def test_padding_waste_range(self):
         rng = np.random.default_rng(6)
-        instances = random_corpus(rng, 300)
-        groups = compose_batches(instances, 3000, 1, 1)
-        waste = padding_waste(groups)
+        frames = random_frames(rng, 300)
+        groups = compose_batches(frames, 3000, 1, 1)
+        waste = padding_waste(groups, frames)
         assert 0.0 <= waste < 1.0

@@ -16,7 +16,7 @@ from concat_augment.archive import FeatureArchive
 from concat_augment.augment import Strategy
 from concat_augment.batchio import iter_stream, read_batch_file
 from concat_augment.cli import main as cli_main
-from concat_augment.errors import ConfigurationError
+from concat_augment.errors import BatchingError, ConfigurationError
 from concat_augment.features import FeatureConfig, load_or_compute
 from concat_augment.manifest import load_manifest
 from concat_augment.pipeline import (
@@ -405,6 +405,25 @@ class TestAudit:
         with pytest.raises(ConfigurationError):
             audit(config)
 
+    @pytest.mark.parametrize(
+        "include_original, named",
+        [(True, r"\('u2',\) has 500 frames"), (False, r"\('u1', 'u1'\) has 600 frames")],
+    )
+    def test_over_budget_instance_is_named_by_its_ids(self, tmp_path, include_original, named):
+        rows = [("u1", "a.npy", 300, "1", "s"), ("u2", "b.npy", 500, "2", "s")]
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(manifest_text(rows), encoding="utf-8")
+        config = PipelineConfig(
+            manifest_path=manifest,
+            strategy=Strategy("self"),
+            include_original=include_original,
+            budget_frames=400,
+            report_path=tmp_path / "r.json",
+        )
+        with pytest.raises(BatchingError, match=named + ", over the budget of 400"):
+            audit(config)
+        assert "over the budget" in json.loads((tmp_path / "r.json").read_text())["error"]
+
     def test_audit_needs_no_audio(self, tmp_path):
         rows = [(f"u{i}", f"missing{i}.wav", 100 + i, "1 2 3", "s") for i in range(50)]
         manifest = tmp_path / "m.tsv"
@@ -513,6 +532,33 @@ class TestCli:
         assert code == 1
         assert "fatal" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, named",
+        [
+            ("run", ["--arity", "1"], "arity"),
+            ("run", ["--sa-freq", "-1", "--specaugment", "on"], "mask width"),
+            ("run", ["--pad-id", "-1"], "target_pad_id"),
+            ("run", ["--pad-id", str(2**32)], "target_pad_id"),
+            ("run", ["--epochs", "-1"], "epochs"),
+            ("run", ["--epochs", "0"], "epochs"),
+            ("run", ["--budget", "0"], "budget_frames"),
+            ("audit", ["--max-frames", "0"], "max_frames"),
+        ],
+    )
+    def test_bad_config_is_fatal_before_output(self, tmp_path, capsys, command, flags, named):
+        rng = np.random.default_rng(15)
+        manifest = write_audio_corpus(tmp_path / "c", 3, rng)
+        out = tmp_path / "out"
+        code = cli_main(
+            [command, "--manifest", str(manifest), "--audio-root", str(manifest.parent),
+             "--out", str(out), *flags]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fatal:")
+        assert named in err
+        assert not out.exists()
 
     def test_missing_manifest_exit_code(self, tmp_path, capsys):
         code = cli_main(["audit", "--manifest", str(tmp_path / "nope.tsv")])
