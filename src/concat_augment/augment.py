@@ -265,9 +265,11 @@ def with_features(
     """Materialize: stack constituent feature matrices along time.
 
     Frame counts come from the loaded matrices, so the frame-additivity
-    invariant holds exactly even if a loader reconciled a manifest
-    mismatch. Load failures raise :class:`MaterializationError`; the
-    pipeline drops the entry with a diagnostic.
+    invariant holds exactly. (The pipeline's feature store fails an
+    utterance whose matrix does not have its manifest frame count, so
+    there they also equal the planned counts.) Load failures raise
+    :class:`MaterializationError`; the pipeline drops the entry with a
+    diagnostic.
     """
     try:
         parts = [np.asarray(load_features(cid)) for cid in instance.constituents]

@@ -252,17 +252,13 @@ def load_pcm(path: str | Path) -> np.ndarray:
     raise FeatureError(f"unsupported audio format {suffix!r}: {path}")
 
 
-def load_or_compute(utt: Utterance, cfg: FeatureConfig, cache=None, audio_root=None) -> np.ndarray:
-    """Fetch the float32 feature matrix for an utterance.
+def load_or_compute(utt: Utterance, cfg: FeatureConfig, audio_root=None) -> np.ndarray:
+    """Compute the float32 feature matrix of ``utt.audio_ref``.
 
-    Returns the archived matrix when ``cache`` holds ``utt.id`` (audio is
-    never touched on a hit); otherwise computes from ``utt.audio_ref``
-    and, when the cache is writable, stores the result. A manifest /
-    computed frame-count mismatch logs a reconciliation warning and the
-    computed value wins.
+    A relative audio path is resolved against ``audio_root``. A manifest /
+    computed frame-count mismatch logs a warning and returns the computed
+    matrix; the pipeline's feature store then drops the utterance.
     """
-    if cache is not None and utt.id in cache:
-        return cache.read(utt.id)
     path = Path(utt.audio_ref)
     if audio_root is not None and not path.is_absolute():
         path = Path(audio_root) / path
@@ -270,11 +266,9 @@ def load_or_compute(utt: Utterance, cfg: FeatureConfig, cache=None, audio_root=N
     feats = compute_logmel(pcm, cfg).astype(np.float32)
     if feats.shape[0] != utt.n_frames:
         logger.warning(
-            "utterance %s: manifest says %d frames, computed %d; using computed",
+            "utterance %s: manifest says %d frames, computed %d",
             utt.id,
             utt.n_frames,
             feats.shape[0],
         )
-    if cache is not None and getattr(cache, "writable", False):
-        cache.write(utt.id, feats)
     return feats

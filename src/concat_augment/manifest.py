@@ -86,12 +86,15 @@ def normalize_target(text: str) -> str:
 
 def _parse_target(raw: str, mode: str) -> Target:
     if mode == "tokens":
-        tokens = raw.split()
         ids = []
-        for tok in tokens:
+        for tok in raw.split():
             value = int(tok)
-            if value < 0:
-                raise ValueError(f"negative token id {value!r}")
+            if not 0 <= value < 2**32:
+                raise ValueError(
+                    f"negative token id {value!r}"
+                    if value < 0
+                    else f"token id {value} does not fit in 32 bits"
+                )
             ids.append(value)
         return tuple(ids)
     return normalize_target(raw)
@@ -103,8 +106,9 @@ def parse_manifest(stream: IO[str] | Iterable[str] | str, mode: str = "tokens") 
     ``stream`` is an open text file, an iterable of lines, or the TSV
     content itself. Malformed headers and duplicate ids raise
     :class:`ManifestError`; bad rows (unparseable or non-positive
-    ``n_frames``, empty target, wrong field count) are skipped with a
-    per-row diagnostic. Accepted rows keep their input order.
+    ``n_frames``, empty target, a token id outside u32, wrong field
+    count) are skipped with a per-row diagnostic. Accepted rows keep
+    their input order.
     """
     if mode not in CORPUS_MODES:
         raise ManifestError(f"unknown corpus mode {mode!r}; expected one of {CORPUS_MODES}")

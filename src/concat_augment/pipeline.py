@@ -84,7 +84,9 @@ class PipelineConfig:
 
     def resolved_workers(self) -> int:
         if self.workers is not None:
-            return max(1, self.workers)
+            if self.workers < 1:
+                raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+            return self.workers
         env = os.environ.get(WORKERS_ENV_VAR)
         if not env:
             return 1
@@ -184,8 +186,10 @@ class _FeatureStore:
     archive is the user's ``archive_dir``, or a scratch one in a
     temporary directory; it is opened at the first extraction and
     :meth:`close` removes the scratch directory. After an extraction
-    :meth:`load` reads without a lock. An id that failed keeps its
-    message, and every load of it raises ``FeatureError(message)``.
+    :meth:`load` reads without a lock. An id fails when its audio does
+    not load or its features' frame count (the archive index's ``T``) is
+    not its manifest ``n_frames``; it keeps its message, and every load
+    of it raises ``FeatureError(message)``.
     """
 
     def __init__(self, config: PipelineConfig, by_id: dict[str, Utterance]):
@@ -200,16 +204,26 @@ class _FeatureStore:
             self._scratch = tempfile.TemporaryDirectory(prefix="concat-augment-")
             return FeatureArchive(self._scratch.name, mode="a")
         archive = FeatureArchive(self._config.archive_dir, mode="a")
-        ids = archive.ids()
-        if ids:
-            width = archive.read(ids[0]).shape[1]
-            if width != self._config.feature.n_mels:
+        n_mels = self._config.feature.n_mels
+        for utt_id in archive.ids():
+            width = archive.shape(utt_id)[1]
+            if width != n_mels:
                 archive.close()
                 raise ConfigurationError(
-                    f"archive {self._config.archive_dir} holds {width}-bin features; "
-                    f"the feature config asks for {self._config.feature.n_mels} mels"
+                    f"archive {self._config.archive_dir} holds {width}-bin features "
+                    f"for {utt_id!r}; the feature config asks for {n_mels} mels"
                 )
+            if utt_id in self._by_id:
+                self._check_frames(archive, utt_id)
         return archive
+
+    def _check_frames(self, archive: FeatureArchive, utt_id: str) -> None:
+        frames = archive.shape(utt_id)[0]
+        expected = self._by_id[utt_id].n_frames
+        if frames != expected:
+            self._failed[utt_id] = (
+                f"utterance {utt_id}: manifest says {expected} frames, features have {frames}"
+            )
 
     def extract(self, groups: list[list[TrainingInstance]], workers: int) -> None:
         if self._archive is None:
@@ -225,6 +239,7 @@ class _FeatureStore:
         for utt_id, feats, error in _ordered_pool_map(self._compute, missing, workers):
             if error is None:
                 archive.write(utt_id, feats)
+                self._check_frames(archive, utt_id)
             else:
                 self._failed[utt_id] = error
 

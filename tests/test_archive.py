@@ -1,10 +1,17 @@
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from concat_augment.archive import FeatureArchive
+from concat_augment.archive import FeatureArchive, _encode_record
 from concat_augment.errors import ArchiveError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_matrix(rng, t=None, f=8):
@@ -31,6 +38,7 @@ class TestArchive:
         reader = FeatureArchive(tmp_path / "arch", mode="r")
         assert sorted(reader.ids()) == sorted(matrices)
         for uid, m in matrices.items():
+            assert reader.shape(uid) == m.shape
             assert reader.read(uid).tobytes() == m.tobytes()
 
     def test_contains_and_len(self, tmp_path):
@@ -59,7 +67,7 @@ class TestArchive:
                 arch.read("ghost")
 
     def test_missing_index_dir(self, tmp_path):
-        with pytest.raises(ArchiveError, match="index"):
+        with pytest.raises(ArchiveError, match="no archive"):
             FeatureArchive(tmp_path / "nowhere", mode="r")
 
     def test_corruption_detected_by_crc(self, tmp_path):
@@ -80,10 +88,12 @@ class TestArchive:
             arch.write("u1", random_matrix(rng, t=3))
         shard = next((tmp_path / "arch").glob("shard-*.bin"))
         blob = shard.read_bytes()
+        # cut after the open: an archive opened on a cut shard does not list u1
+        reader = FeatureArchive(tmp_path / "arch", mode="r")
         for cut in range(len(blob)):
             shard.write_bytes(blob[:cut])
             with pytest.raises(ArchiveError, match="truncated"):
-                FeatureArchive(tmp_path / "arch", mode="r").read("u1")
+                reader.read("u1")
 
     def test_shard_rollover(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -116,3 +126,94 @@ class TestArchive:
         for path in files:
             h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
         assert h.hexdigest() == "69a3b2f0f1055941e195576cf85d8b8af85824e23e15307d2db235f4399a5436"
+
+
+def write_records(root, matrices, **kwargs):
+    with FeatureArchive(root, mode="a", **kwargs) as arch:
+        for uid, m in matrices.items():
+            arch.write(uid, m)
+
+
+def shard_bytes(root):
+    return {p.name: p.read_bytes() for p in sorted(root.glob("shard-*.bin"))}
+
+
+class TestShardsAreTheArchive:
+    def test_records_of_a_killed_writer_survive(self, tmp_path):
+        root = tmp_path / "arch"
+        script = textwrap.dedent(
+            f"""
+            import os
+            import numpy as np
+            from concat_augment.archive import FeatureArchive
+
+            arch = FeatureArchive({str(root)!r}, mode="a", max_shard_bytes=4096)
+            for i in range(40):
+                arch.write(f"u{{i:02d}}", np.full((i + 1, 8), i, dtype=np.float32))
+            os._exit(0)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
+        reader = FeatureArchive(root, mode="r")
+        assert reader.ids() == [f"u{i:02d}" for i in range(40)]
+        for i in range(40):
+            assert reader.read(f"u{i:02d}").tobytes() == np.full((i + 1, 8), i, "<f4").tobytes()
+
+    def test_torn_tail_at_every_offset(self, tmp_path):
+        rng = np.random.default_rng(41)
+        matrices = {f"u{i}": random_matrix(rng, t=int(rng.integers(1, 5)), f=3) for i in range(8)}
+        matrices["u8" + "-long" * 80] = random_matrix(rng, t=2, f=3)  # a header over 256 bytes
+        whole = tmp_path / "whole"
+        write_records(whole, matrices, max_shard_bytes=200)
+        uncut = shard_bytes(whole)
+        assert len(uncut) > 1
+        newest = max(uncut)
+        last = list(matrices)[-1]
+        start = len(uncut[newest]) - len(_encode_record(last, matrices[last]))
+        for cut in range(start, len(uncut[newest])):
+            root = tmp_path / f"cut{cut}"
+            root.mkdir()
+            for name, blob in uncut.items():
+                (root / name).write_bytes(blob[:cut] if name == newest else blob)
+            reader = FeatureArchive(root, mode="r")
+            assert reader.ids() == list(matrices)[:-1]
+            for uid in reader.ids():
+                assert reader.read(uid).tobytes() == matrices[uid].tobytes()
+            assert (root / newest).stat().st_size == cut  # read mode leaves the tail
+            with FeatureArchive(root, mode="a", max_shard_bytes=200) as arch:
+                assert (root / newest).stat().st_size == start
+                arch.write(last, matrices[last])
+            assert shard_bytes(root) == uncut
+
+    def test_cut_older_shard_names_shard_and_offset(self, tmp_path):
+        rng = np.random.default_rng(43)
+        matrices = {f"u{i}": random_matrix(rng, t=4, f=3) for i in range(9)}
+        root = tmp_path / "arch"
+        write_records(root, matrices, max_shard_bytes=100)
+        oldest = sorted(root.glob("shard-*.bin"))[0]
+        blob = oldest.read_bytes()
+        oldest.write_bytes(blob[:-1])
+        record = len(_encode_record("u0", matrices["u0"]))
+        for mode in ("r", "a"):
+            at = rf"shard-00000\.bin: .* byte {len(blob) - record}"
+            with pytest.raises(ArchiveError, match=at):
+                FeatureArchive(root, mode=mode)
+        assert oldest.read_bytes() == blob[:-1]
+
+    def test_first_record_of_a_duplicate_id_wins(self, tmp_path):
+        root = tmp_path / "arch"
+        first = np.ones((2, 3), dtype=np.float32)
+        write_records(root, {"u1": first, "u2": first * 2})
+        with open(root / "shard-00000.bin", "ab") as f:
+            f.write(_encode_record("u1", np.zeros((5, 3), dtype=np.float32)))
+        reader = FeatureArchive(root, mode="r")
+        assert reader.ids() == ["u1", "u2"]
+        assert reader.shape("u1") == (2, 3)
+        assert reader.read("u1").tobytes() == first.tobytes()
+
+    def test_no_file_but_shards(self, tmp_path):
+        root = tmp_path / "arch"
+        write_records(root, {"u1": np.ones((2, 3), dtype=np.float32)})
+        assert [p.name for p in root.iterdir()] == ["shard-00000.bin"]

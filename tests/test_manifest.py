@@ -71,6 +71,18 @@ class TestParse:
         result = parse_manifest(manifest_text(rows))
         assert result.utterances == []
 
+    def test_token_id_over_u32_skipped(self):
+        rows = [
+            ("u1", "a.wav", 10, f"3 {2**32}", "s"),
+            ("u2", "b.wav", 10, f"{2**64} 1", "s"),
+            ("u3", "c.wav", 10, f"{2**32 - 1}", "s"),
+        ]
+        result = parse_manifest(manifest_text(rows))
+        assert [u.id for u in result.utterances] == ["u3"]
+        assert result.utterances[0].target == (2**32 - 1,)
+        assert [lineno for lineno, _ in result.skipped] == [2, 3]
+        assert all("bad target" in reason and "32 bits" in reason for _, reason in result.skipped)
+
     def test_missing_speaker_column_is_fine(self):
         text = manifest_text(
             [("u1", "a.wav", 10, "1 2")], columns=("id", "audio", "n_frames", "tgt_text")

@@ -28,7 +28,7 @@ from concat_augment.pipeline import (
 )
 from concat_augment.specaugment import MaskPolicy
 
-from conftest import manifest_text, write_audio_corpus
+from conftest import manifest_text, pcm_samples_for_frames, write_audio_corpus
 
 
 def strip_timings(doc):
@@ -37,6 +37,16 @@ def strip_timings(doc):
     if isinstance(doc, list):
         return [strip_timings(v) for v in doc]
     return doc
+
+
+def set_fields(manifest, values):
+    """Overwrite fields of a written manifest: {(row, column index): value}."""
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    for (row, column), value in values.items():
+        fields = lines[row].split("\t")
+        fields[column] = str(value)
+        lines[row] = "\t".join(fields)
+    manifest.write_text("".join(lines), encoding="utf-8")
 
 
 def read_tree(root):
@@ -173,6 +183,18 @@ class TestRun:
         assert any("u000002" in d for d in report.diagnostics)
         report.check_consistency()
 
+    def test_token_id_over_u32_is_a_skipped_row(self, tmp_path):
+        manifest = write_audio_corpus(tmp_path / "c", 6, np.random.default_rng(18))
+        set_fields(manifest, {(1, 3): f"1 {2**32}", (2, 3): f"1 {2**64}"})
+        config = PipelineConfig(
+            manifest_path=manifest, out_dir=tmp_path / "out", audio_root=manifest.parent, epochs=1
+        )
+        report = run(config)
+        assert report.ingestion["accepted"] == 4
+        assert report.ingestion["skipped"] == 2
+        assert report.epochs[0]["emitted_instances"] == 8
+        assert list((tmp_path / "out" / "epoch-000").glob("*.cabx"))
+
     def test_worker_pool_does_not_change_bytes(self, tmp_path):
         rng = np.random.default_rng(6)
         manifest = write_audio_corpus(tmp_path / "c", 16, rng)
@@ -203,6 +225,12 @@ class TestRun:
                 PipelineConfig(manifest_path="x").resolved_workers()
         monkeypatch.delenv("CONCAT_AUGMENT_WORKERS")
         assert PipelineConfig(manifest_path="x").resolved_workers() == 1
+        for bad in (0, -2):
+            with pytest.raises(ConfigurationError, match=f"workers must be >= 1, got {bad}"):
+                PipelineConfig(manifest_path="x", workers=bad).resolved_workers()
+        with pytest.raises(ConfigurationError, match="workers"):
+            run(PipelineConfig(manifest_path="x", out_dir=tmp_path / "out", workers=0))
+        assert not (tmp_path / "out").exists()
 
     def test_archive_cache_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -243,7 +271,7 @@ class TestRun:
         shards = sorted((tmp_path / "arch").glob("shard-*.bin"))
         sizes = [p.stat().st_size for p in shards]
         assert list(iter_epoch_batches(config, epoch=0))
-        # the second call is served from the index the first one wrote
+        # the second call is served from the shards the first one wrote
         assert [p.stat().st_size for p in shards] == sizes
         assert sorted((tmp_path / "arch").glob("shard-*.bin")) == shards
         archive = FeatureArchive(tmp_path / "arch", "r")
@@ -306,7 +334,7 @@ class TestFeatureStore:
         with FeatureArchive(tmp_path / "arch", mode="a") as archive:
             for utt in load_manifest(store_corpus).utterances:
                 if utt.id != MISSING:
-                    load_or_compute(utt, cfg, cache=archive, audio_root=store_corpus.parent)
+                    archive.write(utt.id, load_or_compute(utt, cfg, audio_root=store_corpus.parent))
         scratch = run(store_config(store_corpus, out_dir=tmp_path / "o1"))
         fed = run(store_config(store_corpus, out_dir=tmp_path / "o2", archive_dir=tmp_path / "arch"))
         assert read_tree(tmp_path / "o1") == read_tree(tmp_path / "o2")
@@ -375,6 +403,48 @@ class TestFeatureStore:
             run(config)
         assert not list((tmp_path / "o40").rglob("*.cabx"))
         assert "80-bin" in json.loads((tmp_path / "o40" / "report.json").read_text())["error"]
+
+    def test_record_of_other_width_is_fatal_before_batches(self, store_corpus, tmp_path):
+        utterances = [u for u in load_manifest(store_corpus).utterances if u.id != MISSING]
+        with FeatureArchive(tmp_path / "arch", mode="a") as archive:
+            for utt in utterances:
+                feats = load_or_compute(utt, FeatureConfig(), audio_root=store_corpus.parent)
+                archive.write(utt.id, feats[:, :40] if utt is utterances[-1] else feats)
+        config = store_config(store_corpus, out_dir=tmp_path / "out", archive_dir=tmp_path / "arch")
+        with pytest.raises(ConfigurationError, match=f"40-bin features for '{utterances[-1].id}'"):
+            run(config)
+        assert not list((tmp_path / "out").rglob("*.cabx"))
+
+    def test_frame_count_mismatch_drops_the_utterance(self, tmp_path):
+        manifest = write_audio_corpus(
+            tmp_path / "c", 8, np.random.default_rng(16), frames_lo=20, frames_hi=40
+        )
+        # u000000's audio gives 300 frames; the manifest says 30
+        cfg = FeatureConfig()
+        pcm = np.random.default_rng(17).uniform(-0.5, 0.5, pcm_samples_for_frames(300, cfg))
+        np.save(manifest.parent / "u000000.npy", pcm)
+        set_fields(manifest, {(1, 2): 30})
+        said = "u000000: manifest says 30 frames, features have 300"
+        trees = []
+        for out in ("o1", "o2"):  # computed, then served from the archive
+            config = store_config(
+                manifest, out_dir=tmp_path / out, archive_dir=tmp_path / "arch",
+                budget_frames=200, max_frames=100,
+            )
+            report = run(config)
+            report.check_consistency()
+            assert any(said in d for d in report.diagnostics)
+            files = sorted((tmp_path / out).rglob("*.cabx"))
+            assert files
+            emitted = 0
+            for path in files:
+                batch = read_batch_file(path)
+                assert batch.padded_frames <= 200
+                assert max(batch.feature_lengths) <= 100
+                emitted += sum(batch.feature_lengths)
+            assert emitted == report.totals["total_frames_emitted"]
+            trees.append(read_tree(tmp_path / out))
+        assert trees[0] == trees[1]
 
 
 class TestAudit:
