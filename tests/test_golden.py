@@ -88,8 +88,46 @@ BRANCHES = {
 }
 
 
+# Words for the text manifest: punctuation that normalisation strips,
+# upper case it folds, and code points past the BMP.
+WORDS = ("Grüße,", "ñandú", "東京", "naïve!", "𝄞clef", "«quote»", "over", "A", "the", "Élan")
+
+
+# Emit branches the cases above leave out: text targets written as code
+# points (in a stream, from two workers) and unmasked features. Overrides,
+# then the digests of the run's tree and the run's report.
+EMIT_BRANCHES = {
+    "asr-normalized": (
+        dict(manifest_path="corpus/text.tsv", corpus_mode="asr-normalized", emit="stream",
+             workers=2),
+        (
+            "5efdad49d28797568051d970c451af553f415b772eaaed5e7b229f7299eade8d",
+            "f955aeb137048c83d02651ed7d4cb1765f0a1eeb39ed1c4bc5974611a05c321e",
+        ),
+    ),
+    "no-specaugment": (
+        dict(specaugment=None),
+        (
+            "11e65ac2ab7968aa4e67a9c360f78e4e9604ca9193c1592295eac1cc8875116b",
+            "baecca2a4d7b24402e72cb7feff7f3d0e169131d253679ec9bd8293bbc66b1af",
+        ),
+    ),
+}
+
+# One archive record (CORRUPT_ID's) with a payload byte flipped: every
+# instance that uses it is dropped with a checksum diagnostic, also the
+# one that uses the corrupt record before the missing utterance.
+CORRUPT_ID = "u0000"
+CORRUPT_GOLDEN = (
+    "cb5e0966a10826dd5090016301a4fd0f968c7f2ed23f1455a720fd5edc8dc6f1",
+    "b1b2c41bbbb27ce5d02c1dc79f16805e475802119d57aa9c20ac9840f3cf1193",
+)
+
+
 def write_corpus(root):
-    """30 rows: 4 speakers of 7, one singleton speaker, one speakerless."""
+    """30 rows: 4 speakers of 7, one singleton speaker, one speakerless.
+    ``train.tsv`` has token targets; ``text.tsv`` has the same rows with
+    raw text targets for ``asr-normalized`` mode."""
     rng = np.random.default_rng(2024)
     speakers = [f"spk{i % 4}" for i in range(28)] + ["solo", ""]
     rows = []
@@ -105,6 +143,12 @@ def write_corpus(root):
     archive.close()
     (root / "corpus").mkdir()
     (root / "corpus" / "train.tsv").write_text(manifest_text(rows), encoding="utf-8")
+    words = np.random.default_rng(2025)
+    text_rows = [
+        (*row[:3], " ".join(words.choice(WORDS, size=int(words.integers(1, 5)))), row[4])
+        for row in rows
+    ]
+    (root / "corpus" / "text.tsv").write_text(manifest_text(text_rows), encoding="utf-8")
 
 
 @pytest.fixture
@@ -185,3 +229,37 @@ def test_branch_bytes(corpus, branch):
         report_digest(corpus / "audit.json"),
     )
     assert got == digests
+
+
+@pytest.mark.parametrize("branch", sorted(EMIT_BRANCHES))
+def test_emit_branch_bytes(corpus, branch):
+    overrides, digests = EMIT_BRANCHES[branch]
+    run(config(out_dir="out", **overrides)).check_consistency()
+    got = (tree_digest(corpus / "out"), report_digest(corpus / "out" / "report.json"))
+    assert got == digests
+
+
+def flip_payload_byte(archive_dir, utt_id):
+    (shard,) = archive_dir.glob("shard-*.bin")
+    data = bytearray(shard.read_bytes())
+    id_bytes = utt_id.encode("utf-8")
+    head = data.index(len(id_bytes).to_bytes(4, "little") + id_bytes)
+    data[head + 4 + len(id_bytes) + 8 + 10] ^= 0x40
+    shard.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_checksum_mismatch_bytes(corpus, workers):
+    flip_payload_byte(corpus / "archive", CORRUPT_ID)
+    report = run(config(out_dir="out", workers=workers))
+    report.check_consistency()
+    dropped = [d for d in report.diagnostics if f"checksum mismatch for '{CORRUPT_ID}'" in d]
+    assert dropped
+    assert all(d.startswith("epoch ") and ": dropped (" in d for d in dropped)
+    first_fails = f"dropped ('{CORRUPT_ID}', '{MISSING_ID}')"
+    assert [d for d in report.diagnostics if first_fails in d] == [
+        f"epoch 0: {first_fails}: failed to load features for ('{CORRUPT_ID}', '{MISSING_ID}'): "
+        f"checksum mismatch for '{CORRUPT_ID}' in shard-00000.bin"
+    ]
+    got = (tree_digest(corpus / "out"), report_digest(corpus / "out" / "report.json"))
+    assert got == CORRUPT_GOLDEN
