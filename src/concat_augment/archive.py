@@ -130,29 +130,40 @@ class FeatureArchive:
         self._shard_bytes = offset + len(record)
         self._index[utt_id] = (self._shard.name, offset, *feats.shape)
 
-    def read(self, utt_id: str) -> np.ndarray:
-        """Return the stored float32 matrix; verifies the CRC trailer."""
+    def read(self, utt_id: str, out: np.ndarray | None = None) -> np.ndarray:
+        """Return the stored float32 matrix; verifies the CRC trailer.
+
+        The payload is read straight into ``out`` when given, a writable
+        C-contiguous ``(T, F)`` float32 array such as a slice of a batch
+        record, and ``out`` is returned; otherwise into a new array.
+        """
         try:
             shard_name, offset, t, fdim = self._index[utt_id]
         except KeyError:
             raise ArchiveError(f"id not in archive: {utt_id!r}") from None
+        if out is None:
+            out = np.empty((t, fdim), dtype="<f4")
+        elif out.shape != (t, fdim) or out.dtype != np.dtype("<f4") or not out.flags.c_contiguous:
+            raise ArchiveError(
+                f"cannot read {utt_id!r} ({t} x {fdim} float32) into a {out.dtype} "
+                f"array of shape {out.shape}"
+            )
         expected = _head(utt_id.encode("utf-8"), t, fdim)
-        truncated = ArchiveError(f"truncated record for {utt_id!r} in {shard_name}")
-        # Unbuffered, and the payload is read straight into the buffer the
-        # returned array keeps: a run reads every record once per use.
-        record = bytearray(t * fdim * 4 + _HEADER.size)  # payload and CRC trailer
+        head = bytearray(len(expected))
+        payload = memoryview(out.reshape(-1).view(np.uint8))
+        trailer = bytearray(_HEADER.size)
+        # One unbuffered read of the whole record: a run reads every
+        # record once per use, into the buffer it is emitted from.
         with open(os.path.join(self.root, shard_name), "rb", buffering=0) as f:
-            f.seek(offset)
-            head = f.read(len(expected))
-            if len(head) != len(expected) or f.readinto(record) != len(record):
-                raise truncated
-        payload = memoryview(record)[: -_HEADER.size]
-        (crc,) = _HEADER.unpack_from(record, len(payload))
+            got = os.preadv(f.fileno(), [head, payload, trailer], offset)
+        if got != len(head) + len(payload) + len(trailer):
+            raise ArchiveError(f"truncated record for {utt_id!r} in {shard_name}")
+        (crc,) = _HEADER.unpack(trailer)
         if zlib.crc32(payload, zlib.crc32(head)) != crc:
             raise ArchiveError(f"checksum mismatch for {utt_id!r} in {shard_name}")
         if head != expected:
             raise ArchiveError(f"record at {shard_name}:{offset} is not {utt_id!r}")
-        return np.frombuffer(record, dtype="<f4", count=t * fdim).reshape(t, fdim)
+        return out
 
     def flush(self) -> None:
         """Nothing to do: each write is in its shard once it returns."""

@@ -51,10 +51,12 @@ class Batch:
         return self.size * self.t_max
 
 
-def _target_codes(target) -> list[int]:
+def target_codes(target) -> Sequence[int]:
+    """A target as the integers a batch holds: token ids as they are,
+    text as its Unicode code points."""
     if isinstance(target, str):
-        return [ord(ch) for ch in target]
-    return list(target)
+        return np.frombuffer(target.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    return target
 
 
 def compose_batches(
@@ -138,7 +140,7 @@ def pad_and_collate(group: Sequence[TrainingInstance], target_pad_id: int = 0) -
     for row, inst in enumerate(group):
         features[row, : feature_lengths[row]] = inst.features
 
-    codes = [_target_codes(inst.target) for inst in group]
+    codes = [target_codes(inst.target) for inst in group]
     target_lengths = [len(c) for c in codes]
     targets = np.full((len(group), max(target_lengths)), target_pad_id, dtype=np.int64)
     for row, seq in enumerate(codes):

@@ -12,6 +12,15 @@ Record layout, all little-endian:
 ``--emit files`` writes one record per file; ``--emit stream`` writes a
 single file of records, each prefixed with its u32 byte length.
 Provenance ids are not part of the wire format.
+
+A :class:`Record` is one record built in place in a single buffer that
+starts with the stream length prefix: its size follows from the rows'
+frame counts and targets, so the header, targets and lengths are
+written when it is laid out, the features are filled through a
+``B x T_max x F`` view of the buffer (padding stays zero), and
+:meth:`Record.seal` writes the CRC. A writer then only writes the
+buffer: all of it to a stream, all but the prefix to a batch file.
+:meth:`Record.from_batch` lays out a collated :class:`Batch` the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,59 +38,113 @@ from .errors import BatchingError
 MAGIC = b"CABX"
 VERSION = 1
 _U32 = struct.Struct("<I")
-_HEADER = struct.Struct("<III")
+_HEADER = struct.Struct("<4sIIII")  # magic, version, B, T_max, F
 
 _U32_MAX = (1 << 32) - 1
+_PREFIX = _U32.size  # the stream length prefix before each record
+
+
+class Record:
+    """One CABX record laid out in ``buffer`` (bytes-like), after its
+    stream length prefix.
+
+    ``targets`` holds one sequence of token ids (or code points), each
+    fitting in u32, per row. ``features`` is the writable ``B x T_max x
+    F`` float32 view of the feature region, zero until filled. Call
+    :meth:`seal` once the features are in.
+    """
+
+    def __init__(
+        self,
+        t_max: int,
+        n_bins: int,
+        feature_lengths: Sequence[int],
+        targets: Sequence[Sequence[int]],
+        target_pad_id: int,
+    ):
+        b = len(feature_lengths)
+        cells = b * t_max * n_bins
+        # pad id, then per row a target length and its ids, then per row a feature length
+        words = 1 + b + sum(len(tokens) for tokens in targets) + b
+        size = _PREFIX + _HEADER.size + 4 * (cells + words) + _U32.size
+        # Zeroed by calloc: fresh pages need no memset, and padding is never written.
+        self.buffer = np.zeros(size, dtype=np.uint8)
+        _U32.pack_into(self.buffer, 0, size - _PREFIX)
+        _HEADER.pack_into(self.buffer, _PREFIX, MAGIC, VERSION, b, t_max, n_bins)
+        at = _PREFIX + _HEADER.size
+        self.features = np.frombuffer(self.buffer, "<f4", cells, at).reshape(b, t_max, n_bins)
+        tail = np.frombuffer(self.buffer, "<u4", words, at + 4 * cells)
+        tail[0] = target_pad_id
+        pos = 1
+        for tokens in targets:
+            tail[pos] = len(tokens)
+            tail[pos + 1 : pos + 1 + len(tokens)] = tokens
+            pos += 1 + len(tokens)
+        tail[pos:] = feature_lengths
+        self.feature_lengths = list(feature_lengths)
+
+    @classmethod
+    def from_batch(cls, batch: Batch) -> "Record":
+        """The sealed record of a collated batch."""
+        b, t_max, n_bins = batch.features.shape
+        targets = [batch.targets[row, :length] for row, length in enumerate(batch.target_lengths)]
+        for tokens in targets:
+            if tokens.size and (tokens.min() < 0 or tokens.max() > _U32_MAX):
+                raise BatchingError("target token ids must fit in u32")
+        record = cls(t_max, n_bins, batch.feature_lengths, targets, batch.target_pad_id)
+        record.features[...] = batch.features
+        return record.seal()
+
+    def seal(self) -> "Record":
+        """Write the CRC trailer over the record's other bytes."""
+        crc_at = len(self.buffer) - _U32.size
+        _U32.pack_into(self.buffer, crc_at, zlib.crc32(memoryview(self.buffer)[_PREFIX:crc_at]))
+        return self
+
+    @property
+    def body(self) -> memoryview:
+        """The record's bytes, without the stream length prefix."""
+        return memoryview(self.buffer)[_PREFIX:]
 
 
 def encode_batch(batch: Batch) -> bytes:
-    b, t_max, n_bins = batch.features.shape
-    parts = [
-        MAGIC,
-        _U32.pack(VERSION),
-        _HEADER.pack(b, t_max, n_bins),
-        np.ascontiguousarray(batch.features, dtype="<f4").tobytes(),
-        _U32.pack(batch.target_pad_id),
-    ]
-    for row in range(b):
-        length = batch.target_lengths[row]
-        tokens = batch.targets[row, :length]
-        if tokens.size and (tokens.min() < 0 or tokens.max() > _U32_MAX):
-            raise BatchingError("target token ids must fit in u32")
-        parts.append(_U32.pack(length))
-        parts.append(tokens.astype("<u4").tobytes())
-    parts.append(np.asarray(batch.feature_lengths, dtype="<u4").tobytes())
-    body = b"".join(parts)
-    return body + _U32.pack(zlib.crc32(body))
+    return bytes(Record.from_batch(batch).body)
 
 
 def decode_batch(blob: bytes) -> Batch:
-    """Inverse of :func:`encode_batch`; validates magic, version, CRC."""
+    """Inverse of :func:`encode_batch`; validates magic, CRC, version
+    and that the sizes in the record add up to its length."""
+    if len(blob) < _HEADER.size + 2 * _U32.size:
+        raise BatchingError(f"batch record of {len(blob)} bytes is shorter than its header")
     if blob[:4] != MAGIC:
-        raise BatchingError(f"bad magic {blob[:4]!r}")
-    (crc,) = _U32.unpack(blob[-4:])
-    if zlib.crc32(blob[:-4]) != crc:
+        raise BatchingError(f"bad magic {bytes(blob[:4])!r}")
+    end = len(blob) - _U32.size
+    (crc,) = _U32.unpack_from(blob, end)
+    if zlib.crc32(memoryview(blob)[:end]) != crc:
         raise BatchingError("batch record failed CRC check")
-    (version,) = _U32.unpack(blob[4:8])
+    _, version, b, t_max, n_bins = _HEADER.unpack_from(blob)
     if version != VERSION:
         raise BatchingError(f"unsupported batch format version {version}")
-    b, t_max, n_bins = _HEADER.unpack(blob[8:20])
-    pos = 20
-    feat_bytes = b * t_max * n_bins * 4
-    features = np.frombuffer(blob[pos : pos + feat_bytes], dtype="<f4").reshape(b, t_max, n_bins)
-    pos += feat_bytes
-    (pad_id,) = _U32.unpack(blob[pos : pos + 4])
-    pos += 4
+    malformed = BatchingError("batch record sizes do not add up to its length")
+    pos = _HEADER.size
+    cells = b * t_max * n_bins
+    if pos + 4 * (cells + 1 + 2 * b) > end:
+        raise malformed
+    features = np.frombuffer(blob, "<f4", cells, pos).reshape(b, t_max, n_bins)
+    pos += 4 * cells
+    words = np.frombuffer(blob, "<u4", (end - pos) // 4, pos)
+    pad_id = int(words[0])
     token_rows = []
+    at = 1
     for _ in range(b):
-        (length,) = _U32.unpack(blob[pos : pos + 4])
-        pos += 4
-        token_rows.append(np.frombuffer(blob[pos : pos + 4 * length], dtype="<u4"))
-        pos += 4 * length
-    feature_lengths = np.frombuffer(blob[pos : pos + 4 * b], dtype="<u4").tolist()
-    pos += 4 * b
-    if pos != len(blob) - 4:
-        raise BatchingError("trailing bytes in batch record")
+        length = int(words[at])
+        if at + 1 + length + b > len(words):
+            raise malformed
+        token_rows.append(words[at + 1 : at + 1 + length])
+        at += 1 + length
+    if pos + 4 * (at + b) != end:
+        raise malformed
+    feature_lengths = words[at : at + b].tolist()
 
     target_lengths = [int(r.size) for r in token_rows]
     targets = np.full((b, max(target_lengths) if b else 0), pad_id, dtype=np.int64)
@@ -89,20 +152,26 @@ def decode_batch(blob: bytes) -> Batch:
         targets[row, : tokens.size] = tokens
     return Batch(
         features=features.copy(),
-        feature_lengths=[int(n) for n in feature_lengths],
+        feature_lengths=feature_lengths,
         targets=targets,
         target_lengths=target_lengths,
-        target_pad_id=int(pad_id),
+        target_pad_id=pad_id,
         instance_ids=None,
     )
 
 
-def write_batch_file(batch: Batch, path: str | Path) -> None:
-    Path(path).write_bytes(encode_batch(batch))
+def write_batch_file(record: Record, path: str | Path) -> None:
+    """Write one sealed record as a batch file."""
+    with open(path, "wb") as f:
+        f.write(record.body)
 
 
 def read_batch_file(path: str | Path) -> Batch:
-    return decode_batch(Path(path).read_bytes())
+    blob = Path(path).read_bytes()
+    try:
+        return decode_batch(blob)
+    except BatchingError as exc:
+        raise BatchingError(f"{path}: {exc}") from None
 
 
 class StreamWriter:
@@ -111,10 +180,9 @@ class StreamWriter:
     def __init__(self, path: str | Path):
         self._f = open(path, "wb")
 
-    def write(self, batch: Batch) -> None:
-        record = encode_batch(batch)
-        self._f.write(_U32.pack(len(record)))
-        self._f.write(record)
+    def write(self, record: Record) -> None:
+        """Append one sealed record and its length prefix in one write."""
+        self._f.write(record.buffer)
 
     def close(self) -> None:
         self._f.close()
@@ -127,13 +195,23 @@ class StreamWriter:
 
 
 def iter_stream(path: str | Path) -> Iterator[Batch]:
+    """Decode a record stream; an error names the file and the record's
+    index in it."""
     with open(path, "rb") as f:
+        index = 0
         while True:
-            prefix = f.read(4)
+            prefix = f.read(_PREFIX)
             if not prefix:
                 return
-            (length,) = _U32.unpack(prefix)
-            blob = f.read(length)
-            if len(blob) != length:
-                raise BatchingError("truncated batch stream")
-            yield decode_batch(blob)
+            try:
+                if len(prefix) != _PREFIX:
+                    raise BatchingError("truncated length prefix")
+                (length,) = _U32.unpack(prefix)
+                blob = f.read(length)
+                if len(blob) != length:
+                    raise BatchingError("truncated batch stream")
+                batch = decode_batch(blob)
+            except BatchingError as exc:
+                raise BatchingError(f"{path}: record {index}: {exc}") from None
+            yield batch
+            index += 1

@@ -8,10 +8,14 @@ composition run on manifest metadata only (frame counts are exactly
 additive under concatenation), so the full augmented corpus is never
 resident in memory. When features are loaded, each utterance's log-Mel
 matrix is extracted once per run into a feature store (the run's
-archive) before the first epoch that references it; batches are then
-materialized lazily from the store, masked, collated, and written by a
-single writer in plan order. A configurable worker pool runs the
-extraction and overlaps materialization with writing without ever
+archive) before the first epoch that references it. Each batch is then
+built as one CABX record in a single buffer (:class:`batchio.Record`),
+laid out from its instances' frame counts and targets: every
+constituent's features are read from the archive straight into their
+row, each row is masked in place and the record's CRC is written. A
+single writer writes the sealed records in plan order, with one write
+each. A configurable worker pool runs the extraction and, with more
+than one worker, builds records while the writer writes, without ever
 reordering batches or archive records.
 
 Reports are JSON; all wall-clock measurements live under ``timings_s``
@@ -22,27 +26,23 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shutil
 import tempfile
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .archive import FeatureArchive
-from .augment import Strategy, TrainingInstance, length_filter, plan_epoch, with_features
-from .batching import ACCOUNTING_MODES, Batch, compose_batches, pad_and_collate
-from .batchio import StreamWriter, write_batch_file
-from .errors import (
-    BatchingError,
-    ConfigurationError,
-    FeatureError,
-    MaterializationError,
-    PipelineError,
-)
+from .augment import Strategy, TrainingInstance, length_filter, plan_epoch
+from .batching import ACCOUNTING_MODES, Batch, compose_batches, target_codes
+from .batchio import Record, StreamWriter, decode_batch, write_batch_file
+from .errors import BatchingError, ConfigurationError, FeatureError, PipelineError
 from .features import FeatureConfig, load_or_compute
 from .manifest import (
     ParseResult,
@@ -53,7 +53,7 @@ from .manifest import (
     load_manifest,
 )
 from .rng import MASK_STREAM, keyed_rng
-from .specaugment import MaskPolicy, apply_masks
+from .specaugment import MaskPolicy, mask_in_place
 
 WORKERS_ENV_VAR = "CONCAT_AUGMENT_WORKERS"
 
@@ -248,15 +248,20 @@ class _FeatureStore:
             feats = load_or_compute(
                 self._by_id[utt_id], self._config.feature, audio_root=self._config.audio_root
             )
-        except Exception as exc:  # with_features drops an instance on any failed load
+        except Exception as exc:  # a failed utterance is dropped from every instance using it
             return utt_id, None, str(exc)
         return utt_id, feats, None
 
-    def load(self, utt_id: str) -> np.ndarray:
+    def failed(self, utt_id: str) -> bool:
+        return utt_id in self._failed
+
+    def load(self, utt_id: str, out: np.ndarray | None = None) -> np.ndarray:
+        """An utterance's features, read into ``out`` (a ``(T, F)`` slice
+        of a record) when given."""
         error = self._failed.get(utt_id)
         if error is not None:
             raise FeatureError(error)
-        return self._archive.read(utt_id)
+        return self._archive.read(utt_id, out=out)
 
     def close(self) -> None:
         try:
@@ -294,16 +299,24 @@ def _prepare(config: PipelineConfig, with_loader: bool) -> _Prepared:
 
 @dataclass
 class _Group:
-    """One composed group's result: its batch (None in an audit, or when
-    every instance failed to load), its size and its frame mass."""
+    """One composed group's result: its sealed record (None in an audit,
+    or when every instance failed to load), its size, its frame mass and
+    the provenance of the instances it kept."""
 
-    batch: Batch | None
+    record: Record | None
     size: int
     padded_frames: int
     true_frames: int
     failed_original: int = 0
     failed_augmented: int = 0
     diagnostics: list[str] = field(default_factory=list)
+    instance_ids: list[tuple[str, ...]] = field(default_factory=list)
+
+
+def _lay_out(instances: list[TrainingInstance], config: PipelineConfig) -> Record:
+    lengths = [inst.n_frames for inst in instances]
+    targets = [target_codes(inst.target) for inst in instances]
+    return Record(max(lengths), config.feature.n_mels, lengths, targets, config.target_pad_id)
 
 
 def _build_group(
@@ -311,39 +324,84 @@ def _build_group(
     instances: list[TrainingInstance],
     config: PipelineConfig,
     epoch: int,
-    load: Callable,
+    store: _FeatureStore,
+    by_id: dict[str, Utterance],
 ) -> _Group:
-    kept = []
-    failed_original = 0
-    failed_augmented = 0
-    diagnostics = []
-    for ordinal, inst in zip(ordinals, instances):
+    """Build one batch's record in place: read each instance's
+    constituents, in order, into its row at their frame offsets, mask the
+    row's frames, seal.
+
+    An instance is dropped at its first constituent that fails in the
+    store or on the archive read. One with a constituent the store has
+    failed is left out of the layout; only the constituents before that
+    one are read, to find which fails first. If a read into the record
+    fails, the kept rows are laid out again, since B and T_max change.
+    """
+
+    def read(inst: TrainingInstance, features: np.ndarray | None) -> None:
+        start = 0
+        for utt_id in inst.constituents:
+            end = start + by_id[utt_id].n_frames
+            store.load(utt_id, None if features is None else features[start:end])
+            start = end
+
+    # row -> message; a kept exception's traceback would hold this frame, and its record
+    failures = {}
+    rows = []
+    for row, inst in enumerate(instances):
+        if not any(store.failed(utt_id) for utt_id in inst.constituents):
+            rows.append(row)
+            continue
         try:
-            materialized = with_features(inst, load)
-        except MaterializationError as exc:
-            if inst.is_original:
-                failed_original += 1
-            else:
-                failed_augmented += 1
-            diagnostics.append(f"epoch {epoch}: dropped {inst.constituents}: {exc}")
+            read(inst, None)
+        except (PipelineError, OSError) as exc:
+            failures[row] = str(exc)
+    record = _lay_out([instances[row] for row in rows], config) if rows else None
+    kept = []
+    for at, row in enumerate(rows):
+        features = record.features[at]
+        try:
+            read(instances[row], features)
+        except (PipelineError, OSError) as exc:
+            failures[row] = str(exc)
             continue
         if config.specaugment is not None:
-            rng = keyed_rng(config.seed, MASK_STREAM, epoch, ordinal)
-            materialized = replace(
-                materialized, features=apply_masks(materialized.features, config.specaugment, rng)
-            )
-        kept.append(materialized)
-    if not kept:
+            rng = keyed_rng(config.seed, MASK_STREAM, epoch, ordinals[row])
+            mask_in_place(features[: instances[row].n_frames], config.specaugment, rng)
+        kept.append(at)
+    if len(kept) < len(rows):
+        full = record
+        rows = [rows[at] for at in kept]
+        record = _lay_out([instances[row] for row in rows], config) if rows else None
+        for new_at, at in enumerate(kept):
+            # padding is zero in both, so whole rows copy
+            record.features[new_at] = full.features[at, : record.features.shape[1]]
+
+    failed_original = failed_augmented = 0
+    diagnostics = []
+    for row in sorted(failures):
+        inst = instances[row]
+        if inst.is_original:
+            failed_original += 1
+        else:
+            failed_augmented += 1
+        diagnostics.append(
+            f"epoch {epoch}: dropped {inst.constituents}: "
+            f"failed to load features for {inst.constituents}: {failures[row]}"
+        )
+    if record is None:
         return _Group(None, 0, 0, 0, failed_original, failed_augmented, diagnostics)
-    batch = pad_and_collate(kept, config.target_pad_id)
+    record.seal()
+    b, t_max, _ = record.features.shape
     return _Group(
-        batch,
-        batch.size,
-        batch.padded_frames,
-        sum(batch.feature_lengths),
+        record,
+        b,
+        b * t_max,
+        sum(record.feature_lengths),
         failed_original,
         failed_augmented,
         diagnostics,
+        [instances[row].constituents for row in rows],
     )
 
 
@@ -461,10 +519,8 @@ def _epoch(
             ordinals = group.tolist()
             jobs.append((ordinals, [survivors.instance(r, prepared.by_id) for r in ordinals]))
         prepared.store.extract([instances for _, instances in jobs], workers)
-        load = prepared.store.load
-
         def build(job):
-            return _build_group(*job, config, epoch, load)
+            return _build_group(*job, config, epoch, prepared.store, prepared.by_id)
 
     t_extract = time.perf_counter()
 
@@ -570,18 +626,36 @@ def run(config: PipelineConfig) -> AuditReport:
     out_dir = Path(config.out_dir)
 
     def write(epoch: int, groups: Iterator[_Group]) -> None:
+        if epoch == 0:
+            _clear_outputs(out_dir)
         if config.emit == "stream":
             out_dir.mkdir(parents=True, exist_ok=True)
             with StreamWriter(out_dir / f"epoch-{epoch:03d}.cabxs") as writer:
                 for built in groups:
-                    writer.write(built.batch)
+                    writer.write(built.record)
         else:
             epoch_dir = out_dir / f"epoch-{epoch:03d}"
             epoch_dir.mkdir(parents=True, exist_ok=True)
             for index, built in enumerate(groups):
-                write_batch_file(built.batch, epoch_dir / f"batch-{index:05d}.cabx")
+                write_batch_file(built.record, epoch_dir / f"batch-{index:05d}.cabx")
 
     return _drive(config, write, load_features=True)
+
+
+_OUTPUT_NAME = re.compile(r"epoch-\d{3,}(\.cabxs)?|report\.json")
+
+
+def _clear_outputs(out_dir: Path) -> None:
+    """Remove what an earlier run wrote to ``out_dir``: its epoch
+    directories and streams and its report. Nothing else is touched."""
+    if not out_dir.is_dir():
+        return
+    for path in out_dir.iterdir():
+        if _OUTPUT_NAME.fullmatch(path.name):
+            if path.is_dir() and not path.is_symlink():
+                shutil.rmtree(path)
+            else:
+                path.unlink()
 
 
 def audit(config: PipelineConfig) -> AuditReport:
@@ -602,7 +676,9 @@ def iter_epoch_batches(config: PipelineConfig, epoch: int) -> Iterator[Batch]:
     report = AuditReport(config={}, ingestion={})
     for _, groups in _epochs(config, [epoch], report, load_features=True):
         for built in groups:
-            yield built.batch
+            batch = decode_batch(built.record.body)
+            batch.instance_ids = built.instance_ids
+            yield batch
 
 
 def format_summary(report: AuditReport) -> str:

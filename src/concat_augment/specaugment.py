@@ -31,22 +31,30 @@ class MaskPolicy:
 
 
 def apply_masks(feats: np.ndarray, policy: MaskPolicy, rng: np.random.Generator) -> np.ndarray:
+    """Return a masked copy of a T x F matrix; see :func:`mask_in_place`.
+
+    The input is never mutated; unmasked cells are bit-identical in the
+    returned copy.
+    """
+    out = np.array(feats, copy=True)
+    mask_in_place(out, policy, rng)
+    return out
+
+
+def mask_in_place(feats: np.ndarray, policy: MaskPolicy, rng: np.random.Generator) -> None:
     """Mask random frequency bands and time spans of a T x F matrix.
 
     For each frequency mask, width f ~ Uniform{0..F} and start
     ~ Uniform{0..n_bins-f}; columns [start, start+f) are set to the mask
     value. Time masks work the same on rows, with width capped at
-    n_frames. The input is never mutated; unmasked cells are
-    bit-identical in the returned copy.
+    n_frames. All frequency masks are drawn before the time masks.
     """
-    out = np.array(feats, copy=True)
-    n_frames, n_bins = out.shape
+    n_frames, n_bins = feats.shape
     for _ in range(policy.n_freq_masks):
         width = int(rng.integers(0, min(policy.freq_param, n_bins) + 1))
         start = int(rng.integers(0, n_bins - width + 1))
-        out[:, start : start + width] = policy.mask_value
+        feats[:, start : start + width] = policy.mask_value
     for _ in range(policy.n_time_masks):
         width = int(rng.integers(0, min(policy.time_param, n_frames) + 1))
         start = int(rng.integers(0, n_frames - width + 1))
-        out[start : start + width, :] = policy.mask_value
-    return out
+        feats[start : start + width, :] = policy.mask_value

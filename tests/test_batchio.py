@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
+from concat_augment.archive import FeatureArchive
+from concat_augment.augment import Strategy
 from concat_augment.batching import pad_and_collate
 from concat_augment.batchio import (
+    Record,
     StreamWriter,
     decode_batch,
     encode_batch,
@@ -11,7 +16,11 @@ from concat_augment.batchio import (
     write_batch_file,
 )
 from concat_augment.errors import BatchingError
+from concat_augment.features import FeatureConfig
+from concat_augment.pipeline import PipelineConfig, run
+from concat_augment.specaugment import MaskPolicy
 
+from conftest import manifest_text
 from test_batching import with_feats
 
 
@@ -62,7 +71,7 @@ class TestFilesAndStream:
     def test_file_round_trip(self, tmp_path):
         batch = sample_batch(seed=1)
         path = tmp_path / "batch-00000.cabx"
-        write_batch_file(batch, path)
+        write_batch_file(Record.from_batch(batch), path)
         out = read_batch_file(path)
         assert out.features.tobytes() == batch.features.tobytes()
 
@@ -71,7 +80,7 @@ class TestFilesAndStream:
         path = tmp_path / "epoch.cabxs"
         with StreamWriter(path) as writer:
             for batch in batches:
-                writer.write(batch)
+                writer.write(Record.from_batch(batch))
         loaded = list(iter_stream(path))
         assert len(loaded) == 4
         for orig, out in zip(batches, loaded):
@@ -81,8 +90,65 @@ class TestFilesAndStream:
     def test_truncated_stream_detected(self, tmp_path):
         path = tmp_path / "epoch.cabxs"
         with StreamWriter(path) as writer:
-            writer.write(sample_batch())
+            writer.write(Record.from_batch(sample_batch()))
         data = path.read_bytes()
         path.write_bytes(data[:-10])
         with pytest.raises(BatchingError, match="truncated"):
             list(iter_stream(path))
+
+    def test_stream_cut_inside_a_length_prefix(self, tmp_path):
+        path = tmp_path / "epoch.cabxs"
+        with StreamWriter(path) as writer:
+            writer.write(Record.from_batch(sample_batch()))
+        data = path.read_bytes()
+        for cut, index in ((data[:2], 0), (data + data[:3], 1)):
+            path.write_bytes(cut)
+            with pytest.raises(BatchingError, match=rf"{re.escape(str(path))}: record {index}: "):
+                list(iter_stream(path))
+
+
+def tiny_run(root, emit):
+    """A run over 8 archived utterances of 1-4 frames x 2 bins; returns the
+    path of its first batch file or its stream."""
+    rng = np.random.default_rng(31)
+    rows = []
+    with FeatureArchive(root / "archive", mode="a") as archive:
+        for i in range(8):
+            n_frames = int(rng.integers(1, 5))
+            archive.write(f"u{i}", rng.standard_normal((n_frames, 2)).astype(np.float32))
+            rows.append((f"u{i}", f"u{i}.npy", n_frames, f"{i} {i + 1}", f"s{i % 2}"))
+    (root / "m.tsv").write_text(manifest_text(rows), encoding="utf-8")
+    config = PipelineConfig(
+        manifest_path=root / "m.tsv",
+        out_dir=root / "out",
+        archive_dir=root / "archive",
+        feature=FeatureConfig(n_mels=2),
+        strategy=Strategy("speaker"),
+        budget_frames=16,
+        max_frames=8,
+        specaugment=MaskPolicy(freq_param=1, time_param=2),
+        emit=emit,
+    )
+    run(config)
+    if emit == "stream":
+        return root / "out" / "epoch-000.cabxs"
+    return root / "out" / "epoch-000" / "batch-00000.cabx"
+
+
+@pytest.mark.parametrize("emit", ["files", "stream"])
+def test_a_bit_flip_anywhere_in_an_emitted_record_names_the_file(tmp_path, emit):
+    path = tiny_run(tmp_path, emit)
+    data = path.read_bytes()
+    if emit == "stream":
+        read = lambda p: list(iter_stream(p))  # noqa: E731
+        span = 4 + int.from_bytes(data[:4], "little")  # the first record and its prefix
+    else:
+        read = read_batch_file
+        span = len(data)
+    assert read(path)
+    for at in range(span):
+        flipped = bytearray(data)
+        flipped[at] ^= 1 << (at % 8)
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(BatchingError, match=re.escape(str(path))):
+            read(path)

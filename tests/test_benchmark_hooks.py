@@ -1,0 +1,72 @@
+"""The benchmark's tracer finds the run path under the names it wraps.
+
+``perfbench/tracer.py`` wraps functions and methods by name, so a run
+path that moves off those names zeroes its per-layer metrics without an
+error. A traced run in a subprocess (the wrapping stays there) checks
+that archive reads and batch writes are still seen.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json
+from pathlib import Path
+
+import numpy as np
+from tracer import WRITE_SPANS, Tracer, layer_metrics
+
+tracer = Tracer("hooks")
+tracer.install()
+from concat_augment import pipeline
+from concat_augment.archive import FeatureArchive
+from concat_augment.augment import Strategy
+from concat_augment.features import FeatureConfig
+from concat_augment.specaugment import MaskPolicy
+
+rng = np.random.default_rng(3)
+rows = ["id\\taudio\\tn_frames\\ttgt_text\\tspeaker"]
+with FeatureArchive("archive", mode="a") as archive:
+    for i in range(24):
+        n_frames = int(rng.integers(5, 40))
+        archive.write(f"u{i}", rng.standard_normal((n_frames, 8)).astype(np.float32))
+        rows.append(f"u{i}\\tu{i}.npy\\t{n_frames}\\t{i} 7\\ts{i % 4}")
+with open("train.tsv", "w", encoding="utf-8") as f:
+    f.write("\\n".join(rows) + "\\n")
+config = pipeline.PipelineConfig(
+    manifest_path="train.tsv", out_dir="out", archive_dir="archive", emit="stream",
+    strategy=Strategy("speaker"), epochs=2, budget_frames=200,
+    feature=FeatureConfig(n_mels=8), specaugment=MaskPolicy(freq_param=2, time_param=5),
+)
+report = pipeline.run(config)
+out_bytes = sum(p.stat().st_size for p in Path("out").glob("*.cabxs"))
+metrics = layer_metrics(tracer.spans, report.to_dict(), out_bytes)
+metrics["write_spans"] = sum(1 for span in tracer.spans if span[3] in WRITE_SPANS)
+print(json.dumps(metrics))
+"""
+
+
+def test_traced_stream_run_sees_archive_reads_and_batch_writes(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env.pop("CONCAT_AUGMENT_WORKERS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert metrics["archive.read.calls"] > 0
+    assert metrics["archive.read_mb"] > 0
+    assert metrics["write_spans"] > 2
+    assert metrics["batchio.write_mbps"] > 0
+    assert metrics["pipeline.writer_wait_s"] > 0

@@ -1,0 +1,122 @@
+"""Property test: ``run`` writes exactly the bytes of the copy-based
+reference in ``emit_oracle``, over drawn manifests and configs."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from concat_augment.archive import FeatureArchive
+from concat_augment.augment import Strategy
+from concat_augment.errors import PipelineError
+from concat_augment.features import FeatureConfig
+from concat_augment.pipeline import PipelineConfig, run
+from concat_augment.specaugment import MaskPolicy
+
+import emit_oracle
+from conftest import manifest_text
+from test_pipeline import read_tree
+
+N_BINS = 3
+# Few labels, so manifests mix speaker groups, singleton speakers and rows
+# without a speaker.
+SPEAKERS = st.sampled_from(["", "", "a", "b", "c"])
+# Letters, case that normalisation folds, punctuation it strips and code
+# points past the BMP.
+TEXT = st.text(alphabet="abcÉß東𝄞 ,.!'", min_size=1, max_size=6).filter(
+    lambda t: any(ch.isalpha() for ch in t)
+)
+TOKENS = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4).map(
+    lambda ids: " ".join(map(str, ids))
+)
+
+
+@st.composite
+def corpora(draw):
+    """Manifest rows, and which ids have no features (neither an archive
+    record nor an audio file)."""
+    mode = draw(st.sampled_from(["tokens", "asr-normalized"]))
+    n = draw(st.integers(1, 9))
+    rows = []
+    missing = set()
+    for i in range(n):
+        utt_id = f"u{i}"
+        target = draw(TOKENS if mode == "tokens" else TEXT)
+        rows.append((utt_id, f"{utt_id}.npy", draw(st.integers(1, 9)), target, draw(SPEAKERS)))
+        if draw(st.integers(0, 5)) == 0:
+            missing.add(utt_id)
+    return mode, rows, missing
+
+
+@st.composite
+def configs(draw):
+    kind = draw(st.sampled_from(["self", "speaker", "random"]))
+    max_frames = draw(st.integers(1, 30))
+    specaugment = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                MaskPolicy,
+                freq_param=st.integers(0, N_BINS),
+                time_param=st.integers(0, 6),
+                n_freq_masks=st.integers(0, 2),
+                n_time_masks=st.integers(0, 2),
+                mask_value=st.sampled_from([0.0, -1.5]),
+            ),
+        )
+    )
+    return dict(
+        strategy=Strategy(kind, 2 if kind == "self" else draw(st.integers(2, 3))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        epochs=draw(st.integers(1, 2)),
+        max_frames=max_frames,
+        # at max_frames or above, so no instance is over the budget
+        budget_frames=draw(st.integers(max_frames, 3 * max_frames)),
+        include_original=draw(st.booleans()),
+        specaugment=specaugment,
+        bucketing=draw(st.booleans()),
+        accounting=draw(st.sampled_from(["padded", "true"])),
+        emit=draw(st.sampled_from(["files", "stream"])),
+        target_pad_id=draw(st.sampled_from([0, 7, 2**32 - 1])),
+        workers=draw(st.integers(1, 2)),
+    )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corpora(), configs(), st.integers(0, 2**32 - 1))
+def test_run_writes_the_reference_bytes(corpus, overrides, feature_seed):
+    mode, rows, missing = corpus
+    rng = np.random.default_rng(feature_seed)
+    table = {
+        utt_id: rng.standard_normal((n_frames, N_BINS)).astype(np.float32)
+        for utt_id, _, n_frames, _, _ in rows
+        if utt_id not in missing
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "train.tsv").write_text(manifest_text(rows), encoding="utf-8")
+        with FeatureArchive(root / "archive", mode="a") as archive:
+            for utt_id, feats in table.items():
+                archive.write(utt_id, feats)
+        config = PipelineConfig(
+            manifest_path=root / "train.tsv",
+            out_dir=root / "out",
+            corpus_mode=mode,
+            audio_root=root,
+            archive_dir=root / "archive",
+            feature=FeatureConfig(n_mels=N_BINS),
+            **overrides,
+        )
+        try:
+            expected = emit_oracle.emit(config, table)
+        except PipelineError as exc:  # e.g. the speaker strategy with no speaker groups
+            try:
+                run(config)
+            except PipelineError as ran:
+                assert type(ran) is type(exc)
+                return
+            raise AssertionError(f"the reference raised {exc!r}; run did not")
+        run(config).check_consistency()
+        assert read_tree(root / "out") == expected

@@ -195,6 +195,28 @@ class TestRun:
         assert report.epochs[0]["emitted_instances"] == 8
         assert list((tmp_path / "out" / "epoch-000").glob("*.cabx"))
 
+    def test_rerun_into_the_same_out_dir_leaves_no_stale_batches(self, tmp_path):
+        manifest = write_audio_corpus(tmp_path / "c", 12, np.random.default_rng(19))
+        out = tmp_path / "out"
+
+        def one_run(budget, epochs=2, emit="files"):
+            config = PipelineConfig(
+                manifest_path=manifest, out_dir=out, audio_root=manifest.parent,
+                archive_dir=tmp_path / "arch", epochs=epochs, budget_frames=budget, emit=emit,
+            )
+            return run(config)
+
+        one_run(100, emit="stream")
+        one_run(100, epochs=3)
+        (out / "notes.txt").write_text("kept")
+        report = one_run(4000)
+        for epoch in report.epochs:
+            files = list((out / f"epoch-{epoch['epoch']:03d}").iterdir())
+            assert len(files) == epoch["batch_count"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "epoch-000", "epoch-001", "notes.txt", "report.json"
+        ]
+
     def test_worker_pool_does_not_change_bytes(self, tmp_path):
         rng = np.random.default_rng(6)
         manifest = write_audio_corpus(tmp_path / "c", 16, rng)
@@ -382,7 +404,7 @@ class TestFeatureStore:
     ):
         held = []
 
-        def fail_second(batch, path):
+        def fail_second(record, path):
             if held:
                 raise RuntimeError("disk full")
             held.extend(scratch_root.iterdir())
