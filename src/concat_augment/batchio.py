@@ -25,6 +25,7 @@ buffer: all of it to a stream, all but the prefix to a batch file.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -198,6 +199,7 @@ def iter_stream(path: str | Path) -> Iterator[Batch]:
     """Decode a record stream; an error names the file and the record's
     index in it."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         index = 0
         while True:
             prefix = f.read(_PREFIX)
@@ -207,10 +209,10 @@ def iter_stream(path: str | Path) -> Iterator[Batch]:
                 if len(prefix) != _PREFIX:
                     raise BatchingError("truncated length prefix")
                 (length,) = _U32.unpack(prefix)
-                blob = f.read(length)
-                if len(blob) != length:
+                # checked before reading, so a corrupt prefix allocates nothing
+                if length > size - f.tell():
                     raise BatchingError("truncated batch stream")
-                batch = decode_batch(blob)
+                batch = decode_batch(f.read(length))
             except BatchingError as exc:
                 raise BatchingError(f"{path}: record {index}: {exc}") from None
             yield batch
