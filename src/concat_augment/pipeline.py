@@ -456,7 +456,11 @@ def _check_config(config: PipelineConfig) -> None:
 
 
 def _epochs(
-    config: PipelineConfig, epochs: Iterable[int], report: AuditReport, load_features: bool
+    config: PipelineConfig,
+    epochs: Iterable[int],
+    report: AuditReport,
+    load_features: bool,
+    on_prepared: Callable[[], object] = lambda: None,
 ) -> Iterator[tuple[int, Iterator[_Group]]]:
     """The epoch engine behind ``run``, ``audit`` and ``iter_epoch_batches``.
 
@@ -464,12 +468,14 @@ def _epochs(
     non-empty group in plan order and, once exhausted, appends the
     epoch's entry to ``report``. The feature store is closed when the
     engine ends, however it ends. A bad setting is fatal before the
-    manifest is read or any output exists.
+    manifest is read or any output exists; ``on_prepared`` is called
+    once the manifest is read, before the first epoch is planned.
     """
     workers = config.resolved_workers()
     _check_config(config)
     prepared = _prepare(config, with_loader=load_features)
     report.ingestion = ingestion_report(prepared.parse, prepared.index)
+    on_prepared()
     if not load_features:
         workers = 1  # metadata-only groups gain nothing from threads
     try:
@@ -519,6 +525,7 @@ def _epoch(
             ordinals = group.tolist()
             jobs.append((ordinals, [survivors.instance(r, prepared.by_id) for r in ordinals]))
         prepared.store.extract([instances for _, instances in jobs], workers)
+
         def build(job):
             return _build_group(*job, config, epoch, prepared.store, prepared.by_id)
 
@@ -574,14 +581,17 @@ def _epoch(
 
 
 def _drive(
-    config: PipelineConfig, sink: Callable[[int, Iterator[_Group]], object], load_features: bool
+    config: PipelineConfig,
+    sink: Callable[[int, Iterator[_Group]], object],
+    load_features: bool,
+    on_prepared: Callable[[], object] = lambda: None,
 ) -> AuditReport:
     """Feed every epoch of the engine to ``sink``, then total and write the report."""
     if config.emit not in EMIT_MODES:
         raise ConfigurationError(f"unknown emit mode {config.emit!r}")
     started = time.perf_counter()
     report = AuditReport(config=config.summary(), ingestion={})
-    engine = _epochs(config, range(config.epochs), report, load_features)
+    engine = _epochs(config, range(config.epochs), report, load_features, on_prepared)
     try:
         for epoch, groups in engine:
             sink(epoch, groups)
@@ -626,8 +636,6 @@ def run(config: PipelineConfig) -> AuditReport:
     out_dir = Path(config.out_dir)
 
     def write(epoch: int, groups: Iterator[_Group]) -> None:
-        if epoch == 0:
-            _clear_outputs(out_dir)
         if config.emit == "stream":
             out_dir.mkdir(parents=True, exist_ok=True)
             with StreamWriter(out_dir / f"epoch-{epoch:03d}.cabxs") as writer:
@@ -639,7 +647,7 @@ def run(config: PipelineConfig) -> AuditReport:
             for index, built in enumerate(groups):
                 write_batch_file(built.record, epoch_dir / f"batch-{index:05d}.cabx")
 
-    return _drive(config, write, load_features=True)
+    return _drive(config, write, load_features=True, on_prepared=lambda: _clear_outputs(out_dir))
 
 
 _OUTPUT_NAME = re.compile(r"epoch-\d{3,}(\.cabxs)?|report\.json")
@@ -647,7 +655,9 @@ _OUTPUT_NAME = re.compile(r"epoch-\d{3,}(\.cabxs)?|report\.json")
 
 def _clear_outputs(out_dir: Path) -> None:
     """Remove what an earlier run wrote to ``out_dir``: its epoch
-    directories and streams and its report. Nothing else is touched."""
+    directories and streams and its report. Nothing else is touched.
+    A run calls this once its config is checked and its manifest read,
+    so a later fatal error leaves no earlier run's batches behind."""
     if not out_dir.is_dir():
         return
     for path in out_dir.iterdir():

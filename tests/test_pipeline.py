@@ -216,6 +216,10 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == [
             "epoch-000", "epoch-001", "notes.txt", "report.json"
         ]
+        with pytest.raises(BatchingError, match="over the budget"):  # fatal before any batch
+            one_run(20)
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "report.json"]
+        assert "over the budget" in json.loads((out / "report.json").read_text())["error"]
 
     def test_worker_pool_does_not_change_bytes(self, tmp_path):
         rng = np.random.default_rng(6)
