@@ -9,6 +9,7 @@ pairings over a toy corpus and materialize a few instances.
 import numpy as np
 
 from concat_augment import (
+    Corpus,
     Strategy,
     Utterance,
     build_speaker_index,
@@ -17,12 +18,14 @@ from concat_augment import (
     plan_epoch,
 )
 
-corpus = [
+# Plans are drawn over a Corpus: the manifest's columns (a parsed
+# manifest is one; here it is built from utterances).
+corpus = Corpus.from_utterances([
     Utterance("u1", "u1.npy", n_frames=120, target=(7, 9), speaker_id="alice"),
     Utterance("u2", "u2.npy", n_frames=80, target=(3,), speaker_id="alice"),
     Utterance("u3", "u3.npy", n_frames=200, target=(5, 5, 1), speaker_id="bob"),
     Utterance("u4", "u4.npy", n_frames=60, target=(2, 8), speaker_id=None),
-]
+])
 by_id = {u.id: u for u in corpus}
 index = build_speaker_index(corpus)
 
@@ -54,8 +57,7 @@ print(f"\nmaterialized {inst.constituents}: {inst.n_frames} frames "
 # integer arrays. A 3000-frame cap drops nothing here. Survivors are
 # numbered originals first; only a batch that loads features builds
 # its instances.
-frames = np.array([u.n_frames for u in corpus])
-survivors = length_filter(plan, frames, max_frames=3000)
+survivors = length_filter(plan, corpus.n_frames, max_frames=3000)
 print(f"\ncombined: {len(survivors)} instances "
       f"({survivors.dropped_original}/{survivors.dropped_augmented} dropped orig/aug), "
       f"frames {survivors.frames.tolist()}")

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .features import FeatureConfig, compute_logmel, frame_count
 from .manifest import (
+    Corpus,
     Utterance,
     build_speaker_index,
     ingestion_report,
@@ -44,6 +45,7 @@ __all__ = [
     "AuditReport",
     "BatchingError",
     "ConfigurationError",
+    "Corpus",
     "FeatureArchive",
     "FeatureConfig",
     "FeatureError",

@@ -22,7 +22,6 @@ when a batch needs its features.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -30,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, MaterializationError
-from .manifest import SpeakerIndex, Target, Utterance
+from .manifest import Corpus, SpeakerIndex, Target, Utterance
 from .rng import PLAN_STREAM, keyed_rng
 
 STRATEGY_KINDS = ("self", "speaker", "random")
@@ -159,7 +158,7 @@ def _within(rng: np.random.Generator, pool: int, n_partners: int) -> np.ndarray:
 
 
 def plan_epoch(
-    utterances: Sequence[Utterance],
+    corpus: Corpus,
     index: SpeakerIndex | None,
     strategy: Strategy,
     seed: int,
@@ -169,15 +168,18 @@ def plan_epoch(
 
     The RNG stream is keyed by (seed, epoch): different epochs yield
     different plans, reruns are bit-identical. Anchors follow the
-    utterance list order; every eligible utterance anchors exactly once.
+    corpus order; every eligible utterance anchors exactly once.
+    ``index`` is the corpus's speaker index, built once per run; only
+    the speaker strategy reads it. Build a corpus from utterances with
+    :meth:`Corpus.from_utterances`.
 
     Raises :class:`ConfigurationError` for the speaker strategy when no
     speaker groups exist.
     """
-    if not utterances:
+    if not len(corpus):
         raise ConfigurationError("cannot plan an epoch over an empty corpus")
     rng = keyed_rng(seed, PLAN_STREAM, epoch)
-    ids = [u.id for u in utterances]
+    ids = corpus.ids
     n = len(ids)
     n_partners = strategy.k - 1
 
@@ -191,20 +193,15 @@ def plan_epoch(
         return EpochPlan(epoch, seed, strategy, ids, np.arange(n), partners, ())
 
     # speaker strategy
-    if index is None or len(index.groups) == 0:
+    if index is None or len(index) == 0:
         raise ConfigurationError("speaker strategy requires a manifest with speaker labels")
-    # Draw group by group in index order. A group's j-th member is the
-    # j-th utterance of that speaker in list order, so the members'
-    # positions, concatenated, are the anchors, and sorting them puts
-    # the anchors back in list order.
-    groups = [members for members in index.groups.values() if len(members) >= 2]
-    sizes = [len(members) for members in groups]
-    position = dict(zip(ids, range(n)))
-    anchors = np.fromiter(
-        map(position.__getitem__, itertools.chain.from_iterable(groups)),
-        dtype=np.int64,
-        count=sum(sizes),
-    )
+    # Draw group by group in code order. The index lists each group's
+    # members in corpus order, so the members of every group of two or
+    # more, concatenated, are the anchors, and sorting them puts the
+    # anchors back in corpus order.
+    pairable = index.sizes >= 2
+    anchors = index.members[np.repeat(pairable, index.sizes)]
+    sizes = index.sizes[pairable].tolist()
     starts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
     within = [start + _within(rng, size, n_partners) for start, size in zip(starts, sizes)]
     partners = anchors[np.concatenate(within)] if within else np.zeros((0, n_partners), np.int64)
@@ -214,9 +211,11 @@ def plan_epoch(
 
     anchored = np.zeros(n, dtype=bool)
     anchored[anchors] = True
+    left_out = np.flatnonzero(~anchored)
+    speakerless = corpus.speaker_codes[left_out] < 0
     excluded = tuple(
-        (ids[i], EXCLUDED_SPEAKERLESS if utterances[i].speaker_id is None else EXCLUDED_SINGLETON)
-        for i in np.flatnonzero(~anchored).tolist()
+        (ids[i], EXCLUDED_SPEAKERLESS if none else EXCLUDED_SINGLETON)
+        for i, none in zip(left_out.tolist(), speakerless.tolist())
     )
     return EpochPlan(epoch, seed, strategy, ids, anchors, partners, excluded)
 
@@ -312,13 +311,20 @@ class Survivors:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def instance(self, r: int, utterances_by_id: Mapping[str, Utterance]) -> TrainingInstance:
-        """Metadata-only instance of survivor ``r``."""
+    def constituents(self, r: int) -> tuple[str, ...]:
+        """The utterance ids survivor ``r`` concatenates, in order."""
         n_original = len(self.originals)
         if r < n_original:
-            return instance_from_utterance(utterances_by_id[self.plan.ids[self.originals[r]]])
-        entry = self.plan.entry(self.augmented[r - n_original])
-        return instance_from_plan(entry, utterances_by_id, self.plan.strategy)
+            return (self.plan.ids[self.originals[r]],)
+        anchor, partners = self.plan.entry(self.augmented[r - n_original])
+        return (anchor, *partners)
+
+    def instance(self, r: int, utterances_by_id: Mapping[str, Utterance]) -> TrainingInstance:
+        """Metadata-only instance of survivor ``r``."""
+        anchor, *partners = self.constituents(r)
+        if r < len(self.originals):
+            return instance_from_utterance(utterances_by_id[anchor])
+        return instance_from_plan((anchor, tuple(partners)), utterances_by_id, self.plan.strategy)
 
 
 def length_filter(

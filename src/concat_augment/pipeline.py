@@ -274,11 +274,12 @@ class _FeatureStore:
 
 @dataclass
 class _Prepared:
+    """What a run reads once: the parsed manifest and its speaker index
+    and, when features are loaded, each utterance by id and the store."""
+
     parse: ParseResult
-    utterances: list[Utterance]
-    by_id: dict[str, Utterance]
     index: SpeakerIndex
-    frames: np.ndarray  # every utterance's manifest frame count, in list order
+    by_id: dict[str, Utterance] | None
     store: _FeatureStore | None
 
 
@@ -287,14 +288,14 @@ def _prepare(config: PipelineConfig, with_loader: bool) -> _Prepared:
         parse = load_manifest(config.manifest_path, config.corpus_mode)
     except OSError as exc:
         raise ConfigurationError(f"cannot read manifest: {exc}") from exc
-    utterances = parse.utterances
-    if not utterances:
+    corpus = parse.utterances
+    if not len(corpus):
         raise ConfigurationError(f"manifest {config.manifest_path} has no accepted utterances")
-    by_id = {u.id: u for u in utterances}
-    index = build_speaker_index(utterances)
-    frames = np.array([u.n_frames for u in utterances], dtype=np.int64)
-    store = _FeatureStore(config, by_id) if with_loader else None
-    return _Prepared(parse, utterances, by_id, index, frames, store)
+    index = build_speaker_index(corpus)
+    if not with_loader:
+        return _Prepared(parse, index, None, None)
+    by_id = {u.id: u for u in corpus}
+    return _Prepared(parse, index, by_id, _FeatureStore(config, by_id))
 
 
 @dataclass
@@ -495,14 +496,15 @@ def _epoch(
     outlive this call, so the engine holds one epoch's lists at a time.
     An audit builds no instance: it sizes each group from frame counts."""
     t0 = time.perf_counter()
-    plan = plan_epoch(prepared.utterances, prepared.index, config.strategy, config.seed, epoch)
-    survivors = length_filter(plan, prepared.frames, config.max_frames, config.include_original)
+    corpus = prepared.parse.utterances
+    plan = plan_epoch(corpus, prepared.index, config.strategy, config.seed, epoch)
+    survivors = length_filter(plan, corpus.n_frames, config.max_frames, config.include_original)
     t_plan = time.perf_counter()
     over = np.flatnonzero(survivors.frames > config.budget_frames)
     if over.size:
-        inst = survivors.instance(int(over[0]), prepared.by_id)
+        r = int(over[0])
         raise BatchingError(
-            f"instance {inst.constituents} has {inst.n_frames} frames, "
+            f"instance {survivors.constituents(r)} has {survivors.frames[r]} frames, "
             f"over the budget of {config.budget_frames}"
         )
     groups = compose_batches(
@@ -538,7 +540,7 @@ def _epoch(
         histogram[config.strategy.kind] = len(survivors.augmented)
     planned = len(plan)
     excluded = len(plan.excluded)
-    originals_in = len(prepared.utterances) if config.include_original else 0
+    originals_in = len(corpus) if config.include_original else 0
     dropped = {"original": survivors.dropped_original, "augmented": survivors.dropped_augmented}
 
     def results():

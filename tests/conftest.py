@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from concat_augment.features import FeatureConfig
-from concat_augment.manifest import Utterance
+from concat_augment.manifest import Corpus, Utterance
 
 
 def manifest_text(rows, columns=("id", "audio", "n_frames", "tgt_text", "speaker")) -> str:
@@ -25,7 +25,7 @@ def synth_utterances(
     rng: np.random.Generator,
     speakerless_every: int = 0,
     tokens_per_target: int = 4,
-) -> list[Utterance]:
+) -> Corpus:
     """In-memory corpus with token targets; no audio behind the refs."""
     utts = []
     for i in range(n):
@@ -42,7 +42,7 @@ def synth_utterances(
                 speaker_id=speaker,
             )
         )
-    return utts
+    return Corpus.from_utterances(utts)
 
 
 def pcm_samples_for_frames(n_frames: int, cfg: FeatureConfig) -> int:

@@ -11,7 +11,7 @@ from concat_augment.augment import (
     with_features,
 )
 from concat_augment.errors import ConfigurationError, MaterializationError
-from concat_augment.manifest import Utterance, build_speaker_index
+from concat_augment.manifest import Corpus, Utterance, build_speaker_index
 from concat_augment.pipeline import PipelineConfig, audit
 
 from conftest import synth_utterances
@@ -20,6 +20,10 @@ from conftest import synth_utterances
 def utt(uid, n_frames=10, target=(1, 2), speaker=None):
     return Utterance(id=uid, audio_ref=f"{uid}.npy", n_frames=n_frames, target=target,
                      speaker_id=speaker)
+
+
+def corpus(*utts):
+    return Corpus.from_utterances(utts)
 
 
 def fake_loader(utts, n_bins=6):
@@ -53,7 +57,7 @@ class TestStrategy:
 
 class TestPlanSelf:
     def test_pairs_each_with_itself(self):
-        utts = [utt("u1"), utt("u2")]
+        utts = corpus(utt("u1"), utt("u2"))
         plan = plan_epoch(utts, None, Strategy("self"), seed=0, epoch=0)
         assert plan.pairings == (("u1", ("u1",)), ("u2", ("u2",)))
         assert plan.excluded == ()
@@ -61,21 +65,21 @@ class TestPlanSelf:
 
 class TestPlanSpeaker:
     def test_singletons_excluded(self):
-        utts = [utt("u1", speaker="a"), utt("u2", speaker="b"), utt("u3", speaker="b")]
+        utts = corpus(utt("u1", speaker="a"), utt("u2", speaker="b"), utt("u3", speaker="b"))
         idx = build_speaker_index(utts)
         plan = plan_epoch(utts, idx, Strategy("speaker"), seed=1, epoch=0)
         assert dict(plan.pairings) == {"u2": ("u3",), "u3": ("u2",)}
         assert plan.excluded == (("u1", "singleton-speaker"),)
 
     def test_speakerless_excluded(self):
-        utts = [utt("u1"), utt("u2", speaker="a"), utt("u3", speaker="a")]
+        utts = corpus(utt("u1"), utt("u2", speaker="a"), utt("u3", speaker="a"))
         idx = build_speaker_index(utts)
         plan = plan_epoch(utts, idx, Strategy("speaker"), seed=1, epoch=0)
         assert ("u1", "speakerless") in plan.excluded
         assert len(plan.pairings) == 2
 
     def test_no_speaker_index_is_fatal(self):
-        utts = [utt("u1"), utt("u2")]
+        utts = corpus(utt("u1"), utt("u2"))
         with pytest.raises(ConfigurationError):
             plan_epoch(utts, None, Strategy("speaker"), seed=0, epoch=0)
         with pytest.raises(ConfigurationError):
@@ -104,7 +108,7 @@ class TestPlanRandom:
                 assert anchor not in partners
 
     def test_pool_of_one_pairs_with_itself(self):
-        plan = plan_epoch([utt("only")], None, Strategy("random"), seed=0, epoch=0)
+        plan = plan_epoch(corpus(utt("only")), None, Strategy("random"), seed=0, epoch=0)
         assert plan.pairings == (("only", ("only",)),)
 
     def test_arity_three_partners_distinct(self):
@@ -156,7 +160,7 @@ class TestPlanProperties:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigurationError):
-            plan_epoch([], None, Strategy("self"), seed=0, epoch=0)
+            plan_epoch(corpus(), None, Strategy("self"), seed=0, epoch=0)
 
 
 class TestMaterialize:
@@ -246,6 +250,7 @@ class TestCombineAndFilter:
 
     @staticmethod
     def _filter(utts, strategy, max_frames=3000, include_original=True):
+        utts = corpus(*utts)
         plan = plan_epoch(utts, None, strategy, seed=0, epoch=0)
         frames = np.array([u.n_frames for u in utts])
         survivors = length_filter(plan, frames, max_frames, include_original)

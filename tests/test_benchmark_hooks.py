@@ -3,7 +3,9 @@
 ``perfbench/tracer.py`` wraps functions and methods by name, so a run
 path that moves off those names zeroes its per-layer metrics without an
 error. A traced run in a subprocess (the wrapping stays there) checks
-that archive reads and batch writes are still seen.
+that archive reads and batch writes are still seen; a traced audit
+checks the manifest metrics and the epoch boundary the benchmark's
+``child.py`` finds by patching ``pipeline.plan_epoch``.
 """
 
 import json
@@ -51,22 +53,81 @@ print(json.dumps(metrics))
 """
 
 
-def test_traced_stream_run_sees_archive_reads_and_batch_writes(tmp_path):
+AUDIT_SCRIPT = """
+import json
+
+from tracer import Tracer, layer_metrics
+
+tracer = Tracer("hooks")
+tracer.install()
+from concat_augment import cli, pipeline
+
+# as perfbench/child.py finds the start of each epoch
+epochs = []
+plan_epoch = pipeline.plan_epoch
+
+
+def counted(*args, **kwargs):
+    epochs.append(args[4])
+    return plan_epoch(*args, **kwargs)
+
+
+pipeline.plan_epoch = counted
+
+rows = ["id\\taudio\\tn_frames\\ttgt_text\\tspeaker"]
+for i in range(40):
+    rows.append(f"t{i}\\tt{i}.wav\\t{20 + i}\\tWord{i}, Word{i % 3}!\\ts{i % 5}")
+rows += [
+    "b1\\tb1.wav\\t20\\tfour fields",
+    "b2\\tb2.wav\\tmany\\tbad frames\\ts0",
+    "b3\\tb3.wav\\t20\\t?! \\u2014\\ts0",
+]
+with open("train.tsv", "w", encoding="utf-8") as f:
+    f.write("\\n".join(rows) + "\\n")
+rc = cli.main([
+    "audit", "--manifest", "train.tsv", "--mode", "asr-normalized", "--strategy", "speaker",
+    "--epochs", "3", "--budget", "400", "--out", "out",
+])
+with open("out/report.json", encoding="utf-8") as f:
+    report = json.load(f)
+metrics = layer_metrics(tracer.spans, report, 0)
+metrics["rc"] = rc
+metrics["epochs"] = epochs
+print(json.dumps(metrics))
+"""
+
+
+def traced(script, cwd):
+    """The last line a script prints, as JSON, run with the tracer importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     env.pop("CONCAT_AUGMENT_WORKERS", None)
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
-        cwd=tmp_path,
+        [sys.executable, "-c", script],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_stream_run_sees_archive_reads_and_batch_writes(tmp_path):
+    metrics = traced(SCRIPT, tmp_path)
     assert metrics["archive.read.calls"] > 0
     assert metrics["archive.read_mb"] > 0
     assert metrics["write_spans"] > 2
     assert metrics["batchio.write_mbps"] > 0
     assert metrics["pipeline.writer_wait_s"] > 0
+
+
+def test_traced_audit_sees_the_manifest_and_each_epoch(tmp_path):
+    metrics = traced(AUDIT_SCRIPT, tmp_path)
+    assert metrics["rc"] == 0
+    assert metrics["epochs"] == [0, 1, 2]
+    assert metrics["manifest.rows_per_s"] > 0
+    assert metrics["manifest.skipped"] == 3
+    assert metrics["manifest.load_manifest.s"] > 0
+    assert metrics["augment.plan_epoch.s"] > 0

@@ -1,7 +1,12 @@
 """Property test: ``run`` writes exactly the bytes of the copy-based
-reference in ``emit_oracle``, over drawn manifests and configs."""
+reference in ``emit_oracle``, over drawn manifests and configs. On the
+same inputs, every filter survivor is emitted exactly once per epoch,
+and ``run``'s per-epoch counts are ``audit``'s minus the failures it
+reports."""
 
+import dataclasses
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from concat_augment.archive import FeatureArchive
-from concat_augment.augment import Strategy
+from concat_augment.augment import Strategy, length_filter, plan_epoch
 from concat_augment.errors import PipelineError
 from concat_augment.features import FeatureConfig
-from concat_augment.pipeline import PipelineConfig, run
+from concat_augment.manifest import build_speaker_index, load_manifest
+from concat_augment.pipeline import PipelineConfig, audit, iter_epoch_batches, run
 from concat_augment.specaugment import MaskPolicy
 
 import emit_oracle
@@ -84,6 +90,39 @@ def configs(draw):
     )
 
 
+def check_survivors_emitted_once(config, missing):
+    """Per epoch, the provenance of the emitted instances is each filter
+    survivor without a constituent that has no features, once."""
+    corpus = load_manifest(config.manifest_path, config.corpus_mode).utterances
+    index = build_speaker_index(corpus)
+    for epoch in range(config.epochs):
+        plan = plan_epoch(corpus, index, config.strategy, config.seed, epoch)
+        survivors = length_filter(plan, corpus.n_frames, config.max_frames, config.include_original)
+        expected = Counter(
+            constituents
+            for constituents in map(survivors.constituents, range(len(survivors)))
+            if missing.isdisjoint(constituents)
+        )
+        emitted = Counter(
+            tuple(ids)
+            for batch in iter_epoch_batches(config, epoch)
+            for ids in batch.instance_ids
+        )
+        assert emitted == expected
+
+
+def check_run_agrees_with_audit(report, config):
+    """Per epoch, ``run`` plans and filters what ``audit`` does, and emits
+    what it planned minus the failures it reports."""
+    planned = audit(dataclasses.replace(config, out_dir=None))
+    assert len(report.epochs) == len(planned.epochs) == config.epochs
+    for ran, dry in zip(report.epochs, planned.epochs):
+        for key in ("planned", "excluded_by_strategy", "dropped_by_filter", "strategy_histogram"):
+            assert ran[key] == dry[key]
+        failures = ran["materialization_failures"] + ran["failed_originals"]
+        assert ran["emitted_instances"] == dry["emitted_instances"] - failures
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(corpora(), configs(), st.integers(0, 2**32 - 1))
 def test_run_writes_the_reference_bytes(corpus, overrides, feature_seed):
@@ -118,5 +157,8 @@ def test_run_writes_the_reference_bytes(corpus, overrides, feature_seed):
                 assert type(ran) is type(exc)
                 return
             raise AssertionError(f"the reference raised {exc!r}; run did not")
-        run(config).check_consistency()
+        report = run(config)
+        report.check_consistency()
         assert read_tree(root / "out") == expected
+        check_survivors_emitted_once(config, missing)
+        check_run_agrees_with_audit(report, config)

@@ -3,10 +3,14 @@ import io
 import numpy as np
 import pytest
 
+from concat_augment import cli
 from concat_augment.errors import ManifestError
 from concat_augment.manifest import (
+    Corpus,
+    Utterance,
     build_speaker_index,
     ingestion_report,
+    load_manifest,
     normalize_target,
     parse_manifest,
     serialize_manifest,
@@ -29,7 +33,7 @@ class TestParse:
 
     def test_header_only_gives_empty_list(self):
         result = parse_manifest("id\taudio\tn_frames\ttgt_text\n")
-        assert result.utterances == []
+        assert list(result.utterances) == []
 
     def test_bad_n_frames_row_skipped_with_diagnostic(self):
         # 5 rows, one with n_frames=-3: 4 accepted + 1 skip, counted by hand
@@ -63,13 +67,13 @@ class TestParse:
     def test_empty_target_skipped(self):
         rows = [("u1", "a.wav", 10, "", "s")]
         result = parse_manifest(manifest_text(rows))
-        assert result.utterances == []
+        assert list(result.utterances) == []
         assert "empty target" in result.skipped[0][1]
 
     def test_negative_token_id_skipped(self):
         rows = [("u1", "a.wav", 10, "3 -4", "s")]
         result = parse_manifest(manifest_text(rows))
-        assert result.utterances == []
+        assert list(result.utterances) == []
 
     def test_token_id_over_u32_skipped(self):
         rows = [
@@ -105,7 +109,7 @@ class TestParse:
     def test_asr_normalized_empty_after_cleanup_skipped(self):
         text = manifest_text([("u1", "a.wav", 10, "?!...", "s")])
         result = parse_manifest(text, mode="asr-normalized")
-        assert result.utterances == []
+        assert list(result.utterances) == []
 
     def test_accepts_file_object(self):
         text = manifest_text([("u1", "a.wav", 10, "1", "s")])
@@ -115,6 +119,88 @@ class TestParse:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ManifestError):
             parse_manifest("id\taudio\tn_frames\ttgt_text\n", mode="words")
+
+    def test_n_frames_over_int64_skipped(self):
+        rows = [("u1", "a.wav", 2**63, "1", "s"), ("u2", "b.wav", 2**63 - 1, "2", "s")]
+        result = parse_manifest(manifest_text(rows))
+        assert [u.id for u in result.utterances] == ["u2"]
+        assert result.skipped == [(2, f"n_frames {2**63} does not fit in 64 bits")]
+
+
+class TestEncoding:
+    def test_byte_order_mark_before_the_header_is_ignored(self, tmp_path):
+        text = manifest_text([("u1", "a.wav", 10, "1 2", "s")])
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        with_bom = load_manifest(path)
+        assert list(with_bom.utterances) == list(parse_manifest(text).utterances)
+        assert list(parse_manifest("\ufeff" + text).utterances) == list(with_bom.utterances)
+        assert with_bom.utterances[0].id == "u1"
+
+    def test_only_one_byte_order_mark_is_ignored(self):
+        with pytest.raises(ManifestError, match="missing required columns: \\['id'\\]"):
+            parse_manifest("\ufeff\ufeff" + manifest_text([("u1", "a.wav", 10, "1", "s")]))
+
+    def test_invalid_utf8_names_the_file_and_the_byte_offset(self, tmp_path):
+        head = manifest_text([("u1", "a.wav", 10, "1 2", "s")]).encode("utf-8")
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(head + b"u2\tb.wav\t10\t3 \xff\ts\n")
+        offset = len(head) + len(b"u2\tb.wav\t10\t3 ")
+        with pytest.raises(ManifestError, match=f"{path}.* byte offset {offset}$"):
+            load_manifest(path)
+
+    def test_invalid_utf8_past_the_first_read_gives_the_file_offset(self, tmp_path):
+        rows = [(f"u{i}", "a.wav", 10, "word " * 20, "s") for i in range(2000)]
+        head = manifest_text(rows).encode("utf-8")
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(head + b"\xc3\n")
+        with pytest.raises(ManifestError, match=f"byte offset {len(head)}$"):
+            load_manifest(path, mode="asr-normalized")
+
+    def test_cli_reports_invalid_utf8_as_fatal(self, tmp_path, capsys):
+        head = b"id\taudio\tn_frames\ttgt_text\nu1\ta.wav\t10\t"
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(head + b"\xff\n")
+        rc = cli.main(["audit", "--manifest", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        reason = f"invalid start byte at byte offset {len(head)}"
+        assert err == f"fatal: manifest {path} is not UTF-8: {reason}\n"
+        assert "Traceback" not in err
+
+
+class TestCorpus:
+    UTTS = [
+        Utterance("u1", "a.wav", 10, (1,), "b"),
+        Utterance("u2", "b.wav", 20, (2, 3), None),
+        Utterance("u3", "c.wav", 30, (4,), "a"),
+        Utterance("u4", "d.wav", 40, (5,), "b"),
+    ]
+
+    def test_rows_are_the_utterances(self):
+        corpus = Corpus.from_utterances(self.UTTS)
+        assert len(corpus) == 4
+        assert list(corpus) == self.UTTS
+        assert [corpus[i] for i in range(-4, 4)] == self.UTTS * 2
+        assert corpus == Corpus.from_utterances(self.UTTS)
+        assert corpus != Corpus.from_utterances(self.UTTS[:3])
+
+    def test_columns(self):
+        corpus = Corpus.from_utterances(self.UTTS)
+        assert corpus.ids == ["u1", "u2", "u3", "u4"]
+        assert corpus.n_frames.dtype == np.int64
+        assert corpus.n_frames.tolist() == [10, 20, 30, 40]
+        # codes in order of first appearance; -1 for no speaker
+        assert corpus.speaker_codes.dtype == np.int32
+        assert corpus.speaker_codes.tolist() == [0, -1, 1, 0]
+        assert corpus.speakers == ["b", "a"]
+
+    def test_speaker_index_positions(self):
+        index = build_speaker_index(Corpus.from_utterances(self.UTTS))
+        assert index.members.tolist() == [0, 3, 2]
+        assert index.sizes.tolist() == [2, 1]
+        assert index.groups == {"b": ["u1", "u4"], "a": ["u3"]}
+        assert index.singletons == ["a"]
 
 
 class TestNormalize:
@@ -177,7 +263,7 @@ class TestSpeakerIndex:
         assert idx.singletons == ["b"]
 
     def test_empty_corpus(self):
-        idx = build_speaker_index([])
+        idx = build_speaker_index(Corpus.from_utterances([]))
         assert idx.groups == {} and idx.singletons == []
 
     def test_group_sizes_sum_to_corpus(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from concat_augment.augment import Strategy, plan_epoch
 from concat_augment.batching import compose_batches
 from concat_augment.errors import ConfigurationError
-from concat_augment.manifest import Utterance, build_speaker_index
+from concat_augment.manifest import Corpus, Utterance, build_speaker_index
 
 import plan_oracle
 from conftest import synth_utterances
@@ -25,10 +25,10 @@ SPEAKERS = st.one_of(st.none(), st.sampled_from(["a", "b", "c", "d", "e"]))
 def corpora(draw):
     speakers = draw(st.lists(SPEAKERS, min_size=1, max_size=40))
     frames = draw(st.lists(st.integers(1, 400), min_size=len(speakers), max_size=len(speakers)))
-    return [
+    return Corpus.from_utterances(
         Utterance(f"u{i:03d}", f"u{i:03d}.npy", n, (i,), speaker)
         for i, (speaker, n) in enumerate(zip(speakers, frames))
-    ]
+    )
 
 
 @st.composite
