@@ -11,10 +11,13 @@ and CRC, into the index id -> (shard, offset, T, F); the first record
 of an id wins. Bytes after the newest shard's last complete record are
 a torn tail from a killed writer: append mode truncates them, read mode
 ignores them. One writer at a time; any number of concurrent readers.
+The archive keeps one read-only file per shard open from the moment it
+knows the shard until :meth:`FeatureArchive.close`.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
@@ -53,6 +56,8 @@ class FeatureArchive:
         self.mode = mode
         self.max_shard_bytes = max_shard_bytes
         self._index: dict[str, tuple[str, int, int, int]] = {}
+        # Every shard's read file, opened before an index entry names it.
+        self._files: dict[str, io.FileIO] = {}
         if mode == "a":
             self.root.mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
@@ -62,40 +67,44 @@ class FeatureArchive:
         self._shard_bytes = 0
         shards = sorted(p.name for p in self.root.glob("shard-*.bin"))
         self._shard_count = len(shards)
-        for name in shards:
-            end, size = self._scan(name)
-            if end != size and name != shards[-1]:
-                raise ArchiveError(f"{self.root / name}: unparseable record at byte {end}")
-            if end != size and mode == "a":  # a torn tail
-                os.truncate(self.root / name, end)
-            self._shard, self._shard_bytes = self.root / name, end
+        try:
+            for name in shards:
+                self._files[name] = open(self.root / name, "rb", buffering=0)
+                end, size = self._scan(name)
+                if end != size and name != shards[-1]:
+                    raise ArchiveError(f"{self.root / name}: unparseable record at byte {end}")
+                if end != size and mode == "a":  # a torn tail
+                    os.truncate(self.root / name, end)
+                self._shard, self._shard_bytes = self.root / name, end
+        except BaseException:
+            self.close()
+            raise
 
     def _scan(self, name: str) -> tuple[int, int]:
         """Index a shard's complete records; return (where they end, its size)."""
-        with open(self.root / name, "rb", buffering=0) as f:
-            fd = f.fileno()
-            size = os.fstat(fd).st_size
-            offset = 0
-            while offset + _HEADER.size <= size:
-                head = os.pread(fd, _PEEK, offset)
-                (id_len,) = _HEADER.unpack_from(head)
-                payload_at = offset + _HEADER.size + id_len + _DIMS.size
-                if payload_at > size:
-                    break
-                if payload_at - offset > len(head):
-                    head = os.pread(fd, payload_at - offset, offset)
-                t, fdim = _DIMS.unpack_from(head, _HEADER.size + id_len)
-                end = payload_at + t * fdim * 4 + _HEADER.size
-                if end > size:
-                    break
-                try:
-                    utt_id = head[_HEADER.size : _HEADER.size + id_len].decode("utf-8")
-                except UnicodeDecodeError:
-                    raise ArchiveError(
-                        f"{self.root / name}: unparseable record at byte {offset}"
-                    ) from None
-                self._index.setdefault(utt_id, (name, offset, t, fdim))
-                offset = end
+        fd = self._files[name].fileno()
+        size = os.fstat(fd).st_size
+        offset = 0
+        while offset + _HEADER.size <= size:
+            head = os.pread(fd, _PEEK, offset)
+            (id_len,) = _HEADER.unpack_from(head)
+            payload_at = offset + _HEADER.size + id_len + _DIMS.size
+            if payload_at > size:
+                break
+            if payload_at - offset > len(head):
+                head = os.pread(fd, payload_at - offset, offset)
+            t, fdim = _DIMS.unpack_from(head, _HEADER.size + id_len)
+            end = payload_at + t * fdim * 4 + _HEADER.size
+            if end > size:
+                break
+            try:
+                utt_id = head[_HEADER.size : _HEADER.size + id_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise ArchiveError(
+                    f"{self.root / name}: unparseable record at byte {offset}"
+                ) from None
+            self._index.setdefault(utt_id, (name, offset, t, fdim))
+            offset = end
         return offset, size
 
     def __contains__(self, utt_id: str) -> bool:
@@ -127,6 +136,8 @@ class FeatureArchive:
         with open(self._shard, "ab") as f:
             offset = f.tell()
             f.write(record)
+        if self._shard.name not in self._files:
+            self._files[self._shard.name] = open(self._shard, "rb", buffering=0)
         self._shard_bytes = offset + len(record)
         self._index[utt_id] = (self._shard.name, offset, *feats.shape)
 
@@ -152,10 +163,13 @@ class FeatureArchive:
         head = bytearray(len(expected))
         payload = memoryview(out.reshape(-1).view(np.uint8))
         trailer = bytearray(_HEADER.size)
+        try:
+            fd = self._files[shard_name].fileno()
+        except KeyError:
+            raise ArchiveError(f"archive {self.root} is closed") from None
         # One unbuffered read of the whole record: a run reads every
         # record once per use, into the buffer it is emitted from.
-        with open(os.path.join(self.root, shard_name), "rb", buffering=0) as f:
-            got = os.preadv(f.fileno(), [head, payload, trailer], offset)
+        got = os.preadv(fd, [head, payload, trailer], offset)
         if got != len(head) + len(payload) + len(trailer):
             raise ArchiveError(f"truncated record for {utt_id!r} in {shard_name}")
         (crc,) = _HEADER.unpack(trailer)
@@ -169,7 +183,10 @@ class FeatureArchive:
         """Nothing to do: each write is in its shard once it returns."""
 
     def close(self) -> None:
-        """Nothing to release: every read and write opens its own file."""
+        """Close every shard's read file; a read after this fails."""
+        files, self._files = self._files, {}
+        for f in files.values():
+            f.close()
 
     def __enter__(self) -> "FeatureArchive":
         return self

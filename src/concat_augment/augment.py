@@ -333,9 +333,18 @@ def length_filter(
     """Keep the originals and the plan's augmented instances that have at
     most ``max_frames`` frames. ``frames[i]`` is the frame count of the
     utterance at position ``i`` of the plan's corpus. Pass
-    ``include_original=False`` for the augmented-only ablation."""
-    augmented_frames = plan.instance_frames(frames)
-    augmented = np.flatnonzero(augmented_frames <= max_frames)
+    ``include_original=False`` for the augmented-only ablation.
+
+    A concatenation's frame count is summed over counts capped just
+    above the limit, so it is exact for every survivor, over the limit
+    for every other row, and never wraps. The limit on a concatenation
+    is at most ``INT64_MAX // k - 1`` frames, the most an int64 sum of
+    ``k`` capped counts can compare against.
+    """
+    k = plan.partners.shape[1] + 1
+    limit = min(max_frames, np.iinfo(np.int64).max // k - 1)
+    augmented_frames = plan.instance_frames(np.minimum(frames, limit + 1))
+    augmented = np.flatnonzero(augmented_frames <= limit)
     if include_original:
         originals = np.flatnonzero(frames <= max_frames)
     else:

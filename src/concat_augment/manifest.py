@@ -24,6 +24,13 @@ behavior should pre-normalize and use ``tokens`` mode.
 A manifest is parsed into a :class:`Corpus`: one column per field,
 frame counts and speaker codes as arrays. An :class:`Utterance` is
 built only when a row is read.
+
+The parser reads a chunk of rows at a time and screens it in bulk. The
+rows with every field are joined with tabs and split once, so each
+column is a slice of one list. The frame counts and targets give one
+accept flag per row, and each column keeps the accepted rows. Only a
+skipped row gets a diagnostic, and only a chunk that repeats an id is
+walked row by row, to find the first duplicate.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ import io
 import string
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, count, islice, repeat
+from operator import not_
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
@@ -59,6 +67,8 @@ _OTHER_ASCII_SPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
 # Rows parsed per pass of the parser: the raw fields of one chunk are
 # all that is held beside the columns.
 _CHUNK_ROWS = 8192
+# The first frame count an int64 cannot hold.
+_N_FRAMES_END = 2**63
 
 
 @dataclass(frozen=True)
@@ -235,17 +245,66 @@ def _token_ids(raw: str) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def _parse_targets(raw: list[str], mode: str) -> list[Target | ValueError]:
-    """Each raw target parsed, or the error that makes its row a bad target."""
+def _parse_targets(raw: list[str], mode: str) -> tuple[list[Target], dict[int, ValueError]]:
+    """The raw targets parsed, and the error of each that is a bad target,
+    by index. A bad target parses as ``()``."""
     if mode == "asr-normalized":
-        return normalize_targets(raw)
-    parsed: list[Target | ValueError] = []
-    for text in raw:
+        return normalize_targets(raw), {}
+    parsed: list[Target] = []
+    errors: dict[int, ValueError] = {}
+    for i, text in enumerate(raw):
         try:
             parsed.append(_token_ids(text))
         except ValueError as exc:
-            parsed.append(exc)
-    return parsed
+            parsed.append(())
+            errors[i] = exc
+    return parsed, errors
+
+
+def _frame_counts(raw: list[str]) -> list[int]:
+    """Each raw ``n_frames`` as an int; 0, which no row accepts, where it
+    is not an integer."""
+    counts = []
+    for text in raw:
+        try:
+            counts.append(int(text))
+        except ValueError:
+            counts.append(0)
+    return counts
+
+
+def _false_at(flags: list[bool]) -> Iterator[int]:
+    """The indices of the false flags."""
+    return compress(count(), map(not_, flags))
+
+
+def _skip_reason(raw_frames: str, error: ValueError | None) -> str:
+    """Why a row with all its fields is skipped: its first failed check."""
+    try:
+        frames = int(raw_frames)
+    except ValueError:
+        return f"unparseable n_frames {raw_frames!r}"
+    if frames <= 0:
+        return f"non-positive n_frames {frames}"
+    if frames >= _N_FRAMES_END:
+        return f"n_frames {frames} does not fit in 64 bits"
+    if error is not None:
+        return f"bad target: {error}"
+    return "empty target"
+
+
+def _check_repeats(
+    ids: list[str], accept: list[bool], linenos: Sequence[int], seen: set[str]
+) -> None:
+    """Raise for the first row whose id an earlier accepted row has. For a
+    chunk that repeats an id, in itself or from ``seen``: a repeat of a
+    skipped row's id is no duplicate."""
+    accepted: set[str] = set()
+    for utt_id, ok, lineno in zip(ids, accept, linenos):
+        if utt_id in seen or utt_id in accepted:
+            raise ManifestError(f"duplicate utterance id {utt_id!r} at line {lineno}")
+        if ok:
+            accepted.add(utt_id)
 
 
 def parse_manifest(stream: IO[str] | Iterable[str] | str, mode: str = "tokens") -> ParseResult:
@@ -287,42 +346,50 @@ def parse_manifest(stream: IO[str] | Iterable[str] | str, mode: str = "tokens") 
     seen: set[str] = set()
     first = 2  # the line number of the chunk's first line
     while chunk := list(islice(lines, _CHUNK_ROWS)):
-        rows = [line.rstrip("\r\n").split("\t") for line in chunk]
-        raw_targets = [fields[i_target] if len(fields) == width else "" for fields in rows]
-        parsed = _parse_targets(raw_targets, mode)
-        for lineno, (fields, target) in enumerate(zip(rows, parsed), start=first):
-            if len(fields) != width:
-                if fields != [""]:  # a blank line is no row
-                    skipped.append((lineno, f"expected {width} fields, got {len(fields)}"))
-                continue
-            utt_id = fields[i_id]
-            if utt_id in seen:
-                raise ManifestError(f"duplicate utterance id {utt_id!r} at line {lineno}")
-            try:
-                frames = int(fields[i_frames])
-            except ValueError:
-                skipped.append((lineno, f"unparseable n_frames {fields[i_frames]!r}"))
-                continue
-            if frames <= 0:
-                skipped.append((lineno, f"non-positive n_frames {frames}"))
-                continue
-            if frames >= 2**63:
-                skipped.append((lineno, f"n_frames {frames} does not fit in 64 bits"))
-                continue
-            if isinstance(target, ValueError):
-                skipped.append((lineno, f"bad target: {target}"))
-                continue
-            if len(target) == 0:
-                skipped.append((lineno, "empty target"))
-                continue
-            seen.add(utt_id)
-            ids.append(utt_id)
-            audio_refs.append(fields[i_audio])
-            n_frames.append(frames)
-            targets.append(target)
-            speaker = fields[i_speaker] if i_speaker is not None else ""
-            codes.append(code_of.setdefault(speaker, len(code_of) - 1))
+        tabs = list(map(str.count, chunk, repeat("\t")))
+        whole = list(map((width - 1).__eq__, tabs))
+        rows, linenos, skips = chunk, range(first, first + len(chunk)), []
+        if not all(whole):
+            skips = [
+                (first + j, f"expected {width} fields, got {tabs[j] + 1}")
+                for j in _false_at(whole)
+                if chunk[j].rstrip("\r\n")  # a blank line is no row
+            ]
+            rows = list(compress(chunk, whole))
+            linenos = list(compress(linenos, whole))
         first += len(chunk)
+        if not rows:
+            skipped.extend(skips)
+            continue
+        # No field holds a tab, so the whole rows joined by tabs split
+        # into their fields, row after row; each row's line ending is
+        # left on its last field.
+        flat = "\t".join(rows).split("\t")
+        flat[width - 1 :: width] = map(str.rstrip, flat[width - 1 :: width], repeat("\r\n"))
+        chunk_ids = flat[i_id::width]
+        raw_frames = flat[i_frames::width]
+        frames = _frame_counts(raw_frames)
+        parsed, errors = _parse_targets(flat[i_target::width], mode)
+        accept = [0 < f < _N_FRAMES_END and len(t) > 0 for f, t in zip(frames, parsed)]
+        unique = set(chunk_ids)
+        if len(unique) != len(chunk_ids) or not seen.isdisjoint(unique):
+            _check_repeats(chunk_ids, accept, linenos, seen)
+        skips += [
+            (linenos[j], _skip_reason(raw_frames[j], errors.get(j))) for j in _false_at(accept)
+        ]
+        skipped.extend(sorted(skips))
+        seen.update(compress(chunk_ids, accept))
+        ids.extend(compress(chunk_ids, accept))
+        audio_refs.extend(compress(flat[i_audio::width], accept))
+        n_frames.extend(compress(frames, accept))
+        targets.extend(compress(parsed, accept))
+        if i_speaker is None:
+            codes.extend(repeat(-1, sum(accept)))
+        else:
+            labels = list(compress(flat[i_speaker::width], accept))
+            for label in dict.fromkeys(labels):
+                code_of.setdefault(label, len(code_of) - 1)
+            codes.extend(map(code_of.__getitem__, labels))
 
     corpus = Corpus(
         ids,

@@ -35,11 +35,11 @@ class TestArchive:
         with FeatureArchive(tmp_path / "arch", mode="a") as arch:
             for uid, m in matrices.items():
                 arch.write(uid, m)
-        reader = FeatureArchive(tmp_path / "arch", mode="r")
-        assert sorted(reader.ids()) == sorted(matrices)
-        for uid, m in matrices.items():
-            assert reader.shape(uid) == m.shape
-            assert reader.read(uid).tobytes() == m.tobytes()
+        with FeatureArchive(tmp_path / "arch", mode="r") as reader:
+            assert sorted(reader.ids()) == sorted(matrices)
+            for uid, m in matrices.items():
+                assert reader.shape(uid) == m.shape
+                assert reader.read(uid).tobytes() == m.tobytes()
 
     def test_contains_and_len(self, tmp_path):
         with FeatureArchive(tmp_path / "arch", mode="a") as arch:
@@ -57,9 +57,9 @@ class TestArchive:
     def test_read_only_mode_cannot_write(self, tmp_path):
         with FeatureArchive(tmp_path / "arch", mode="a") as arch:
             arch.write("u1", np.zeros((2, 2), dtype=np.float32))
-        reader = FeatureArchive(tmp_path / "arch", mode="r")
-        with pytest.raises(ArchiveError, match="read-only"):
-            reader.write("u2", np.zeros((2, 2), dtype=np.float32))
+        with FeatureArchive(tmp_path / "arch", mode="r") as reader:
+            with pytest.raises(ArchiveError, match="read-only"):
+                reader.write("u2", np.zeros((2, 2), dtype=np.float32))
 
     def test_missing_id(self, tmp_path):
         with FeatureArchive(tmp_path / "arch", mode="a") as arch:
@@ -71,16 +71,47 @@ class TestArchive:
             FeatureArchive(tmp_path / "nowhere", mode="r")
 
     def test_corruption_detected_by_crc(self, tmp_path):
+        # a flip of the low or high bit of any payload or CRC-trailer byte
+        # of the second record fails its read, naming the shard
         rng = np.random.default_rng(11)
         with FeatureArchive(tmp_path / "arch", mode="a") as arch:
-            arch.write("u1", random_matrix(rng, t=10))
-        shard = next((tmp_path / "arch").glob("shard-*.bin"))
-        blob = bytearray(shard.read_bytes())
-        blob[30] ^= 0xFF  # flip a payload byte
-        shard.write_bytes(bytes(blob))
-        reader = FeatureArchive(tmp_path / "arch", mode="r")
-        with pytest.raises(ArchiveError, match="checksum"):
+            arch.write("u0", random_matrix(rng, t=2, f=3))
+            arch.write("u1", random_matrix(rng, t=3, f=4))
+        shard = tmp_path / "arch" / "shard-00000.bin"
+        blob = shard.read_bytes()
+        record = len(_encode_record("u1", np.zeros((3, 4), np.float32)))
+        payload_at = len(blob) - record + 4 + len(b"u1") + 8
+        with FeatureArchive(tmp_path / "arch", mode="r") as reader:
+            for at in range(payload_at, len(blob)):
+                for bit in (0x01, 0x80):
+                    flipped = bytearray(blob)
+                    flipped[at] ^= bit
+                    shard.write_bytes(flipped)
+                    with pytest.raises(ArchiveError, match=r"checksum .* shard-00000\.bin$"):
+                        reader.read("u1")
+            shard.write_bytes(blob)
             reader.read("u1")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+    def test_reads_see_every_append_and_close_leaves_no_open_file(self, tmp_path):
+        rng = np.random.default_rng(15)
+        matrices = [random_matrix(rng, t=6) for _ in range(12)]
+        before = sorted(os.listdir("/proc/self/fd"))
+        with FeatureArchive(tmp_path / "arch", mode="a", max_shard_bytes=400) as arch:
+            for i, m in enumerate(matrices):
+                arch.write(f"u{i}", m)
+                for j in range(i + 1):
+                    assert arch.read(f"u{j}").tobytes() == matrices[j].tobytes()
+        assert len(list((tmp_path / "arch").glob("shard-*.bin"))) > 3
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        for mode in ("r", "a"):
+            reader = FeatureArchive(tmp_path / "arch", mode=mode)
+            assert len(os.listdir("/proc/self/fd")) > len(before)
+            reader.read("u0")
+            reader.close()
+            assert sorted(os.listdir("/proc/self/fd")) == before
+            with pytest.raises(ArchiveError, match="is closed"):
+                reader.read("u0")
 
     def test_truncated_record_detected_at_every_length(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -89,11 +120,11 @@ class TestArchive:
         shard = next((tmp_path / "arch").glob("shard-*.bin"))
         blob = shard.read_bytes()
         # cut after the open: an archive opened on a cut shard does not list u1
-        reader = FeatureArchive(tmp_path / "arch", mode="r")
-        for cut in range(len(blob)):
-            shard.write_bytes(blob[:cut])
-            with pytest.raises(ArchiveError, match="truncated"):
-                reader.read("u1")
+        with FeatureArchive(tmp_path / "arch", mode="r") as reader:
+            for cut in range(len(blob)):
+                shard.write_bytes(blob[:cut])
+                with pytest.raises(ArchiveError, match="truncated"):
+                    reader.read("u1")
 
     def test_shard_rollover(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -102,10 +133,10 @@ class TestArchive:
                 arch.write(f"u{i}", random_matrix(rng, t=20))
         shards = list((tmp_path / "arch").glob("shard-*.bin"))
         assert len(shards) > 1
-        reader = FeatureArchive(tmp_path / "arch", mode="r")
-        assert len(reader) == 30
-        for i in range(30):
-            reader.read(f"u{i}")
+        with FeatureArchive(tmp_path / "arch", mode="r") as reader:
+            assert len(reader) == 30
+            for i in range(30):
+                reader.read(f"u{i}")
 
     def test_rollover_and_reopen_keep_shard_layout(self, tmp_path):
         # Digest of the shards written by the rule "append to the newest
@@ -156,10 +187,11 @@ class TestShardsAreTheArchive:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
         subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)
-        reader = FeatureArchive(root, mode="r")
-        assert reader.ids() == [f"u{i:02d}" for i in range(40)]
-        for i in range(40):
-            assert reader.read(f"u{i:02d}").tobytes() == np.full((i + 1, 8), i, "<f4").tobytes()
+        with FeatureArchive(root, mode="r") as reader:
+            assert reader.ids() == [f"u{i:02d}" for i in range(40)]
+            for i in range(40):
+                expected = np.full((i + 1, 8), i, "<f4").tobytes()
+                assert reader.read(f"u{i:02d}").tobytes() == expected
 
     def test_torn_tail_at_every_offset(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -177,10 +209,10 @@ class TestShardsAreTheArchive:
             root.mkdir()
             for name, blob in uncut.items():
                 (root / name).write_bytes(blob[:cut] if name == newest else blob)
-            reader = FeatureArchive(root, mode="r")
-            assert reader.ids() == list(matrices)[:-1]
-            for uid in reader.ids():
-                assert reader.read(uid).tobytes() == matrices[uid].tobytes()
+            with FeatureArchive(root, mode="r") as reader:
+                assert reader.ids() == list(matrices)[:-1]
+                for uid in reader.ids():
+                    assert reader.read(uid).tobytes() == matrices[uid].tobytes()
             assert (root / newest).stat().st_size == cut  # read mode leaves the tail
             with FeatureArchive(root, mode="a", max_shard_bytes=200) as arch:
                 assert (root / newest).stat().st_size == start
@@ -208,10 +240,10 @@ class TestShardsAreTheArchive:
         write_records(root, {"u1": first, "u2": first * 2})
         with open(root / "shard-00000.bin", "ab") as f:
             f.write(_encode_record("u1", np.zeros((5, 3), dtype=np.float32)))
-        reader = FeatureArchive(root, mode="r")
-        assert reader.ids() == ["u1", "u2"]
-        assert reader.shape("u1") == (2, 3)
-        assert reader.read("u1").tobytes() == first.tobytes()
+        with FeatureArchive(root, mode="r") as reader:
+            assert reader.ids() == ["u1", "u2"]
+            assert reader.shape("u1") == (2, 3)
+            assert reader.read("u1").tobytes() == first.tobytes()
 
     def test_no_file_but_shards(self, tmp_path):
         root = tmp_path / "arch"

@@ -291,6 +291,21 @@ class TestCombineAndFilter:
         assert all(i.n_frames <= 3000 for i in instances)
         assert [i.n_frames for i in instances] == result.frames.tolist()
 
+    def test_frame_counts_that_overflow_int64_are_dropped(self):
+        utts = [utt("a", n_frames=2**62), utt("b", n_frames=2**62)]
+        result, instances = self._filter(utts, Strategy("random"))
+        assert instances == []
+        assert (result.dropped_original, result.dropped_augmented) == (2, 2)
+
+    def test_survivors_near_the_int64_limit_are_exact(self):
+        utts = corpus(utt("a", n_frames=2**61), utt("b", n_frames=1), utt("c", n_frames=7))
+        by_id = {u.id: u.n_frames for u in utts}
+        plan = plan_epoch(utts, None, Strategy("random"), seed=0, epoch=0)
+        sums = [by_id[a] + sum(by_id[p] for p in partners) for a, partners in plan.pairings]
+        for max_frames in (8, 2**61 + 1, 2**63 - 1, 2**64):
+            result = length_filter(plan, utts.n_frames, max_frames, include_original=False)
+            assert result.frames.tolist() == [n for n in sums if n <= max_frames]
+
     def test_augmented_only_mode_keeps_no_originals(self):
         rng = np.random.default_rng(16)
         utts = synth_utterances(100, 5, 5, 20, rng)

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from concat_augment import cli
+from concat_augment import cli, manifest
 from concat_augment.errors import ManifestError
 from concat_augment.manifest import (
     Corpus,
@@ -125,6 +125,30 @@ class TestParse:
         result = parse_manifest(manifest_text(rows))
         assert [u.id for u in result.utterances] == ["u2"]
         assert result.skipped == [(2, f"n_frames {2**63} does not fit in 64 bits")]
+
+    def test_reads_one_chunk_before_it_normalizes(self, monkeypatch):
+        drawn = 0
+
+        def lines():
+            nonlocal drawn
+            drawn += 1
+            yield "id\taudio\tn_frames\ttgt_text\n"
+            for i in range(3 * manifest._CHUNK_ROWS):
+                drawn += 1
+                yield f"u{i}\ta.wav\t10\tWord {i}.\n"
+
+        drawn_at_calls = []
+        normalize = manifest.normalize_targets
+
+        def counting(texts):
+            drawn_at_calls.append(drawn)
+            return normalize(texts)
+
+        monkeypatch.setattr(manifest, "normalize_targets", counting)
+        result = parse_manifest(lines(), mode="asr-normalized")
+        assert len(result.utterances) == 3 * manifest._CHUNK_ROWS
+        assert drawn_at_calls[0] <= manifest._CHUNK_ROWS + 1
+        assert len(drawn_at_calls) == 3
 
 
 class TestEncoding:

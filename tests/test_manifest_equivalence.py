@@ -2,6 +2,8 @@
 the row-at-a-time reference in ``manifest_oracle``, over drawn manifests
 given as text, as a file and as a list of lines."""
 
+import ast
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -30,8 +32,12 @@ TOKEN = st.sampled_from(["0", "7", "-1", "x", str(2**32 - 1), str(2**32), "+3", 
 TOKENS = st.lists(TOKEN, max_size=4).flatmap(
     lambda toks: st.sampled_from([" ", "  ", "\x1c", "\u2028"]).map(lambda sep: sep.join(toks))
 )
-# Under 2**63, the parser's frame-count limit; see test_manifest.py.
-N_FRAMES = st.sampled_from(["1", "12", "0", "-3", "x", "", " 5", "+4", "1_0", "٣", "4" * 18])
+# Counts of 2**63 and above are skipped rows; the reference accepts them,
+# so it is given them marked unparseable (see ``oracle_outcome``).
+N_FRAMES = st.sampled_from(
+    ["1", "12", "0", "-3", "x", "", " 5", "+4", "1_0", "٣", "4" * 18, str(2**63 - 1)]
+    + [str(2**63), "+" + str(2**63), str(2**64 + 5)]
+)
 SPEAKERS = st.sampled_from(["", "a", "b", "Σ"])
 ENDINGS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 
@@ -43,10 +49,12 @@ def manifests(draw):
     columns = list(COLUMNS)
     if draw(st.booleans()):
         columns.append("speaker")
+    if draw(st.booleans()):
+        columns.append("src_text")
     columns = draw(st.permutations(columns))
     lines = ["\t".join(columns)]
     ids = []
-    for i in range(draw(st.integers(0, 8))):
+    for i in range(draw(st.integers(0, 16))):
         if ids and draw(st.integers(0, 4)) == 0:
             utt_id = draw(st.sampled_from(ids))
         else:
@@ -58,6 +66,7 @@ def manifests(draw):
             "n_frames": draw(N_FRAMES),
             "tgt_text": draw(st.one_of(TEXT, TOKENS)),
             "speaker": draw(SPEAKERS),
+            "src_text": draw(TEXT),
         }
         fields = [values[name] for name in columns]
         extra = draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
@@ -79,11 +88,44 @@ def outcome(parse, source, mode):
     return list(result.utterances), result.skipped
 
 
+# A frame count that needs 19 digits or more; no other drawn field has a
+# run of digits that long.
+_LONG_COUNT = re.compile(r"(?<![\d-])\+?\d{19,}")
+_MARKED = re.compile(r"unparseable n_frames ('.*#.*')")
+
+
+def mark_big_counts(text):
+    """``text`` with a '#' before each frame count of 2**63 or more."""
+    return _LONG_COUNT.sub(lambda m: "#" * (int(m[0]) >= 2**63) + m[0], text)
+
+
+def oracle_outcome(parse, source, mode):
+    """The reference's outcome on a source whose big counts are marked,
+    with each marked count's skip read as the parser words it."""
+    result = outcome(parse, source, mode)
+    if result[0] == "error":
+        return result
+    utterances, skipped = result
+    for i, (line, message) in enumerate(skipped):
+        if marked := _MARKED.fullmatch(message):
+            count = int(ast.literal_eval(marked[1]).replace("#", ""))
+            skipped[i] = line, f"n_frames {count} does not fit in 64 bits"
+    return utterances, skipped
+
+
 H = "id\taudio\tn_frames\ttgt_text\tspeaker\n"
 
 
 @settings(max_examples=400, deadline=None)
 @given(manifests(), st.sampled_from(MODES), st.sampled_from([1, 3, 8192]))
+# a chunk of 3 with no accepted row; a skipped 2**63 count whose id a later row reuses
+@example(
+    H
+    + "u1\ta\tx\t1\ts\nu2\ta\t3\t\ts\nu3\ta\n"
+    + f"u4\ta\t{2**63}\t1\ts\nu4\ta\t3\t1\ts\nu5\ta\t+{2**64}\t1\n",
+    "tokens",
+    3,
+)
 # a duplicate of a skipped row's id is accepted
 @example(H + "u1\ta\tx\t1\ts\nu1\ta\t3\t1\ts\n", "tokens", 1)
 # a skipped row that duplicates an accepted id is fatal
@@ -92,18 +134,25 @@ H = "id\taudio\tn_frames\ttgt_text\tspeaker\n"
 @example(H + f"u1\ta\t3\t{2**32 - 1}\ts\nu2\ta\t3\t{2**32}\ts\n", "tokens", 8192)
 @example(H + "u1\ta\t3\t?! —\ts\nu2\ta\t3\tAΣ\u00ad.\ts\n", "asr-normalized", 8192)
 def test_parser_matches_the_row_loop(text, mode, chunk_rows):
-    lines = text.splitlines(keepends=True)
+    marked = mark_big_counts(text)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         manifest, "_CHUNK_ROWS", chunk_rows
     ):
-        path = Path(tmp) / "train.tsv"
+        path, marked_path = Path(tmp) / "train.tsv", Path(tmp) / "marked.tsv"
         path.write_bytes(text.encode("utf-8"))
-        for parse, oracle, source in [
-            (parse_manifest, manifest_oracle.parse_manifest, text),
-            (parse_manifest, manifest_oracle.parse_manifest, lines),
-            (load_manifest, manifest_oracle.load_manifest, path),
+        marked_path.write_bytes(marked.encode("utf-8"))
+        for parse, oracle, source, oracle_source in [
+            (parse_manifest, manifest_oracle.parse_manifest, text, marked),
+            (
+                parse_manifest,
+                manifest_oracle.parse_manifest,
+                text.splitlines(keepends=True),
+                marked.splitlines(keepends=True),
+            ),
+            (load_manifest, manifest_oracle.load_manifest, path, marked_path),
         ]:
-            assert outcome(parse, source, mode) == outcome(oracle, source, mode)
+            expected = oracle_outcome(oracle, oracle_source, mode)
+            assert outcome(parse, source, mode) == expected
 
 
 # Texts that are ASCII once the marks are gone take the path that skips

@@ -300,8 +300,8 @@ class TestRun:
         # the second call is served from the shards the first one wrote
         assert [p.stat().st_size for p in shards] == sizes
         assert sorted((tmp_path / "arch").glob("shard-*.bin")) == shards
-        archive = FeatureArchive(tmp_path / "arch", "r")
-        assert all(f"u{i:06d}" in archive for i in range(12))
+        with FeatureArchive(tmp_path / "arch", "r") as archive:
+            assert all(f"u{i:06d}" in archive for i in range(12))
 
 
 MISSING = "u000004"
@@ -616,6 +616,15 @@ class TestCli:
         code = cli_main(["audit", "--manifest", str(manifest), "--strategy", "speaker"])
         assert code == 1
         assert "fatal" in capsys.readouterr().err
+
+    def test_audit_drops_concatenations_whose_frame_count_overflows(self, tmp_path, capsys):
+        rows = [("u1", "a.npy", 2**62, "1", ""), ("u2", "b.npy", 2**62, "2", "")]
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(manifest_text(rows), encoding="utf-8")
+        code = cli_main(["audit", "--manifest", str(manifest), "--strategy", "random"])
+        assert code == 0
+        epoch = capsys.readouterr().out.splitlines()[2]
+        assert "filtered orig/aug=2/2 emitted=0 batches=0" in epoch
 
     def test_bad_workers_env_var_is_fatal_before_output(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(14)
