@@ -10,21 +10,24 @@ size threshold. Opening reads every record's header, skipping payload
 and CRC, into the index id -> (shard, offset, T, F); the first record
 of an id wins. Bytes after the newest shard's last complete record are
 a torn tail from a killed writer: append mode truncates them, read mode
-ignores them. One writer at a time; any number of concurrent readers.
-The archive keeps one read-only file per shard open from the moment it
-knows the shard until :meth:`FeatureArchive.close`.
+ignores them. One writer at a time: an append-mode archive holds an
+exclusive ``flock`` on the directory until it is closed, and a second
+append-mode open fails before it touches a shard. Any number of readers,
+which take no lock. The archive keeps one read-only file per shard open
+from the moment it knows the shard until :meth:`FeatureArchive.close`.
 """
 
 from __future__ import annotations
 
+import fcntl
 import io
 import os
 import struct
-import zlib
 from pathlib import Path
 
 import numpy as np
 
+from .checksum import crc32
 from .errors import ArchiveError
 
 _SHARD_TEMPLATE = "shard-{:05d}.bin"
@@ -41,7 +44,7 @@ def _head(id_bytes: bytes, t: int, fdim: int) -> bytes:
 def _encode_record(utt_id: str, feats: np.ndarray) -> bytes:
     body = _head(utt_id.encode("utf-8"), *feats.shape)
     body += np.ascontiguousarray(feats, dtype="<f4").tobytes()
-    return body + _HEADER.pack(zlib.crc32(body))
+    return body + _HEADER.pack(crc32(body))
 
 
 class FeatureArchive:
@@ -65,9 +68,19 @@ class FeatureArchive:
         # The shard appends go to, its size and the shard count; write updates them.
         self._shard: Path | None = None
         self._shard_bytes = 0
-        shards = sorted(p.name for p in self.root.glob("shard-*.bin"))
-        self._shard_count = len(shards)
+        # The directory's fd, flocked while an append-mode archive is open.
+        self._lock: int | None = None
         try:
+            if mode == "a":
+                self._lock = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY)
+                try:
+                    fcntl.flock(self._lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    raise ArchiveError(
+                        f"archive {self.root} is already open for appending"
+                    ) from None
+            shards = sorted(p.name for p in self.root.glob("shard-*.bin"))
+            self._shard_count = len(shards)
             for name in shards:
                 self._files[name] = open(self.root / name, "rb", buffering=0)
                 end, size = self._scan(name)
@@ -173,7 +186,7 @@ class FeatureArchive:
         if got != len(head) + len(payload) + len(trailer):
             raise ArchiveError(f"truncated record for {utt_id!r} in {shard_name}")
         (crc,) = _HEADER.unpack(trailer)
-        if zlib.crc32(payload, zlib.crc32(head)) != crc:
+        if crc32(payload, crc32(head)) != crc:
             raise ArchiveError(f"checksum mismatch for {utt_id!r} in {shard_name}")
         if head != expected:
             raise ArchiveError(f"record at {shard_name}:{offset} is not {utt_id!r}")
@@ -183,10 +196,14 @@ class FeatureArchive:
         """Nothing to do: each write is in its shard once it returns."""
 
     def close(self) -> None:
-        """Close every shard's read file; a read after this fails."""
+        """Close every shard's read file and release the append lock; a
+        read after this fails."""
         files, self._files = self._files, {}
         for f in files.values():
             f.close()
+        lock, self._lock = self._lock, None
+        if lock is not None:
+            os.close(lock)  # which releases the flock
 
     def __enter__(self) -> "FeatureArchive":
         return self

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import os
 import struct
-import zlib
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .batching import Batch
+from .checksum import crc32
 from .errors import BatchingError
 
 MAGIC = b"CABX"
@@ -99,7 +99,7 @@ class Record:
     def seal(self) -> "Record":
         """Write the CRC trailer over the record's other bytes."""
         crc_at = len(self.buffer) - _U32.size
-        _U32.pack_into(self.buffer, crc_at, zlib.crc32(memoryview(self.buffer)[_PREFIX:crc_at]))
+        _U32.pack_into(self.buffer, crc_at, crc32(memoryview(self.buffer)[_PREFIX:crc_at]))
         return self
 
     @property
@@ -121,7 +121,7 @@ def decode_batch(blob: bytes) -> Batch:
         raise BatchingError(f"bad magic {bytes(blob[:4])!r}")
     end = len(blob) - _U32.size
     (crc,) = _U32.unpack_from(blob, end)
-    if zlib.crc32(memoryview(blob)[:end]) != crc:
+    if crc32(memoryview(blob)[:end]) != crc:
         raise BatchingError("batch record failed CRC check")
     _, version, b, t_max, n_bins = _HEADER.unpack_from(blob)
     if version != VERSION:

@@ -158,9 +158,8 @@ def _analysis_arrays(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _frame_signal(pcm: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
-    n_frames = frame_count(len(pcm), cfg)
-    idx = np.arange(cfg.win_samples)[None, :] + cfg.hop_samples * np.arange(n_frames)[:, None]
-    return pcm[idx]
+    """The ``frame_count`` frames of ``pcm``, a read-only (T, win) view of it."""
+    return np.lib.stride_tricks.sliding_window_view(pcm, cfg.win_samples)[:: cfg.hop_samples]
 
 
 def power_spectrogram(pcm, cfg: FeatureConfig) -> np.ndarray:

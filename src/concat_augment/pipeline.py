@@ -160,9 +160,18 @@ class AuditReport:
         return doc
 
     def write(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
+        """Write the report to a temporary file beside ``path``, then
+        rename it into place, so ``path`` never holds a partial report."""
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as f:
+                json.dump(self.to_dict(), f, indent=2)
+                f.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def check_consistency(self) -> None:
         """Assert the count identities every epoch entry must satisfy."""
@@ -652,12 +661,13 @@ def run(config: PipelineConfig) -> AuditReport:
     return _drive(config, write, load_features=True, on_prepared=lambda: _clear_outputs(out_dir))
 
 
-_OUTPUT_NAME = re.compile(r"epoch-\d{3,}(\.cabxs)?|report\.json")
+_OUTPUT_NAME = re.compile(r"epoch-\d{3,}(\.cabxs)?|report\.json|\.report\.json\.\d+\.tmp")
 
 
 def _clear_outputs(out_dir: Path) -> None:
     """Remove what an earlier run wrote to ``out_dir``: its epoch
-    directories and streams and its report. Nothing else is touched.
+    directories and streams, its report and the temporary file of a
+    report write it did not finish. Nothing else is touched.
     A run calls this once its config is checked and its manifest read,
     so a later fatal error leaves no earlier run's batches behind."""
     if not out_dir.is_dir():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from concat_augment import checksum
 from concat_augment.features import FeatureConfig
 from concat_augment.manifest import Corpus, Utterance
 
@@ -80,3 +81,9 @@ def small_audio_corpus(tmp_path):
     rng = np.random.default_rng(1234)
     manifest_path = write_audio_corpus(tmp_path / "corpus", 12, rng, n_speakers=3)
     return manifest_path
+
+
+@pytest.fixture
+def zlib_crc32(monkeypatch):
+    """Every CRC computed by zlib, as on a platform without libdeflate."""
+    monkeypatch.setattr(checksum, "_libdeflate_crc32", None)

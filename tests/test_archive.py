@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -72,25 +73,30 @@ class TestArchive:
 
     def test_corruption_detected_by_crc(self, tmp_path):
         # a flip of the low or high bit of any payload or CRC-trailer byte
-        # of the second record fails its read, naming the shard
+        # of a record after the first fails its read, naming the shard;
+        # u2's payload is past checksum._SMALL, u1's below it
         rng = np.random.default_rng(11)
+        shapes = {"u0": (2, 3), "u1": (3, 4), "u2": (40, 32)}
         with FeatureArchive(tmp_path / "arch", mode="a") as arch:
-            arch.write("u0", random_matrix(rng, t=2, f=3))
-            arch.write("u1", random_matrix(rng, t=3, f=4))
+            for utt_id, (t, f) in shapes.items():
+                arch.write(utt_id, random_matrix(rng, t=t, f=f))
         shard = tmp_path / "arch" / "shard-00000.bin"
         blob = shard.read_bytes()
-        record = len(_encode_record("u1", np.zeros((3, 4), np.float32)))
-        payload_at = len(blob) - record + 4 + len(b"u1") + 8
-        with FeatureArchive(tmp_path / "arch", mode="r") as reader:
-            for at in range(payload_at, len(blob)):
-                for bit in (0x01, 0x80):
-                    flipped = bytearray(blob)
-                    flipped[at] ^= bit
-                    shard.write_bytes(flipped)
-                    with pytest.raises(ArchiveError, match=r"checksum .* shard-00000\.bin$"):
-                        reader.read("u1")
-            shard.write_bytes(blob)
-            reader.read("u1")
+        with FeatureArchive(tmp_path / "arch", mode="r") as reader, open(shard, "r+b") as f:
+            end = len(blob)
+            for utt_id in ("u2", "u1"):
+                record_at = end - len(_encode_record(utt_id, np.zeros(shapes[utt_id], np.float32)))
+                for at in range(record_at + 4 + len(utt_id) + 8, end):
+                    for bit in (0x01, 0x80):
+                        os.pwrite(f.fileno(), bytes([blob[at] ^ bit]), at)
+                        with pytest.raises(ArchiveError, match=r"checksum .* shard-00000\.bin$"):
+                            reader.read(utt_id)
+                        os.pwrite(f.fileno(), blob[at : at + 1], at)
+                reader.read(utt_id)
+                end = record_at
+
+    def test_corruption_detected_by_zlib_crc(self, tmp_path, zlib_crc32):
+        self.test_corruption_detected_by_crc(tmp_path)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
     def test_reads_see_every_append_and_close_leaves_no_open_file(self, tmp_path):
@@ -244,6 +250,29 @@ class TestShardsAreTheArchive:
             assert reader.ids() == ["u1", "u2"]
             assert reader.shape("u1") == (2, 3)
             assert reader.read("u1").tobytes() == first.tobytes()
+
+    def test_one_appender_at_a_time(self, tmp_path):
+        # the second append-mode open fails before it cuts the torn tail
+        root = tmp_path / "arch"
+        rng = np.random.default_rng(18)
+        first = random_matrix(rng)
+        with FeatureArchive(root, mode="a") as writer:
+            writer.write("u1", first)
+            shard = root / "shard-00000.bin"
+            whole = shard.read_bytes()
+            with open(shard, "ab") as f:
+                f.write(b"\x07\x00")  # a record being written
+            with pytest.raises(ArchiveError, match=f"archive {re.escape(str(root))} is already open"):
+                FeatureArchive(root, mode="a")
+            assert shard.read_bytes() == whole + b"\x07\x00"
+            with FeatureArchive(root, mode="r") as reader:
+                assert reader.ids() == ["u1"]
+            os.truncate(shard, len(whole))
+            writer.write("u2", first * 2)
+            assert writer.read("u2").tobytes() == (first * 2).tobytes()
+        with FeatureArchive(root, mode="a") as writer:
+            assert writer.ids() == ["u1", "u2"]
+        assert [p.name for p in root.iterdir()] == ["shard-00000.bin"]
 
     def test_no_file_but_shards(self, tmp_path):
         root = tmp_path / "arch"

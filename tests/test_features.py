@@ -160,8 +160,12 @@ class TestComputeLogmel:
 
 
 def uncached_logmel(pcm, cfg):
-    """compute_logmel with the window and filterbank rebuilt on every call."""
-    frames = features._frame_signal(np.asarray(pcm, dtype=np.float64), cfg)
+    """compute_logmel with the window and filterbank rebuilt on every call,
+    framing through an index matrix."""
+    pcm = np.asarray(pcm, dtype=np.float64)
+    n_frames = frame_count(len(pcm), cfg)
+    idx = np.arange(cfg.win_samples)[None, :] + cfg.hop_samples * np.arange(n_frames)[:, None]
+    frames = pcm[idx]
     spectrum = np.fft.rfft(frames * hann_window(cfg.win_samples), n=cfg.n_fft, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
     feats = np.log(power @ mel_filterbank(cfg).T + cfg.log_floor)

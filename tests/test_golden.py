@@ -263,3 +263,17 @@ def test_checksum_mismatch_bytes(corpus, workers):
     ]
     got = (tree_digest(corpus / "out"), report_digest(corpus / "out" / "report.json"))
     assert got == CORRUPT_GOLDEN
+
+
+@pytest.mark.usefixtures("zlib_crc32")
+class TestUnderZlibCrc:
+    """Every digest above again, with every CRC computed by zlib as on a
+    platform without libdeflate: the two give the same bytes."""
+
+    test_run_files_bytes = staticmethod(test_run_files_bytes)
+    test_run_stream_bytes = staticmethod(test_run_stream_bytes)
+    test_audit_report_bytes = staticmethod(test_audit_report_bytes)
+    test_iter_epoch_batches_bytes = staticmethod(test_iter_epoch_batches_bytes)
+    test_branch_bytes = staticmethod(test_branch_bytes)
+    test_emit_branch_bytes = staticmethod(test_emit_branch_bytes)
+    test_checksum_mismatch_bytes = staticmethod(test_checksum_mismatch_bytes)

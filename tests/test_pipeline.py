@@ -95,6 +95,16 @@ class TestRun:
         assert read_tree(tmp_path / "out1") == read_tree(tmp_path / "out2")
         assert strip_timings(r1.to_dict()) == strip_timings(r2.to_dict())
 
+    def test_report_write_that_fails_leaves_no_file(self, tmp_path, monkeypatch):
+        def torn_dump(doc, f, **kwargs):
+            f.write('{"config": {')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline.json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            pipeline.AuditReport(config={}, ingestion={}).write(tmp_path / "report.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_written_with_expected_fields(self, tmp_path):
         rng = np.random.default_rng(2)
         manifest = write_audio_corpus(tmp_path / "c", 6, rng, n_speakers=2)
@@ -209,6 +219,7 @@ class TestRun:
         one_run(100, emit="stream")
         one_run(100, epochs=3)
         (out / "notes.txt").write_text("kept")
+        (out / ".report.json.99999.tmp").write_text('{"config": {')  # a killed report write
         report = one_run(4000)
         for epoch in report.epochs:
             files = list((out / f"epoch-{epoch['epoch']:03d}").iterdir())
