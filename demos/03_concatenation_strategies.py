@@ -3,10 +3,9 @@ Concatenation strategies
 ========================
 
 The augmentation core: plan an epoch of self / same-speaker / random
-pairings over a toy corpus and materialize a few instances.
+pairings over a toy corpus, filter it by length, and turn survivors
+into training instances.
 """
-
-import numpy as np
 
 from concat_augment import (
     Corpus,
@@ -14,7 +13,6 @@ from concat_augment import (
     Utterance,
     build_speaker_index,
     length_filter,
-    materialize,
     plan_epoch,
 )
 
@@ -29,13 +27,6 @@ corpus = Corpus.from_utterances([
 by_id = {u.id: u for u in corpus}
 index = build_speaker_index(corpus)
 
-
-def toy_features(uid):
-    # stand-in features: each utterance's rows are filled with its index
-    u = by_id[uid]
-    return np.full((u.n_frames, 4), float(uid[-1]), dtype=np.float32)
-
-
 for kind in ("self", "speaker", "random"):
     plan = plan_epoch(corpus, index, Strategy(kind), seed=7, epoch=0)
     print(f"\n{kind}: {len(plan.pairings)} pairings, {len(plan.excluded)} excluded")
@@ -44,22 +35,23 @@ for kind in ("self", "speaker", "random"):
     for uid, reason in plan.excluded:
         print(f"  excluded {uid}: {reason}")
 
-# Materializing stacks features along time and concatenates targets;
-# frame counts add exactly, targets gain no separator token.
-plan = plan_epoch(corpus, index, Strategy("random"), seed=7, epoch=0)
-inst = materialize(plan.pairings[0], by_id, toy_features, Strategy("random"))
-parts = [by_id[c] for c in inst.constituents]
-print(f"\nmaterialized {inst.constituents}: {inst.n_frames} frames "
-      f"(= {' + '.join(str(p.n_frames) for p in parts)}), target {inst.target}")
-
 # Plans hold utterance positions; frame counts add exactly, so the
 # length filter over the originals and the augmented instances runs on
 # integer arrays. A 3000-frame cap drops nothing here. Survivors are
-# numbered originals first; only a batch that loads features builds
-# its instances.
+# numbered originals first.
+plan = plan_epoch(corpus, index, Strategy("random"), seed=7, epoch=0)
 survivors = length_filter(plan, corpus.n_frames, max_frames=3000)
 print(f"\ncombined: {len(survivors)} instances "
       f"({survivors.dropped_original}/{survivors.dropped_augmented} dropped orig/aug), "
       f"frames {survivors.frames.tolist()}")
-last = survivors.instance(len(survivors) - 1, by_id)
-print(f"last survivor: {last.constituents} ({last.strategy}), {last.n_frames} frames")
+
+# Only a batch that is emitted builds its instances: metadata whose frame
+# counts add and whose targets concatenate with no separator token. The
+# batch then reads each constituent's features, in order, straight into
+# the instance's row of its record (see demo 05).
+for r in (0, len(survivors) - 1):
+    inst = survivors.instance(r, by_id)
+    parts = [by_id[c] for c in inst.constituents]
+    print(f"survivor {r}: {inst.constituents} ({inst.strategy or 'original'}), "
+          f"{inst.n_frames} frames (= {' + '.join(str(p.n_frames) for p in parts)}), "
+          f"target {inst.target}")

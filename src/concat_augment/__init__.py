@@ -7,22 +7,15 @@ SpecAugment, and packs frame-budget batches, all seed-reproducible.
 """
 
 from .archive import FeatureArchive
-from .augment import (
-    Strategy,
-    TrainingInstance,
-    length_filter,
-    materialize,
-    plan_epoch,
-)
-from .batching import compose_batches, pad_and_collate, padding_waste
-from .batchio import decode_batch, encode_batch, read_batch_file
+from .augment import Strategy, length_filter, plan_epoch
+from .batching import compose_batches, padding_waste
+from .batchio import Record, decode_batch, read_batch_file
 from .errors import (
     ArchiveError,
     BatchingError,
     ConfigurationError,
     FeatureError,
     ManifestError,
-    MaterializationError,
     PipelineError,
 )
 from .features import FeatureConfig, compute_logmel, frame_count
@@ -36,7 +29,7 @@ from .manifest import (
 )
 from .pipeline import AuditReport, PipelineConfig, audit, iter_epoch_batches, run
 from .rng import keyed_rng
-from .specaugment import MaskPolicy, apply_masks
+from .specaugment import MaskPolicy, mask_in_place
 
 __version__ = "0.1.0"
 
@@ -51,27 +44,23 @@ __all__ = [
     "FeatureError",
     "ManifestError",
     "MaskPolicy",
-    "MaterializationError",
     "PipelineConfig",
     "PipelineError",
+    "Record",
     "Strategy",
-    "TrainingInstance",
     "Utterance",
-    "apply_masks",
     "audit",
     "build_speaker_index",
     "compose_batches",
     "compute_logmel",
     "decode_batch",
-    "encode_batch",
     "frame_count",
     "ingestion_report",
     "iter_epoch_batches",
     "keyed_rng",
     "length_filter",
-    "materialize",
+    "mask_in_place",
     "normalize_target",
-    "pad_and_collate",
     "padding_waste",
     "parse_manifest",
     "plan_epoch",

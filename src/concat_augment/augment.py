@@ -23,12 +23,12 @@ when a batch needs its features.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, MaterializationError
+from .errors import ConfigurationError
 from .manifest import Corpus, SpeakerIndex, Target, Utterance
 from .rng import PLAN_STREAM, keyed_rng
 
@@ -64,15 +64,15 @@ class TrainingInstance:
 
     Originals have a single constituent and ``strategy is None``;
     augmented instances record their ordered constituent utterance ids
-    and the strategy that created them. ``features`` is filled by
-    materialization and stays ``None`` until a batch loads them.
+    and the strategy that created them. An instance is metadata only:
+    the batch that emits it reads its constituents' features straight
+    into the instance's row of the batch record.
     """
 
     constituents: tuple[str, ...]
     n_frames: int
     target: Target
     strategy: str | None = None
-    features: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_original(self) -> bool:
@@ -81,7 +81,7 @@ class TrainingInstance:
 
 @dataclass(frozen=True, eq=False)
 class EpochPlan:
-    """All pairings for one epoch, before materialization, by position.
+    """All pairings for one epoch, by position.
 
     Row ``i`` concatenates utterance ``anchors[i]`` with the utterances
     ``partners[i]``, in that order; positions index ``ids``, the corpus
@@ -255,39 +255,6 @@ def instance_from_plan(
         target=_join_targets([u.target for u in utts]),
         strategy=strategy.kind,
     )
-
-
-def with_features(
-    instance: TrainingInstance,
-    load_features: Callable[[str], np.ndarray],
-) -> TrainingInstance:
-    """Materialize: stack constituent feature matrices along time.
-
-    Frame counts come from the loaded matrices, so the frame-additivity
-    invariant holds exactly. (The pipeline's feature store fails an
-    utterance whose matrix does not have its manifest frame count, so
-    there they also equal the planned counts.) Load failures raise
-    :class:`MaterializationError`; the pipeline drops the entry with a
-    diagnostic.
-    """
-    try:
-        parts = [np.asarray(load_features(cid)) for cid in instance.constituents]
-    except Exception as exc:
-        raise MaterializationError(
-            f"failed to load features for {instance.constituents}: {exc}"
-        ) from exc
-    stacked = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-    return replace(instance, n_frames=int(stacked.shape[0]), features=stacked)
-
-
-def materialize(
-    entry: PlanEntry,
-    utterances_by_id: Mapping[str, Utterance],
-    load_features: Callable[[str], np.ndarray],
-    strategy: Strategy,
-) -> TrainingInstance:
-    """Turn one plan entry into a concrete augmented instance."""
-    return with_features(instance_from_plan(entry, utterances_by_id, strategy), load_features)
 
 
 @dataclass(frozen=True, eq=False)

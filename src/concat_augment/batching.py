@@ -6,9 +6,10 @@ and the batch order is shuffled by the same stream. The default budget
 accounting is padded (B * T_max <= budget), since padded frame mass is
 what memory scales with; summed true frames is available as a switch.
 
-Text-mode targets are collated as Unicode code points so the padded
-target tensor is always integer-valued; true lengths recover the exact
-original sequences either way.
+A batch record holds its targets as integers: :func:`target_codes`
+gives token ids as they are and text as its Unicode code points, so a
+decoded :class:`Batch`'s padded target tensor is always integer-valued
+and true lengths recover the exact original sequences either way.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .augment import TrainingInstance
 from .errors import BatchingError
 from .rng import BATCH_STREAM, keyed_rng
 
@@ -115,45 +115,6 @@ def compose_batches(
 
     batch_order = rng.permutation(len(groups))
     return [groups[i] for i in batch_order]
-
-
-def pad_and_collate(group: Sequence[TrainingInstance], target_pad_id: int = 0) -> Batch:
-    """Zero-pad features to T_max and pad targets to L_max.
-
-    Every instance must carry materialized features with one consistent
-    feature dimension. De-padding via the recorded lengths reconstructs
-    the originals bit-exactly.
-    """
-    if not group:
-        raise BatchingError("cannot collate an empty group")
-    for inst in group:
-        if inst.features is None:
-            raise BatchingError(f"instance {inst.constituents} has no materialized features")
-    dims = {inst.features.shape[1] for inst in group}
-    if len(dims) != 1:
-        raise BatchingError(f"inconsistent feature dimensions in batch: {sorted(dims)}")
-    (n_bins,) = dims
-
-    feature_lengths = [int(inst.features.shape[0]) for inst in group]
-    t_max = max(feature_lengths)
-    features = np.zeros((len(group), t_max, n_bins), dtype=np.float32)
-    for row, inst in enumerate(group):
-        features[row, : feature_lengths[row]] = inst.features
-
-    codes = [target_codes(inst.target) for inst in group]
-    target_lengths = [len(c) for c in codes]
-    targets = np.full((len(group), max(target_lengths)), target_pad_id, dtype=np.int64)
-    for row, seq in enumerate(codes):
-        targets[row, : len(seq)] = seq
-
-    return Batch(
-        features=features,
-        feature_lengths=feature_lengths,
-        targets=targets,
-        target_lengths=target_lengths,
-        target_pad_id=target_pad_id,
-        instance_ids=[inst.constituents for inst in group],
-    )
 
 
 def padding_waste(groups: Sequence[Sequence[int]], n_frames: Sequence[int] | np.ndarray) -> float:

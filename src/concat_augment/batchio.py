@@ -20,7 +20,7 @@ written when it is laid out, the features are filled through a
 ``B x T_max x F`` view of the buffer (padding stays zero), and
 :meth:`Record.seal` writes the CRC. A writer then only writes the
 buffer: all of it to a stream, all but the prefix to a batch file.
-:meth:`Record.from_batch` lays out a collated :class:`Batch` the same way.
+:func:`decode_batch` reads a record back into a :class:`Batch`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ VERSION = 1
 _U32 = struct.Struct("<I")
 _HEADER = struct.Struct("<4sIIII")  # magic, version, B, T_max, F
 
-_U32_MAX = (1 << 32) - 1
 _PREFIX = _U32.size  # the stream length prefix before each record
 
 
@@ -84,18 +83,6 @@ class Record:
         tail[pos:] = feature_lengths
         self.feature_lengths = list(feature_lengths)
 
-    @classmethod
-    def from_batch(cls, batch: Batch) -> "Record":
-        """The sealed record of a collated batch."""
-        b, t_max, n_bins = batch.features.shape
-        targets = [batch.targets[row, :length] for row, length in enumerate(batch.target_lengths)]
-        for tokens in targets:
-            if tokens.size and (tokens.min() < 0 or tokens.max() > _U32_MAX):
-                raise BatchingError("target token ids must fit in u32")
-        record = cls(t_max, n_bins, batch.feature_lengths, targets, batch.target_pad_id)
-        record.features[...] = batch.features
-        return record.seal()
-
     def seal(self) -> "Record":
         """Write the CRC trailer over the record's other bytes."""
         crc_at = len(self.buffer) - _U32.size
@@ -108,13 +95,10 @@ class Record:
         return memoryview(self.buffer)[_PREFIX:]
 
 
-def encode_batch(batch: Batch) -> bytes:
-    return bytes(Record.from_batch(batch).body)
-
-
 def decode_batch(blob: bytes) -> Batch:
-    """Inverse of :func:`encode_batch`; validates magic, CRC, version
-    and that the sizes in the record add up to its length."""
+    """A record's bytes (a sealed :attr:`Record.body`) as a :class:`Batch`;
+    validates magic, CRC, version and that the sizes in the record add
+    up to its length."""
     if len(blob) < _HEADER.size + 2 * _U32.size:
         raise BatchingError(f"batch record of {len(blob)} bytes is shorter than its header")
     if blob[:4] != MAGIC:

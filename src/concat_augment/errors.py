@@ -25,9 +25,5 @@ class ConfigurationError(PipelineError):
     """Invalid strategy or pipeline configuration."""
 
 
-class MaterializationError(PipelineError):
-    """A plan entry could not be turned into a concrete instance."""
-
-
 class BatchingError(PipelineError):
     """Batch assembly violated the frame budget or shape contract."""

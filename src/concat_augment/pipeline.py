@@ -24,6 +24,7 @@ keys so reproducibility checks can strip them.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -609,7 +610,8 @@ def _drive(
     except PipelineError as exc:
         if report.ingestion:  # the manifest was read: record how far the epochs got
             report.error = str(exc)
-            _write_report(report, config)
+            with contextlib.suppress(PipelineError):  # the run's own error is the one raised
+                _write_report(report, config)
         raise
     finally:
         engine.close()
@@ -629,14 +631,24 @@ def _drive(
 def _write_report(report: AuditReport, config: PipelineConfig) -> None:
     path = config.report_path
     if path is None and config.out_dir is not None:
-        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        _make_dir(Path(config.out_dir))
         path = Path(config.out_dir) / "report.json"
     if path is not None:
-        report.write(path)
+        try:
+            report.write(path)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write report {path}: {exc}") from None
+
+
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {path}: {exc}") from None
 
 
 def run(config: PipelineConfig) -> AuditReport:
-    """Plan, materialize, mask, batch and write every epoch; report.
+    """Plan, filter, batch, mask and write every epoch; report.
 
     Emits batch artifacts in the configured binary format plus a JSON
     report. All emitted bytes are a pure function of (manifest, config,
@@ -648,13 +660,12 @@ def run(config: PipelineConfig) -> AuditReport:
 
     def write(epoch: int, groups: Iterator[_Group]) -> None:
         if config.emit == "stream":
-            out_dir.mkdir(parents=True, exist_ok=True)
             with StreamWriter(out_dir / f"epoch-{epoch:03d}.cabxs") as writer:
                 for built in groups:
                     writer.write(built.record)
         else:
             epoch_dir = out_dir / f"epoch-{epoch:03d}"
-            epoch_dir.mkdir(parents=True, exist_ok=True)
+            epoch_dir.mkdir()
             for index, built in enumerate(groups):
                 write_batch_file(built.record, epoch_dir / f"batch-{index:05d}.cabx")
 
@@ -665,13 +676,13 @@ _OUTPUT_NAME = re.compile(r"epoch-\d{3,}(\.cabxs)?|report\.json|\.report\.json\.
 
 
 def _clear_outputs(out_dir: Path) -> None:
-    """Remove what an earlier run wrote to ``out_dir``: its epoch
-    directories and streams, its report and the temporary file of a
-    report write it did not finish. Nothing else is touched.
+    """Create ``out_dir`` and remove what an earlier run wrote to it: its
+    epoch directories and streams, its report and the temporary file of
+    a report write it did not finish. Nothing else is touched.
     A run calls this once its config is checked and its manifest read,
-    so a later fatal error leaves no earlier run's batches behind."""
-    if not out_dir.is_dir():
-        return
+    so a later fatal error leaves no earlier run's batches behind, and
+    an ``out_dir`` that cannot be created fails before the first epoch."""
+    _make_dir(out_dir)
     for path in out_dir.iterdir():
         if _OUTPUT_NAME.fullmatch(path.name):
             if path.is_dir() and not path.is_symlink():

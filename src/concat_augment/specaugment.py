@@ -1,4 +1,8 @@
-"""SpecAugment frequency and time masking."""
+"""SpecAugment frequency and time masking.
+
+The pipeline masks each instance in place, on its frames in its row of
+the batch record (the row's first ``n_frames``), so padding stays zero.
+"""
 
 from __future__ import annotations
 
@@ -28,17 +32,6 @@ class MaskPolicy:
             raise ConfigurationError("mask width parameters must be >= 0")
         if self.n_freq_masks < 0 or self.n_time_masks < 0:
             raise ConfigurationError("mask counts must be >= 0")
-
-
-def apply_masks(feats: np.ndarray, policy: MaskPolicy, rng: np.random.Generator) -> np.ndarray:
-    """Return a masked copy of a T x F matrix; see :func:`mask_in_place`.
-
-    The input is never mutated; unmasked cells are bit-identical in the
-    returned copy.
-    """
-    out = np.array(feats, copy=True)
-    mask_in_place(out, policy, rng)
-    return out
 
 
 def mask_in_place(feats: np.ndarray, policy: MaskPolicy, rng: np.random.Generator) -> None:

@@ -1,29 +1,37 @@
 """Reference emit path: every epoch's CABX output for a manifest, a
 config and an in-memory feature table, built batch by batch as
 ``with_features`` -> ``apply_masks`` -> ``pad_and_collate`` ->
-``encode_batch``.
+``encode_batch``, each of which copies.
 
 Planning, filtering and composition come from the package (their own
-reference is ``plan_oracle``). Masking and encoding here are the
-earlier copy-based implementations, kept so that the reference shares
-no code with the pipeline's in-place record path.
+reference is ``plan_oracle``). Concatenating, masking, collating and
+encoding are written here, apart from the package's in-place record
+path (``pipeline._build_group``), so that the reference shares no emit
+code with it. A materialized instance here is a ``(TrainingInstance,
+features)`` pair.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import replace
 
 import numpy as np
 
-from concat_augment.augment import length_filter, plan_epoch, with_features
-from concat_augment.batching import compose_batches, pad_and_collate
-from concat_augment.errors import MaterializationError
+from concat_augment.augment import length_filter, plan_epoch
+from concat_augment.batching import Batch, compose_batches
+from concat_augment.errors import BatchingError
 from concat_augment.manifest import build_speaker_index, load_manifest
 from concat_augment.rng import MASK_STREAM, keyed_rng
 
 _U32 = struct.Struct("<I")
+
+
+def with_features(instance, load_features):
+    """``(instance, features)``: its constituents' matrices stacked along
+    time. A constituent that fails to load raises its loader's error."""
+    parts = [np.asarray(load_features(cid)) for cid in instance.constituents]
+    return instance, parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
 def apply_masks(feats, policy, rng):
@@ -38,6 +46,43 @@ def apply_masks(feats, policy, rng):
         start = int(rng.integers(0, n_frames - width + 1))
         out[start : start + width, :] = policy.mask_value
     return out
+
+
+def pad_and_collate(group, target_pad_id: int = 0) -> Batch:
+    """Zero-pad a group of ``(instance, features)`` pairs to T_max and
+    their targets to L_max; text targets become Unicode code points."""
+    if not group:
+        raise BatchingError("cannot collate an empty group")
+    for inst, feats in group:
+        if feats is None:
+            raise BatchingError(f"instance {inst.constituents} has no materialized features")
+    dims = {feats.shape[1] for _, feats in group}
+    if len(dims) != 1:
+        raise BatchingError(f"inconsistent feature dimensions in batch: {sorted(dims)}")
+    (n_bins,) = dims
+
+    feature_lengths = [int(feats.shape[0]) for _, feats in group]
+    features = np.zeros((len(group), max(feature_lengths), n_bins), dtype=np.float32)
+    for row, (_, feats) in enumerate(group):
+        features[row, : feature_lengths[row]] = feats
+
+    codes = [
+        [ord(c) for c in inst.target] if isinstance(inst.target, str) else inst.target
+        for inst, _ in group
+    ]
+    target_lengths = [len(c) for c in codes]
+    targets = np.full((len(group), max(target_lengths)), target_pad_id, dtype=np.int64)
+    for row, seq in enumerate(codes):
+        targets[row, : len(seq)] = seq
+
+    return Batch(
+        features=features,
+        feature_lengths=feature_lengths,
+        targets=targets,
+        target_lengths=target_lengths,
+        target_pad_id=target_pad_id,
+        instance_ids=[inst.constituents for inst, _ in group],
+    )
 
 
 def encode_batch(batch) -> bytes:
@@ -82,15 +127,15 @@ def emit(config, table: dict[str, np.ndarray]) -> dict[str, bytes]:
             kept = []
             for ordinal in group.tolist():
                 try:
-                    inst = with_features(survivors.instance(ordinal, by_id), table.__getitem__)
-                except MaterializationError:
+                    inst, feats = with_features(
+                        survivors.instance(ordinal, by_id), table.__getitem__
+                    )
+                except KeyError:
                     continue
                 if config.specaugment is not None:
                     rng = keyed_rng(config.seed, MASK_STREAM, epoch, ordinal)
-                    inst = replace(
-                        inst, features=apply_masks(inst.features, config.specaugment, rng)
-                    )
-                kept.append(inst)
+                    feats = apply_masks(feats, config.specaugment, rng)
+                kept.append((inst, feats))
             if kept:
                 records.append(encode_batch(pad_and_collate(kept, config.target_pad_id)))
         if config.emit == "stream":

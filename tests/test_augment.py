@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
+from concat_augment.archive import FeatureArchive
 from concat_augment.augment import (
     Strategy,
     instance_from_plan,
     instance_from_utterance,
     length_filter,
-    materialize,
     plan_epoch,
-    with_features,
 )
-from concat_augment.errors import ConfigurationError, MaterializationError
+from concat_augment.errors import ConfigurationError
+from concat_augment.features import FeatureConfig
 from concat_augment.manifest import Corpus, Utterance, build_speaker_index
-from concat_augment.pipeline import PipelineConfig, audit
+from concat_augment.pipeline import PipelineConfig, audit, iter_epoch_batches
 
-from conftest import synth_utterances
+from conftest import manifest_text, synth_utterances
 
 
 def utt(uid, n_frames=10, target=(1, 2), speaker=None):
@@ -35,6 +35,36 @@ def fake_loader(utts, n_bins=6):
         return rng.standard_normal((by_id[uid].n_frames, n_bins)).astype(np.float32)
 
     return load
+
+
+def epoch_rows(root, utts, strategy, n_bins=6, archived=None):
+    """Every row ``iter_epoch_batches`` yields for epoch 0 over ``utts``,
+    as ``constituents -> (the row's frames, the row's padding)``. The
+    archive holds ``fake_loader(utts)``'s features of the ids in
+    ``archived`` (default: all); no audio exists for any id."""
+    load = fake_loader(utts, n_bins)
+    with FeatureArchive(root / "archive", mode="a") as archive:
+        for u in utts:
+            if archived is None or u.id in archived:
+                archive.write(u.id, load(u.id))
+    rows = [(u.id, f"{u.id}.npy", u.n_frames, " ".join(map(str, u.target)), u.speaker_id or "")
+            for u in utts]
+    (root / "m.tsv").write_text(manifest_text(rows), encoding="utf-8")
+    config = PipelineConfig(
+        manifest_path=root / "m.tsv",
+        audio_root=root,
+        archive_dir=root / "archive",
+        feature=FeatureConfig(n_mels=n_bins),
+        strategy=strategy,
+        budget_frames=100_000,
+        max_frames=100_000,
+    )
+    out = {}
+    for batch in iter_epoch_batches(config, epoch=0):
+        for row, ids in enumerate(batch.instance_ids):
+            n = batch.feature_lengths[row]
+            out[ids] = (batch.features[row, :n], batch.features[row, n:])
+    return out
 
 
 class TestStrategy:
@@ -164,31 +194,40 @@ class TestPlanProperties:
 
 
 class TestMaterialize:
-    def test_concat_order_and_rows(self):
+    """Plan entries as instances (``instance_from_plan``) and as the rows
+    the run path builds from them (``iter_epoch_batches``)."""
+
+    def test_concat_order_and_rows(self, tmp_path):
         utts = [utt("a", n_frames=100), utt("b", n_frames=50)]
         load = fake_loader(utts)
-        inst = materialize(("a", ("b",)), {u.id: u for u in utts},
-                           load, Strategy("random"))
-        assert inst.n_frames == 150
-        np.testing.assert_array_equal(inst.features[:100], load("a"))
-        np.testing.assert_array_equal(inst.features[100:], load("b"))
+        rows = epoch_rows(tmp_path, utts, Strategy("random"))
+        assert set(rows) == {("a",), ("b",), ("a", "b"), ("b", "a")}
+        frames, padding = rows[("a", "b")]
+        assert frames.shape == (150, 6)
+        np.testing.assert_array_equal(frames[:100], load("a"))
+        np.testing.assert_array_equal(frames[100:], load("b"))
+        assert padding.size == 0
+        frames, padding = rows[("b",)]
+        np.testing.assert_array_equal(frames, load("b"))
+        assert padding.shape == (100, 6) and padding.tobytes() == bytes(padding.nbytes)
 
-    def test_self_concat_doubles_frames_and_target(self):
+    def test_self_concat_doubles_frames_and_target(self, tmp_path):
         utts = [utt("u", n_frames=80, target=(5, 9))]
-        inst = materialize(("u", ("u",)), {"u": utts[0]}, fake_loader(utts),
-                           Strategy("self"))
+        inst = instance_from_plan(("u", ("u",)), {"u": utts[0]}, Strategy("self"))
         assert inst.n_frames == 160
         assert inst.target == (5, 9, 5, 9)
-        np.testing.assert_array_equal(inst.features[:80], inst.features[80:])
+        frames, _ = epoch_rows(tmp_path, utts, Strategy("self"))[("u", "u")]
+        assert frames.shape[0] == 160
+        np.testing.assert_array_equal(frames[:80], frames[80:])
+        np.testing.assert_array_equal(frames[:80], fake_loader(utts)("u"))
 
     def test_three_way_sums_match_recount(self):
         rng = np.random.default_rng(12)
         utts = synth_utterances(30, 3, 5, 40, rng)
         by_id = {u.id: u for u in utts}
-        load = fake_loader(utts)
         plan = plan_epoch(utts, None, Strategy("random", k=3), seed=1, epoch=0)
         for entry in plan.pairings[:10]:
-            inst = materialize(entry, by_id, load, Strategy("random", k=3))
+            inst = instance_from_plan(entry, by_id, Strategy("random", k=3))
             anchor, partners = entry
             expected_frames = sum(by_id[c].n_frames for c in (anchor, *partners))
             expected_tokens = sum(len(by_id[c].target) for c in (anchor, *partners))
@@ -197,8 +236,7 @@ class TestMaterialize:
 
     def test_text_targets_joined_with_single_space(self):
         utts = [utt("a", target="the cat"), utt("b", target="sat down")]
-        inst = materialize(("a", ("b",)), {u.id: u for u in utts},
-                           fake_loader(utts), Strategy("random"))
+        inst = instance_from_plan(("a", ("b",)), {u.id: u for u in utts}, Strategy("random"))
         assert inst.target == "the cat sat down"
         assert len(inst.target) == len("the cat") + len("sat down") + 1
 
@@ -206,10 +244,9 @@ class TestMaterialize:
         rng = np.random.default_rng(13)
         utts = synth_utterances(60, 4, 5, 20, rng)
         by_id = {u.id: u for u in utts}
-        load = fake_loader(utts)
         plan = plan_epoch(utts, None, Strategy("random"), seed=2, epoch=0)
         for entry in plan.pairings:
-            inst = materialize(entry, by_id, load, Strategy("random"))
+            inst = instance_from_plan(entry, by_id, Strategy("random"))
             allowed = set()
             for cid in inst.constituents:
                 allowed |= set(by_id[cid].target)
@@ -220,22 +257,17 @@ class TestMaterialize:
         utts = synth_utterances(200, 5, 5, 20, rng)
         by_id = {u.id: u for u in utts}
         idx = build_speaker_index(utts)
-        load = fake_loader(utts)
         plan = plan_epoch(utts, idx, Strategy("speaker"), seed=3, epoch=1)
         for entry in plan.pairings:
-            inst = materialize(entry, by_id, load, Strategy("speaker"))
+            inst = instance_from_plan(entry, by_id, Strategy("speaker"))
             speakers = {by_id[c].speaker_id for c in inst.constituents}
             assert len(speakers) == 1
 
-    def test_load_failure_raises_materialization_error(self):
+    def test_load_failure_drops_the_instance(self, tmp_path):
+        # "b" is neither archived nor on disk: every instance using it is dropped
         utts = [utt("a"), utt("b")]
-
-        def broken(uid):
-            raise FileNotFoundError(uid)
-
-        inst = instance_from_plan(("a", ("b",)), {u.id: u for u in utts}, Strategy("random"))
-        with pytest.raises(MaterializationError):
-            with_features(inst, broken)
+        rows = epoch_rows(tmp_path, utts, Strategy("random"), archived={"a"})
+        assert set(rows) == {("a",)}
 
     def test_original_instance_from_utterance(self):
         u = utt("a", n_frames=33, target=(1, 2, 3))

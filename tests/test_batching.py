@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from concat_augment.augment import TrainingInstance
-from concat_augment.batching import (
-    compose_batches,
-    pad_and_collate,
-    padding_waste,
-)
+from concat_augment.batching import compose_batches, padding_waste
 from concat_augment.errors import BatchingError
+
+from emit_oracle import pad_and_collate
 
 
 def meta(uid, n_frames, strategy=None):
@@ -18,13 +16,10 @@ def meta(uid, n_frames, strategy=None):
 
 
 def with_feats(uid, n_frames, n_bins=6, target=(1, 2), seed=0):
+    """An ``(instance, features)`` pair, as the reference collates them."""
     rng = np.random.default_rng(seed + n_frames)
-    return TrainingInstance(
-        constituents=(uid,),
-        n_frames=n_frames,
-        target=target,
-        features=rng.standard_normal((n_frames, n_bins)).astype(np.float32),
-    )
+    inst = TrainingInstance(constituents=(uid,), n_frames=n_frames, target=target)
+    return inst, rng.standard_normal((n_frames, n_bins)).astype(np.float32)
 
 
 def random_frames(rng, n, lo=50, hi=400):
@@ -85,11 +80,14 @@ class TestCompose:
 
 
 class TestPadAndCollate:
+    """The reference collation (``emit_oracle.pad_and_collate``) that
+    ``test_emit_equivalence`` holds the in-place record path to."""
+
     def test_single_instance_no_padding(self):
-        inst = with_feats("a", 10)
-        batch = pad_and_collate([inst])
+        inst, feats = with_feats("a", 10)
+        batch = pad_and_collate([(inst, feats)])
         assert batch.t_max == 10
-        np.testing.assert_array_equal(batch.features[0], inst.features)
+        np.testing.assert_array_equal(batch.features[0], feats)
 
     def test_short_rows_zero_padded(self):
         a, b = with_feats("a", 10), with_feats("b", 7)
@@ -101,15 +99,14 @@ class TestPadAndCollate:
         rng = np.random.default_rng(4)
         group = [with_feats(f"u{i}", int(rng.integers(3, 40)), seed=i) for i in range(8)]
         batch = pad_and_collate(group)
-        for row, inst in enumerate(group):
+        for row, (inst, feats) in enumerate(group):
             t = batch.feature_lengths[row]
-            assert batch.features[row, :t].tobytes() == inst.features.tobytes()
+            assert batch.features[row, :t].tobytes() == feats.tobytes()
             length = batch.target_lengths[row]
             assert tuple(batch.targets[row, :length]) == inst.target
 
     def test_text_targets_become_code_points(self):
-        inst = with_feats("a", 5, target="héllo")
-        batch = pad_and_collate([inst])
+        batch = pad_and_collate([with_feats("a", 5, target="héllo")])
         decoded = "".join(chr(c) for c in batch.targets[0, : batch.target_lengths[0]])
         assert decoded == "héllo"
 
@@ -121,7 +118,7 @@ class TestPadAndCollate:
 
     def test_missing_features_fatal(self):
         with pytest.raises(BatchingError, match="materialized"):
-            pad_and_collate([meta("a", 5)])
+            pad_and_collate([(meta("a", 5), None)])
 
     def test_empty_group_fatal(self):
         with pytest.raises(BatchingError):
@@ -135,15 +132,15 @@ class TestPadAndCollate:
 
 
 class TestMakeBatches:
-    """An epoch's batches made the way the pipeline makes them: compose, then collate."""
+    """An epoch's batches made as the reference makes them: compose, then collate."""
 
     def test_stream_covers_all_instances_once(self):
         rng = np.random.default_rng(5)
         group = [with_feats(f"u{i}", int(rng.integers(5, 50)), seed=i) for i in range(40)]
-        groups = compose_batches([i.n_frames for i in group], 500, seed=3, epoch=0)
+        groups = compose_batches([i.n_frames for i, _ in group], 500, seed=3, epoch=0)
         stream = [pad_and_collate([group[p] for p in g]) for g in groups]
         ids = [ids_ for b in stream for ids_ in b.instance_ids]
-        assert Counter(ids) == Counter(i.constituents for i in group)
+        assert Counter(ids) == Counter(i.constituents for i, _ in group)
         for batch in stream:
             assert batch.padded_frames <= 500
 

@@ -5,12 +5,10 @@ import pytest
 
 from concat_augment.archive import FeatureArchive
 from concat_augment.augment import Strategy
-from concat_augment.batching import pad_and_collate
 from concat_augment.batchio import (
     Record,
     StreamWriter,
     decode_batch,
-    encode_batch,
     iter_stream,
     read_batch_file,
     write_batch_file,
@@ -21,23 +19,40 @@ from concat_augment.pipeline import PipelineConfig, run
 from concat_augment.specaugment import MaskPolicy
 
 from conftest import manifest_text
+from emit_oracle import encode_batch, pad_and_collate
 from test_batching import with_feats
 
 
-def sample_batch(seed=0, n=5):
+def sample_group(seed=0, n=5):
     rng = np.random.default_rng(seed)
-    group = [
+    return [
         with_feats(f"u{i}", int(rng.integers(3, 30)), target=tuple(rng.integers(0, 900, size=4)),
                    seed=seed * 100 + i)
         for i in range(n)
     ]
-    return pad_and_collate(group, target_pad_id=1)
+
+
+def sample_record(seed=0, n=5):
+    """The sealed record of a sample group, laid out and filled as the
+    pipeline does it."""
+    group = sample_group(seed, n)
+    lengths = [len(feats) for _, feats in group]
+    targets = [inst.target for inst, _ in group]
+    record = Record(max(lengths), group[0][1].shape[1], lengths, targets, target_pad_id=1)
+    for row, (_, feats) in enumerate(group):
+        record.features[row, : len(feats)] = feats
+    return record.seal()
+
+
+def sample_batch(seed=0, n=5):
+    """The same group collated by the reference."""
+    return pad_and_collate(sample_group(seed, n), target_pad_id=1)
 
 
 class TestRecordFormat:
     def test_round_trip_exact(self):
         batch = sample_batch()
-        out = decode_batch(encode_batch(batch))
+        out = decode_batch(sample_record().body)
         assert out.features.tobytes() == batch.features.tobytes()
         assert out.feature_lengths == batch.feature_lengths
         assert out.target_lengths == batch.target_lengths
@@ -46,32 +61,28 @@ class TestRecordFormat:
         assert out.instance_ids is None  # provenance is not on the wire
 
     def test_encoding_is_deterministic(self):
-        assert encode_batch(sample_batch()) == encode_batch(sample_batch())
+        body = bytes(sample_record().body)
+        assert body == bytes(sample_record().body)
+        assert body == encode_batch(sample_batch())
 
     def test_magic_checked(self):
-        blob = bytearray(encode_batch(sample_batch()))
+        blob = bytearray(sample_record().body)
         blob[0] = ord(b"X")
         with pytest.raises(BatchingError, match="magic"):
             decode_batch(bytes(blob))
 
     def test_crc_detects_flips(self):
-        blob = bytearray(encode_batch(sample_batch()))
+        blob = bytearray(sample_record().body)
         blob[40] ^= 0x01
         with pytest.raises(BatchingError, match="CRC"):
             decode_batch(bytes(blob))
-
-    def test_token_overflow_rejected(self):
-        batch = sample_batch()
-        batch.targets[0, 0] = 1 << 33
-        with pytest.raises(BatchingError, match="u32"):
-            encode_batch(batch)
 
 
 class TestFilesAndStream:
     def test_file_round_trip(self, tmp_path):
         batch = sample_batch(seed=1)
         path = tmp_path / "batch-00000.cabx"
-        write_batch_file(Record.from_batch(batch), path)
+        write_batch_file(sample_record(seed=1), path)
         out = read_batch_file(path)
         assert out.features.tobytes() == batch.features.tobytes()
 
@@ -79,8 +90,8 @@ class TestFilesAndStream:
         batches = [sample_batch(seed=i, n=3 + i) for i in range(4)]
         path = tmp_path / "epoch.cabxs"
         with StreamWriter(path) as writer:
-            for batch in batches:
-                writer.write(Record.from_batch(batch))
+            for i in range(4):
+                writer.write(sample_record(seed=i, n=3 + i))
         loaded = list(iter_stream(path))
         assert len(loaded) == 4
         for orig, out in zip(batches, loaded):
@@ -90,7 +101,7 @@ class TestFilesAndStream:
     def test_truncated_stream_detected(self, tmp_path):
         path = tmp_path / "epoch.cabxs"
         with StreamWriter(path) as writer:
-            writer.write(Record.from_batch(sample_batch()))
+            writer.write(sample_record())
         data = path.read_bytes()
         path.write_bytes(data[:-10])
         with pytest.raises(BatchingError, match="truncated"):
@@ -99,7 +110,7 @@ class TestFilesAndStream:
     def test_stream_cut_inside_a_length_prefix(self, tmp_path):
         path = tmp_path / "epoch.cabxs"
         with StreamWriter(path) as writer:
-            writer.write(Record.from_batch(sample_batch()))
+            writer.write(sample_record())
         data = path.read_bytes()
         for cut, index in ((data[:2], 0), (data + data[:3], 1)):
             path.write_bytes(cut)

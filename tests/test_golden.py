@@ -16,12 +16,12 @@ import pytest
 
 from concat_augment.archive import FeatureArchive
 from concat_augment.augment import Strategy
-from concat_augment.batchio import encode_batch
 from concat_augment.features import FeatureConfig
 from concat_augment.pipeline import PipelineConfig, audit, iter_epoch_batches, run
 from concat_augment.specaugment import MaskPolicy
 
 from conftest import manifest_text
+from emit_oracle import encode_batch
 from test_pipeline import strip_timings
 
 N_BINS = 16

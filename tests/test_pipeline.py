@@ -676,6 +676,43 @@ class TestCli:
         assert named in err
         assert not out.exists()
 
+    def test_run_out_that_is_a_file_is_fatal_before_epoch_0(self, tmp_path, capsys, monkeypatch):
+        manifest = write_audio_corpus(tmp_path / "c", 3, np.random.default_rng(16))
+        out = tmp_path / "out"
+        out.write_text("not a directory", encoding="utf-8")
+
+        def no_epoch(*args, **kwargs):
+            raise AssertionError("an epoch was planned")
+
+        monkeypatch.setattr(pipeline, "plan_epoch", no_epoch)
+        code = cli_main(
+            ["run", "--manifest", str(manifest), "--audio-root", str(manifest.parent),
+             "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fatal:") and str(out) in err
+        assert out.read_text(encoding="utf-8") == "not a directory"
+
+    def test_audit_out_that_is_a_file_is_fatal(self, tmp_path, capsys):
+        manifest = write_audio_corpus(tmp_path / "c", 3, np.random.default_rng(17))
+        out = tmp_path / "out"
+        out.write_text("not a directory", encoding="utf-8")
+        code = cli_main(["audit", "--manifest", str(manifest), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fatal:") and str(out) in err
+        assert out.read_text(encoding="utf-8") == "not a directory"
+
+    def test_report_in_a_missing_directory_is_fatal(self, tmp_path, capsys):
+        manifest = write_audio_corpus(tmp_path / "c", 3, np.random.default_rng(18))
+        report_path = tmp_path / "missing" / "r.json"
+        code = cli_main(["audit", "--manifest", str(manifest), "--report", str(report_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fatal:") and str(report_path) in err
+        assert not (tmp_path / "missing").exists()
+
     def test_missing_manifest_exit_code(self, tmp_path, capsys):
         code = cli_main(["audit", "--manifest", str(tmp_path / "nope.tsv")])
         assert code == 1

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+from concat_augment.batchio import Record
 from concat_augment.errors import ConfigurationError
 from concat_augment.rng import keyed_rng
-from concat_augment.specaugment import MaskPolicy, apply_masks
+from concat_augment.specaugment import MaskPolicy, mask_in_place
+
+
+def apply_masks(feats, policy, rng):
+    """``mask_in_place`` on a copy; the tests compare it to the input."""
+    out = feats.copy()
+    mask_in_place(out, policy, rng)
+    return out
 
 
 def random_features(rng, t=300, f=80):
@@ -35,18 +43,29 @@ class TestPolicy:
 
 
 class TestApplyMasks:
+    """Masks drawn by ``mask_in_place``, applied to a copy of the input."""
+
     def test_zero_counts_is_identity(self):
         rng = np.random.default_rng(1)
         feats = random_features(rng)
         out = apply_masks(feats, MaskPolicy(n_freq_masks=0, n_time_masks=0), keyed_rng(0, 1))
         np.testing.assert_array_equal(out, feats)
 
-    def test_input_never_mutated(self):
+    def test_padding_and_other_rows_untouched(self):
+        # As the pipeline masks: one instance's frames in its row of a padded record.
         rng = np.random.default_rng(2)
-        feats = random_features(rng)
-        snapshot = feats.copy()
-        apply_masks(feats, MaskPolicy(), keyed_rng(0, 2))
-        np.testing.assert_array_equal(feats, snapshot)
+        lengths = [300, 120, 250]
+        record = Record(max(lengths), 80, lengths, [(1, 2)] * 3, target_pad_id=0)
+        for row, n in enumerate(lengths):
+            record.features[row, :n] = random_features(rng, t=n)
+        before = record.features.copy()
+        frames = record.features[1, : lengths[1]]
+        mask_in_place(frames, MaskPolicy(time_param=300, mask_value=-7.5), keyed_rng(0, 2))
+        assert not np.array_equal(frames, before[1, : lengths[1]])
+        padding = record.features[1, lengths[1] :]
+        assert padding.tobytes() == bytes(padding.nbytes)  # still exactly +0.0
+        for row in (0, 2):
+            assert record.features[row].tobytes() == before[row].tobytes()
 
     def test_time_mask_capped_by_frame_count(self):
         rng = np.random.default_rng(3)
