@@ -11,7 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
-from concat_augment import FeatureArchive, FeatureConfig, compute_logmel, frame_count
+from concat_augment import (
+    ConfigurationError,
+    FeatureArchive,
+    FeatureConfig,
+    compute_logmel,
+    frame_count,
+)
 
 cfg = FeatureConfig()
 print(f"window {cfg.win_samples} samples, hop {cfg.hop_samples}, fft {cfg.n_fft}")
@@ -32,9 +38,18 @@ louder = compute_logmel(2 * pcm, cfg)
 delta = (louder - feats)[feats > silent[0, 0] + 10]
 print(f"2x louder-> cells shift by {delta.mean():.4f} (2*ln 2 = {2 * np.log(2):.4f})")
 
-# The archive stores float32 matrices with CRC-protected records.
+# The archive is one file of float32 matrices in CRC-protected records,
+# behind a header that records the feature config they were extracted
+# with; an open with another config is refused, naming the field.
 with tempfile.TemporaryDirectory() as tmp:
-    with FeatureArchive(Path(tmp) / "features", mode="a") as archive:
+    root = Path(tmp) / "features"
+    with FeatureArchive(root, mode="a", feature=cfg) as archive:
         archive.write("tone-1khz", feats.astype(np.float32))
         round_tripped = archive.read("tone-1khz")
     print(f"archive round trip exact: {np.array_equal(round_tripped, feats.astype(np.float32))}")
+    with FeatureArchive(root) as archive:
+        print(f"archive files: {sorted(p.name for p in root.iterdir())}, header: {archive.feature}")
+    try:
+        FeatureArchive(root, mode="a", feature=FeatureConfig(hop_ms=12.5))
+    except ConfigurationError as exc:
+        print(f"hop_ms=12.5 refused: {str(exc).split('; ')[-1]}")

@@ -1,26 +1,40 @@
-"""On-disk feature archive: a directory of shard files and nothing else.
+"""On-disk feature archive: a directory holding one append-only file.
 
-Each record is self-describing and little-endian:
+The file, ``features.bin``, starts with a header that names its format
+and the feature config its records were extracted with, little-endian:
 
-    u32 id_len | id_len bytes UTF-8 id | u32 T | u32 F
-    | T*F float32 row-major | u32 CRC32
+    magic "CAFA" | u32 format version | u32 n | n bytes config JSON
+    | u32 CRC32 of the header's other bytes
 
-The CRC covers everything before the trailer. Shards roll over at a
-size threshold. Opening reads every record's header, skipping payload
-and CRC, into the index id -> (shard, offset, T, F); the first record
-of an id wins. Bytes after the newest shard's last complete record are
-a torn tail from a killed writer: append mode truncates them, read mode
-ignores them. One writer at a time: an append-mode archive holds an
-exclusive ``flock`` on the directory until it is closed, and a second
-append-mode open fails before it touches a shard. Any number of readers,
-which take no lock. The archive keeps one read-only file per shard open
-from the moment it knows the shard until :meth:`FeatureArchive.close`.
+The config is :meth:`FeatureConfig.summary` as canonical JSON. Records
+follow, each self-describing:
+
+    u32 id_len | u32 T | u32 F | u32 CRC32 of those 12 bytes
+    | id_len bytes UTF-8 id | T*F float32 row-major | u32 CRC32
+
+The trailing CRC covers everything in the record before it. Opening
+reads the header and every record's head, skipping payloads, into the
+index id -> (offset, T, F); the first record of an id wins. A head is
+checked before any length in it is trusted, so a head that fails its
+CRC is an error naming the file and byte offset in both modes, never a
+reason to cut. Only bytes after the last complete record that are
+shorter than a head, or shorter than the one record a valid head
+describes, are a torn tail from a killed writer: append mode truncates
+them, read mode ignores them.
+
+An archive holds its file open on one descriptor from open to
+:meth:`FeatureArchive.close`; the scan, every read (``preadv``) and
+every write go through it. One writer at a time: an append-mode archive
+holds an exclusive ``flock`` on that descriptor, and a second
+append-mode open fails before it changes a byte. Any number of readers,
+which take no lock.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
-import io
+import json
 import os
 import struct
 from pathlib import Path
@@ -28,97 +42,171 @@ from pathlib import Path
 import numpy as np
 
 from .checksum import crc32
-from .errors import ArchiveError
+from .errors import ArchiveError, ConfigurationError
+from .features import FeatureConfig
 
-_SHARD_TEMPLATE = "shard-{:05d}.bin"
-_HEADER = struct.Struct("<I")
-_DIMS = struct.Struct("<II")
-_PEEK = 256  # bytes read per record header while scanning; a longer id takes a second read
+DATA_FILE = "features.bin"
+FORMAT_VERSION = 1
+_MAGIC = b"CAFA"
+_PRELUDE = struct.Struct("<4sII")  # magic, format version, config length
+_U32 = struct.Struct("<I")
+_DIMS = struct.Struct("<III")  # id_len, T, F
+_HEAD = struct.Struct("<IIII")  # the dims and their CRC
+_PEEK = 256  # bytes read per record head while scanning; a longer id takes a second read
 
 
 def _head(id_bytes: bytes, t: int, fdim: int) -> bytes:
     """A record's bytes before its payload."""
-    return _HEADER.pack(len(id_bytes)) + id_bytes + _DIMS.pack(t, fdim)
+    dims = _DIMS.pack(len(id_bytes), t, fdim)
+    return dims + _U32.pack(crc32(dims)) + id_bytes
 
 
 def _encode_record(utt_id: str, feats: np.ndarray) -> bytes:
     body = _head(utt_id.encode("utf-8"), *feats.shape)
     body += np.ascontiguousarray(feats, dtype="<f4").tobytes()
-    return body + _HEADER.pack(crc32(body))
+    return body + _U32.pack(crc32(body))
+
+
+def _encode_header(feature: FeatureConfig) -> bytes:
+    config = json.dumps(feature.summary(), sort_keys=True, separators=(",", ":"))
+    body = _PRELUDE.pack(_MAGIC, FORMAT_VERSION, len(config)) + config.encode("utf-8")
+    return body + _U32.pack(crc32(body))
 
 
 class FeatureArchive:
     """Read/write access to one archive directory: ``mode`` "r" (read-only)
-    or "a" (read and append). Appends go to the newest shard until it
-    exceeds ``max_shard_bytes``."""
+    or "a" (read and append).
 
-    def __init__(self, root: str | Path, mode: str = "r", max_shard_bytes: int = 64 * 1024 * 1024):
+    An append-mode archive takes the ``feature`` config its records are
+    extracted with; a new archive's header records it. Whenever
+    ``feature`` is given, an archive whose header holds another config
+    raises :class:`ConfigurationError` naming the first field that
+    differs. :attr:`feature` is the header's config mapping and
+    :attr:`path` the data file.
+    """
+
+    def __init__(self, root: str | Path, mode: str = "r", feature: FeatureConfig | None = None):
         if mode not in ("r", "a"):
             raise ArchiveError(f"unsupported archive mode {mode!r}")
+        if mode == "a" and feature is None:
+            raise ArchiveError("an append-mode archive needs the feature config of its records")
         self.root = Path(root)
+        self.path = self.root / DATA_FILE
         self.mode = mode
-        self.max_shard_bytes = max_shard_bytes
-        self._index: dict[str, tuple[str, int, int, int]] = {}
-        # Every shard's read file, opened before an index entry names it.
-        self._files: dict[str, io.FileIO] = {}
-        if mode == "a":
-            self.root.mkdir(parents=True, exist_ok=True)
-        elif not self.root.is_dir():
-            raise ArchiveError(f"no archive at {self.root}")
-        # The shard appends go to, its size and the shard count; write updates them.
-        self._shard: Path | None = None
-        self._shard_bytes = 0
-        # The directory's fd, flocked while an append-mode archive is open.
-        self._lock: int | None = None
+        self.feature: dict = {}
+        self._index: dict[str, tuple[int, int, int]] = {}
+        self._fd: int | None = None
+        self._end = 0  # where the next record goes
         try:
             if mode == "a":
-                self._lock = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY)
+                self.root.mkdir(parents=True, exist_ok=True)
+            elif not self.root.is_dir():
+                raise ArchiveError(f"no archive at {self.root}")
+            if any(self.root.glob("shard-*.bin")):
+                raise ArchiveError(
+                    f"archive {self.root} holds shard-*.bin files of an older layout; "
+                    "delete the directory and extract the features again"
+                )
+            if mode == "a":
+                self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
                 try:
-                    fcntl.flock(self._lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
                 except BlockingIOError:
                     raise ArchiveError(
                         f"archive {self.root} is already open for appending"
                     ) from None
-            shards = sorted(p.name for p in self.root.glob("shard-*.bin"))
-            self._shard_count = len(shards)
-            for name in shards:
-                self._files[name] = open(self.root / name, "rb", buffering=0)
-                end, size = self._scan(name)
-                if end != size and name != shards[-1]:
-                    raise ArchiveError(f"{self.root / name}: unparseable record at byte {end}")
-                if end != size and mode == "a":  # a torn tail
-                    os.truncate(self.root / name, end)
-                self._shard, self._shard_bytes = self.root / name, end
+                if os.fstat(self._fd).st_size == 0:
+                    self._append(_encode_header(feature))
+            else:
+                self._fd = os.open(self.path, os.O_RDONLY)
+            size = os.fstat(self._fd).st_size
+            records_at = self._read_header(size)
+            if feature is not None:
+                self._check_feature(feature)
+            self._end = self._scan(records_at, size)
+            if self._end != size and mode == "a":  # a torn tail
+                os.ftruncate(self._fd, self._end)
+        except OSError as exc:
+            self.close()
+            raise ArchiveError(f"cannot open archive {self.root}: {exc.strerror}") from exc
         except BaseException:
             self.close()
             raise
 
-    def _scan(self, name: str) -> tuple[int, int]:
-        """Index a shard's complete records; return (where they end, its size)."""
-        fd = self._files[name].fileno()
-        size = os.fstat(fd).st_size
-        offset = 0
-        while offset + _HEADER.size <= size:
-            head = os.pread(fd, _PEEK, offset)
-            (id_len,) = _HEADER.unpack_from(head)
-            payload_at = offset + _HEADER.size + id_len + _DIMS.size
-            if payload_at > size:
-                break
-            if payload_at - offset > len(head):
-                head = os.pread(fd, payload_at - offset, offset)
-            t, fdim = _DIMS.unpack_from(head, _HEADER.size + id_len)
-            end = payload_at + t * fdim * 4 + _HEADER.size
+    def _read_header(self, size: int) -> int:
+        """Read the header into :attr:`feature`; return where it ends."""
+        prelude = os.pread(self._fd, _PRELUDE.size, 0)
+        if len(prelude) < _PRELUDE.size or prelude[:4] != _MAGIC:
+            raise ArchiveError(f"{self.path} is not a feature archive")
+        _, version, n = _PRELUDE.unpack(prelude)
+        end = _PRELUDE.size + n + _U32.size
+        if end > size:
+            raise ArchiveError(f"{self.path}: truncated archive header")
+        header = os.pread(self._fd, end, 0)
+        if crc32(header[: -_U32.size]) != _U32.unpack_from(header, end - _U32.size)[0]:
+            raise ArchiveError(f"{self.path}: archive header failed its checksum")
+        if version != FORMAT_VERSION:
+            raise ArchiveError(f"{self.path}: unsupported archive format version {version}")
+        self.feature = json.loads(header[_PRELUDE.size : -_U32.size])
+        return end
+
+    def _check_feature(self, feature: FeatureConfig) -> None:
+        wanted = feature.summary()
+        for name in {**wanted, **self.feature}:
+            have, want = self.feature.get(name), wanted.get(name)
+            if have == want:
+                continue
+            if name == "n_mels":
+                raise ConfigurationError(
+                    f"archive {self.root} holds {have}-bin features; "
+                    f"the feature config asks for {want} mels (n_mels)"
+                )
+            raise ConfigurationError(
+                f"archive {self.root} holds features with {name} {have!r}; "
+                f"the feature config asks for {name} {want!r}"
+            )
+
+    def _scan(self, offset: int, size: int) -> int:
+        """Index the complete records from ``offset``; return where they end."""
+        n_mels = self.feature["n_mels"]
+        while offset + _HEAD.size <= size:
+            head = os.pread(self._fd, _PEEK, offset)
+            id_len, t, fdim, crc = _HEAD.unpack_from(head)
+            if crc32(head[: _DIMS.size]) != crc:
+                raise ArchiveError(f"{self.path}: corrupt record head at byte {offset}")
+            end = offset + _HEAD.size + id_len + 4 * t * fdim + _U32.size
             if end > size:
                 break
+            if _HEAD.size + id_len > len(head):
+                head = os.pread(self._fd, _HEAD.size + id_len, offset)
             try:
-                utt_id = head[_HEADER.size : _HEADER.size + id_len].decode("utf-8")
+                utt_id = head[_HEAD.size : _HEAD.size + id_len].decode("utf-8")
             except UnicodeDecodeError:
+                raise ArchiveError(f"{self.path}: unreadable record id at byte {offset}") from None
+            if fdim != n_mels:
                 raise ArchiveError(
-                    f"{self.root / name}: unparseable record at byte {offset}"
-                ) from None
-            self._index.setdefault(utt_id, (name, offset, t, fdim))
+                    f"{self.path}: the record at byte {offset} holds {fdim}-bin features for "
+                    f"{utt_id!r}; the archive's config has {n_mels} mels"
+                )
+            self._index.setdefault(utt_id, (offset, t, fdim))
             offset = end
-        return offset, size
+        return offset
+
+    def _append(self, data: bytes) -> None:
+        """Write all of ``data`` at the end of the file, or none of it."""
+        view = memoryview(data)
+        at = self._end
+        try:
+            while view:
+                n = os.pwrite(self._fd, view, at)
+                if n == 0:
+                    raise OSError(0, "no bytes written")
+                view, at = view[n:], at + n
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.ftruncate(self._fd, self._end)
+            raise ArchiveError(f"cannot append to {self.path}: {exc.strerror}") from exc
+        self._end = at
 
     def __contains__(self, utt_id: str) -> bool:
         return utt_id in self._index
@@ -131,7 +219,7 @@ class FeatureArchive:
 
     def shape(self, utt_id: str) -> tuple[int, int]:
         """The stored matrix's (T, F), from the index; KeyError if absent."""
-        return self._index[utt_id][2:]
+        return self._index[utt_id][1:]
 
     def write(self, utt_id: str, feats: np.ndarray) -> None:
         if self.mode != "a":
@@ -139,20 +227,18 @@ class FeatureArchive:
         feats = np.asarray(feats)
         if feats.ndim != 2:
             raise ArchiveError(f"expected a T x F matrix, got shape {feats.shape}")
+        if feats.shape[1] != self.feature["n_mels"]:
+            raise ArchiveError(
+                f"cannot archive {feats.shape[1]}-bin features for {utt_id!r}; "
+                f"the archive's config has {self.feature['n_mels']} mels"
+            )
         if utt_id in self._index:
             raise ArchiveError(f"id already archived: {utt_id!r}")
-        if self._shard is None or self._shard_bytes >= self.max_shard_bytes:
-            self._shard = self.root / _SHARD_TEMPLATE.format(self._shard_count)
-            self._shard_bytes = 0
-            self._shard_count += 1
-        record = _encode_record(utt_id, feats)
-        with open(self._shard, "ab") as f:
-            offset = f.tell()
-            f.write(record)
-        if self._shard.name not in self._files:
-            self._files[self._shard.name] = open(self._shard, "rb", buffering=0)
-        self._shard_bytes = offset + len(record)
-        self._index[utt_id] = (self._shard.name, offset, *feats.shape)
+        if self._fd is None:
+            raise ArchiveError(f"archive {self.root} is closed")
+        offset = self._end
+        self._append(_encode_record(utt_id, feats))
+        self._index[utt_id] = (offset, *feats.shape)
 
     def read(self, utt_id: str, out: np.ndarray | None = None) -> np.ndarray:
         """Return the stored float32 matrix; verifies the CRC trailer.
@@ -162,7 +248,7 @@ class FeatureArchive:
         record, and ``out`` is returned; otherwise into a new array.
         """
         try:
-            shard_name, offset, t, fdim = self._index[utt_id]
+            offset, t, fdim = self._index[utt_id]
         except KeyError:
             raise ArchiveError(f"id not in archive: {utt_id!r}") from None
         if out is None:
@@ -175,35 +261,31 @@ class FeatureArchive:
         expected = _head(utt_id.encode("utf-8"), t, fdim)
         head = bytearray(len(expected))
         payload = memoryview(out.reshape(-1).view(np.uint8))
-        trailer = bytearray(_HEADER.size)
-        try:
-            fd = self._files[shard_name].fileno()
-        except KeyError:
-            raise ArchiveError(f"archive {self.root} is closed") from None
+        trailer = bytearray(_U32.size)
+        fd = self._fd
+        if fd is None:
+            raise ArchiveError(f"archive {self.root} is closed")
         # One unbuffered read of the whole record: a run reads every
         # record once per use, into the buffer it is emitted from.
         got = os.preadv(fd, [head, payload, trailer], offset)
         if got != len(head) + len(payload) + len(trailer):
-            raise ArchiveError(f"truncated record for {utt_id!r} in {shard_name}")
-        (crc,) = _HEADER.unpack(trailer)
+            raise ArchiveError(f"truncated record for {utt_id!r} in {DATA_FILE}")
+        (crc,) = _U32.unpack(trailer)
         if crc32(payload, crc32(head)) != crc:
-            raise ArchiveError(f"checksum mismatch for {utt_id!r} in {shard_name}")
+            raise ArchiveError(f"checksum mismatch for {utt_id!r} in {DATA_FILE}")
         if head != expected:
-            raise ArchiveError(f"record at {shard_name}:{offset} is not {utt_id!r}")
+            raise ArchiveError(f"record at {DATA_FILE}:{offset} is not {utt_id!r}")
         return out
 
     def flush(self) -> None:
-        """Nothing to do: each write is in its shard once it returns."""
+        """Nothing to do: each write is in the file once it returns."""
 
     def close(self) -> None:
-        """Close every shard's read file and release the append lock; a
-        read after this fails."""
-        files, self._files = self._files, {}
-        for f in files.values():
-            f.close()
-        lock, self._lock = self._lock, None
-        if lock is not None:
-            os.close(lock)  # which releases the flock
+        """Close the file, which releases the append lock; a read after
+        this fails."""
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
 
     def __enter__(self) -> "FeatureArchive":
         return self

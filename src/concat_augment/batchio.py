@@ -41,17 +41,25 @@ VERSION = 1
 _U32 = struct.Struct("<I")
 _HEADER = struct.Struct("<4sIIII")  # magic, version, B, T_max, F
 
+_U32_MAX = 2**32 - 1
+
 _PREFIX = _U32.size  # the stream length prefix before each record
+
+
+def _target_out_of_range(row: int, tokens) -> BatchingError:
+    bad = next(int(t) for t in tokens if not 0 <= int(t) <= _U32_MAX)
+    return BatchingError(f"target of row {row} holds token id {bad}, outside u32")
 
 
 class Record:
     """One CABX record laid out in ``buffer`` (bytes-like), after its
     stream length prefix.
 
-    ``targets`` holds one sequence of token ids (or code points), each
-    fitting in u32, per row. ``features`` is the writable ``B x T_max x
-    F`` float32 view of the feature region, zero until filled. Call
-    :meth:`seal` once the features are in.
+    ``targets`` holds one sequence of token ids (or code points) per
+    row; an id outside u32 raises :class:`BatchingError` naming the
+    row. ``features`` is the writable ``B x T_max x F`` float32 view of
+    the feature region, zero until filled. Call :meth:`seal` once the
+    features are in.
     """
 
     def __init__(
@@ -76,9 +84,21 @@ class Record:
         tail = np.frombuffer(self.buffer, "<u4", words, at + 4 * cells)
         tail[0] = target_pad_id
         pos = 1
-        for tokens in targets:
+        for row, tokens in enumerate(targets):
             tail[pos] = len(tokens)
-            tail[pos + 1 : pos + 1 + len(tokens)] = tokens
+            # An array whose dtype fits in u32 needs no check, and a Python
+            # int outside u32 raises OverflowError on assignment.
+            if (
+                isinstance(tokens, np.ndarray)
+                and not np.can_cast(tokens.dtype, tail.dtype)
+                and len(tokens)
+                and (tokens.min() < 0 or tokens.max() > _U32_MAX)
+            ):
+                raise _target_out_of_range(row, tokens)
+            try:
+                tail[pos + 1 : pos + 1 + len(tokens)] = tokens
+            except OverflowError:
+                raise _target_out_of_range(row, tokens) from None
             pos += 1 + len(tokens)
         tail[pos:] = feature_lengths
         self.feature_lengths = list(feature_lengths)

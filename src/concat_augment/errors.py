@@ -18,7 +18,7 @@ class FeatureError(PipelineError):
 
 
 class ArchiveError(PipelineError):
-    """Feature archive corruption or lookup failure."""
+    """Feature archive corruption, lookup failure or OS error."""
 
 
 class ConfigurationError(PipelineError):

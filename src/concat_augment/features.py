@@ -91,6 +91,19 @@ class FeatureConfig:
             n *= 2
         return n
 
+    def summary(self) -> dict:
+        """The resolved config, as a run's report and an archive's header
+        record it: ``fft_size`` is the FFT length in use."""
+        return {
+            "sample_rate_hz": self.sample_rate_hz,
+            "n_mels": self.n_mels,
+            "win_ms": self.win_ms,
+            "hop_ms": self.hop_ms,
+            "fft_size": self.n_fft,
+            "log_floor": self.log_floor,
+            "mean_var_norm": self.mean_var_norm,
+        }
+
 
 def frame_count(n_samples: int, cfg: FeatureConfig) -> int:
     """Number of frames produced for ``n_samples`` of audio.

@@ -119,15 +119,7 @@ class PipelineConfig:
                 "n_time_masks": self.specaugment.n_time_masks,
                 "mask_value": self.specaugment.mask_value,
             },
-            "feature": {
-                "sample_rate_hz": self.feature.sample_rate_hz,
-                "n_mels": self.feature.n_mels,
-                "win_ms": self.feature.win_ms,
-                "hop_ms": self.feature.hop_ms,
-                "fft_size": self.feature.n_fft,
-                "log_floor": self.feature.log_floor,
-                "mean_var_norm": self.feature.mean_var_norm,
-            },
+            "feature": self.feature.summary(),
             "bucketing": self.bucketing,
             "accounting": self.accounting,
             "emit": self.emit,
@@ -210,19 +202,13 @@ class _FeatureStore:
         self._failed: dict[str, str] = {}
 
     def _open(self) -> FeatureArchive:
-        if self._config.archive_dir is None:
+        root = self._config.archive_dir
+        if root is None:
             self._scratch = tempfile.TemporaryDirectory(prefix="concat-augment-")
-            return FeatureArchive(self._scratch.name, mode="a")
-        archive = FeatureArchive(self._config.archive_dir, mode="a")
-        n_mels = self._config.feature.n_mels
+            root = self._scratch.name
+        # The open checks that the archive was extracted with this feature config.
+        archive = FeatureArchive(root, mode="a", feature=self._config.feature)
         for utt_id in archive.ids():
-            width = archive.shape(utt_id)[1]
-            if width != n_mels:
-                archive.close()
-                raise ConfigurationError(
-                    f"archive {self._config.archive_dir} holds {width}-bin features "
-                    f"for {utt_id!r}; the feature config asks for {n_mels} mels"
-                )
             if utt_id in self._by_id:
                 self._check_frames(archive, utt_id)
         return archive

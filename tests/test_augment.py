@@ -43,7 +43,8 @@ def epoch_rows(root, utts, strategy, n_bins=6, archived=None):
     archive holds ``fake_loader(utts)``'s features of the ids in
     ``archived`` (default: all); no audio exists for any id."""
     load = fake_loader(utts, n_bins)
-    with FeatureArchive(root / "archive", mode="a") as archive:
+    archive = FeatureArchive(root / "archive", mode="a", feature=FeatureConfig(n_mels=n_bins))
+    with archive:
         for u in utts:
             if archived is None or u.id in archived:
                 archive.write(u.id, load(u.id))

@@ -50,6 +50,28 @@ def sample_batch(seed=0, n=5):
 
 
 class TestRecordFormat:
+    @pytest.mark.parametrize(
+        "target, bad",
+        [
+            (np.array([7, 2**33 + 5]), 2**33 + 5),
+            ((7, 2**32), 2**32),
+            ((7, -1), -1),
+            (np.array([7, -1], dtype=np.int32), -1),
+            (np.array([7, 2**32], dtype=np.uint64), 2**32),
+        ],
+    )
+    def test_target_ids_outside_u32_are_rejected(self, target, bad):
+        message = rf"^target of row 1 holds token id {bad}, outside u32$"
+        with pytest.raises(BatchingError, match=message):
+            Record(2, 1, [2, 2], [(3,), target], 0)
+
+    @pytest.mark.parametrize("dtype", ["<u4", "<u2", "<i8", "<u8"])
+    def test_target_ids_at_the_u32_ends_are_kept(self, dtype):
+        top = np.iinfo(np.dtype(dtype)).max if np.dtype(dtype).itemsize < 4 else 2**32 - 1
+        record = Record(2, 1, [2, 2], [(0, 2**32 - 1), np.array([0, top], dtype=dtype)], 0)
+        targets = decode_batch(record.seal().body).targets
+        assert targets.tolist() == [[0, 2**32 - 1], [0, top]]
+
     def test_round_trip_exact(self):
         batch = sample_batch()
         out = decode_batch(sample_record().body)
@@ -123,7 +145,7 @@ def tiny_run(root, emit):
     path of its first batch file or its stream."""
     rng = np.random.default_rng(31)
     rows = []
-    with FeatureArchive(root / "archive", mode="a") as archive:
+    with FeatureArchive(root / "archive", mode="a", feature=FeatureConfig(n_mels=2)) as archive:
         for i in range(8):
             n_frames = int(rng.integers(1, 5))
             archive.write(f"u{i}", rng.standard_normal((n_frames, 2)).astype(np.float32))

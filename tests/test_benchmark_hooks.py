@@ -33,7 +33,7 @@ from concat_augment.specaugment import MaskPolicy
 
 rng = np.random.default_rng(3)
 rows = ["id\\taudio\\tn_frames\\ttgt_text\\tspeaker"]
-with FeatureArchive("archive", mode="a") as archive:
+with FeatureArchive("archive", mode="a", feature=FeatureConfig(n_mels=8)) as archive:
     for i in range(24):
         n_frames = int(rng.integers(5, 40))
         archive.write(f"u{i}", rng.standard_normal((n_frames, 8)).astype(np.float32))

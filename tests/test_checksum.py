@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from concat_augment import checksum
 from concat_augment.archive import FeatureArchive
 from concat_augment.batchio import Record, decode_batch
+from concat_augment.features import FeatureConfig
 
 SMALL = checksum._SMALL
 
@@ -125,9 +126,9 @@ def test_libdeflate_is_used_when_it_loads(libdeflate_calls):
 
 def test_every_record_check_and_seal_goes_through_it(libdeflate_calls, tmp_path):
     feats = np.random.default_rng(4).standard_normal((40, 32)).astype(np.float32)
-    with FeatureArchive(tmp_path / "arch", mode="a") as archive:
+    with FeatureArchive(tmp_path / "arch", mode="a", feature=FeatureConfig(n_mels=32)) as archive:
         archive.write("u1", feats)  # seal
-        assert libdeflate_calls == [len(b"u1") + 12 + feats.nbytes]
+        assert libdeflate_calls == [16 + len(b"u1") + feats.nbytes]
         record = Record(40, 32, [40], [[7, 8]], target_pad_id=0)
         archive.read("u1", out=record.features[0])  # the payload; the head is small
         assert libdeflate_calls[1:] == [feats.nbytes]

@@ -136,7 +136,9 @@ def test_run_writes_the_reference_bytes(corpus, overrides, feature_seed):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "train.tsv").write_text(manifest_text(rows), encoding="utf-8")
-        with FeatureArchive(root / "archive", mode="a") as archive:
+        with FeatureArchive(
+            root / "archive", mode="a", feature=FeatureConfig(n_mels=N_BINS)
+        ) as archive:
             for utt_id, feats in table.items():
                 archive.write(utt_id, feats)
         config = PipelineConfig(

@@ -14,12 +14,13 @@ import json
 import numpy as np
 import pytest
 
-from concat_augment.archive import FeatureArchive
+from concat_augment.archive import DATA_FILE, FeatureArchive
 from concat_augment.augment import Strategy
 from concat_augment.features import FeatureConfig
 from concat_augment.pipeline import PipelineConfig, audit, iter_epoch_batches, run
 from concat_augment.specaugment import MaskPolicy
 
+from archive_records import record_span
 from conftest import manifest_text
 from emit_oracle import encode_batch
 from test_pipeline import strip_timings
@@ -120,7 +121,7 @@ EMIT_BRANCHES = {
 CORRUPT_ID = "u0000"
 CORRUPT_GOLDEN = (
     "cb5e0966a10826dd5090016301a4fd0f968c7f2ed23f1455a720fd5edc8dc6f1",
-    "b1b2c41bbbb27ce5d02c1dc79f16805e475802119d57aa9c20ac9840f3cf1193",
+    "0efff226676f454cb9bc6f2547c60ea335c4848cf9c5803f83d2bb6f48e04467",
 )
 
 
@@ -131,7 +132,7 @@ def write_corpus(root):
     rng = np.random.default_rng(2024)
     speakers = [f"spk{i % 4}" for i in range(28)] + ["solo", ""]
     rows = []
-    archive = FeatureArchive(root / "archive", mode="a")
+    archive = FeatureArchive(root / "archive", mode="a", feature=FeatureConfig(n_mels=N_BINS))
     for i, speaker in enumerate(speakers):
         utt_id = f"u{i:04d}"
         n_frames = int(rng.integers(20, 121))
@@ -240,12 +241,12 @@ def test_emit_branch_bytes(corpus, branch):
 
 
 def flip_payload_byte(archive_dir, utt_id):
-    (shard,) = archive_dir.glob("shard-*.bin")
-    data = bytearray(shard.read_bytes())
-    id_bytes = utt_id.encode("utf-8")
-    head = data.index(len(id_bytes).to_bytes(4, "little") + id_bytes)
-    data[head + 4 + len(id_bytes) + 8 + 10] ^= 0x40
-    shard.write_bytes(bytes(data))
+    at = record_span(archive_dir, utt_id)[1] + 10
+    with open(archive_dir / DATA_FILE, "r+b") as f:
+        f.seek(at)
+        byte = f.read(1)[0]
+        f.seek(at)
+        f.write(bytes([byte ^ 0x40]))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -259,7 +260,7 @@ def test_checksum_mismatch_bytes(corpus, workers):
     first_fails = f"dropped ('{CORRUPT_ID}', '{MISSING_ID}')"
     assert [d for d in report.diagnostics if first_fails in d] == [
         f"epoch 0: {first_fails}: failed to load features for ('{CORRUPT_ID}', '{MISSING_ID}'): "
-        f"checksum mismatch for '{CORRUPT_ID}' in shard-00000.bin"
+        f"checksum mismatch for '{CORRUPT_ID}' in {DATA_FILE}"
     ]
     got = (tree_digest(corpus / "out"), report_digest(corpus / "out" / "report.json"))
     assert got == CORRUPT_GOLDEN

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from concat_augment import pipeline
-from concat_augment.archive import FeatureArchive
+from concat_augment.archive import DATA_FILE, FeatureArchive, _encode_record
 from concat_augment.augment import Strategy
 from concat_augment.batchio import iter_stream, read_batch_file
 from concat_augment.cli import main as cli_main
-from concat_augment.errors import BatchingError, ConfigurationError
+from concat_augment.errors import ArchiveError, BatchingError, ConfigurationError
 from concat_augment.features import FeatureConfig, load_or_compute
 from concat_augment.manifest import load_manifest
 from concat_augment.pipeline import (
@@ -305,12 +305,11 @@ class TestRun:
             budget_frames=600,
         )
         assert list(iter_epoch_batches(config, epoch=0))
-        shards = sorted((tmp_path / "arch").glob("shard-*.bin"))
-        sizes = [p.stat().st_size for p in shards]
+        written = read_tree(tmp_path / "arch")
+        assert list(written) == [DATA_FILE]
         assert list(iter_epoch_batches(config, epoch=0))
-        # the second call is served from the shards the first one wrote
-        assert [p.stat().st_size for p in shards] == sizes
-        assert sorted((tmp_path / "arch").glob("shard-*.bin")) == shards
+        # the second call is served from the file the first one wrote
+        assert read_tree(tmp_path / "arch") == written
         with FeatureArchive(tmp_path / "arch", "r") as archive:
             assert all(f"u{i:06d}" in archive for i in range(12))
 
@@ -368,7 +367,7 @@ class TestFeatureStore:
 
     def test_prefilled_archive_gives_same_bytes_and_report(self, store_corpus, tmp_path):
         cfg = FeatureConfig()
-        with FeatureArchive(tmp_path / "arch", mode="a") as archive:
+        with FeatureArchive(tmp_path / "arch", mode="a", feature=cfg) as archive:
             for utt in load_manifest(store_corpus).utterances:
                 if utt.id != MISSING:
                     archive.write(utt.id, load_or_compute(utt, cfg, audio_root=store_corpus.parent))
@@ -385,7 +384,7 @@ class TestFeatureStore:
                 archive_dir=tmp_path / f"arch{workers}", workers=workers,
             ))
         one = read_tree(tmp_path / "arch1")
-        assert any(name.startswith("shard-") for name in one)
+        assert list(one) == [DATA_FILE]
         assert one == read_tree(tmp_path / "arch2")
 
     def test_only_batches_and_report_in_out_dir(self, store_corpus, tmp_path):
@@ -442,13 +441,21 @@ class TestFeatureStore:
         assert "80-bin" in json.loads((tmp_path / "o40" / "report.json").read_text())["error"]
 
     def test_record_of_other_width_is_fatal_before_batches(self, store_corpus, tmp_path):
+        # write refuses such a record, so its bytes are appended by hand
         utterances = [u for u in load_manifest(store_corpus).utterances if u.id != MISSING]
-        with FeatureArchive(tmp_path / "arch", mode="a") as archive:
-            for utt in utterances:
-                feats = load_or_compute(utt, FeatureConfig(), audio_root=store_corpus.parent)
-                archive.write(utt.id, feats[:, :40] if utt is utterances[-1] else feats)
+        *head, last = [
+            (utt.id, load_or_compute(utt, FeatureConfig(), audio_root=store_corpus.parent))
+            for utt in utterances
+        ]
+        with FeatureArchive(tmp_path / "arch", mode="a", feature=FeatureConfig()) as archive:
+            for utt_id, feats in head:
+                archive.write(utt_id, feats)
+            with pytest.raises(ArchiveError, match=f"40-bin features for '{last[0]}'"):
+                archive.write(last[0], last[1][:, :40])
+        with open(tmp_path / "arch" / DATA_FILE, "ab") as f:
+            f.write(_encode_record(last[0], last[1][:, :40]))
         config = store_config(store_corpus, out_dir=tmp_path / "out", archive_dir=tmp_path / "arch")
-        with pytest.raises(ConfigurationError, match=f"40-bin features for '{utterances[-1].id}'"):
+        with pytest.raises(ArchiveError, match=f"40-bin features for '{last[0]}'"):
             run(config)
         assert not list((tmp_path / "out").rglob("*.cabx"))
 
@@ -693,6 +700,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("fatal:") and str(out) in err
         assert out.read_text(encoding="utf-8") == "not a directory"
+
+    def test_run_archive_under_a_file_is_fatal(self, tmp_path, capsys):
+        manifest = write_audio_corpus(tmp_path / "c", 3, np.random.default_rng(18))
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory", encoding="utf-8")
+        archive = blocker / "arch"
+        code = cli_main(
+            ["run", "--manifest", str(manifest), "--audio-root", str(manifest.parent),
+             "--out", str(tmp_path / "out"), "--archive", str(archive)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fatal: cannot open archive") and str(archive) in err
+        assert str(archive) in json.loads((tmp_path / "out" / "report.json").read_text())["error"]
+        assert blocker.read_text(encoding="utf-8") == "not a directory"
 
     def test_audit_out_that_is_a_file_is_fatal(self, tmp_path, capsys):
         manifest = write_audio_corpus(tmp_path / "c", 3, np.random.default_rng(17))
