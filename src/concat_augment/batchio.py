@@ -25,6 +25,7 @@ buffer: all of it to a stream, all but the prefix to a batch file.
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 from pathlib import Path
@@ -47,8 +48,14 @@ _PREFIX = _U32.size  # the stream length prefix before each record
 
 
 def _target_out_of_range(row: int, tokens) -> BatchingError:
-    bad = next(int(t) for t in tokens if not 0 <= int(t) <= _U32_MAX)
-    return BatchingError(f"target of row {row} holds token id {bad}, outside u32")
+    for token in tokens:
+        try:
+            if 0 <= operator.index(token) <= _U32_MAX:
+                continue
+        except TypeError:
+            return BatchingError(f"target of row {row} holds {token!r}, not an integer token id")
+        return BatchingError(f"target of row {row} holds token id {token}, outside u32")
+    return BatchingError(f"target of row {row} does not pack as u32 token ids")
 
 
 class Record:
@@ -86,19 +93,22 @@ class Record:
         pos = 1
         for row, tokens in enumerate(targets):
             tail[pos] = len(tokens)
-            # An array whose dtype fits in u32 needs no check, and a Python
-            # int outside u32 raises OverflowError on assignment.
-            if (
-                isinstance(tokens, np.ndarray)
-                and not np.can_cast(tokens.dtype, tail.dtype)
-                and len(tokens)
-                and (tokens.min() < 0 or tokens.max() > _U32_MAX)
-            ):
-                raise _target_out_of_range(row, tokens)
-            try:
+            if isinstance(tokens, np.ndarray):
+                # An array whose dtype fits in u32 needs no check.
+                if (
+                    not np.can_cast(tokens.dtype, tail.dtype)
+                    and len(tokens)
+                    and (tokens.min() < 0 or tokens.max() > _U32_MAX)
+                ):
+                    raise _target_out_of_range(row, tokens)
                 tail[pos + 1 : pos + 1 + len(tokens)] = tokens
-            except OverflowError:
-                raise _target_out_of_range(row, tokens) from None
+            else:
+                # struct checks each id, a Python int or a numpy integer
+                # alike, where a numpy assignment would wrap numpy's.
+                try:
+                    struct.pack_into(f"<{len(tokens)}I", tail, 4 * (pos + 1), *tokens)
+                except struct.error:
+                    raise _target_out_of_range(row, tokens) from None
             pos += 1 + len(tokens)
         tail[pos:] = feature_lengths
         self.feature_lengths = list(feature_lengths)

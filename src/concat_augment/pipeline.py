@@ -12,11 +12,14 @@ archive) before the first epoch that references it. Each batch is then
 built as one CABX record in a single buffer (:class:`batchio.Record`),
 laid out from its instances' frame counts and targets: every
 constituent's features are read from the archive straight into their
-row, each row is masked in place and the record's CRC is written. A
-single writer writes the sealed records in plan order, with one write
-each. A configurable worker pool runs the extraction and, with more
-than one worker, builds records while the writer writes, without ever
-reordering batches or archive records.
+row, each row is masked in place, with the mask draws of all the
+record's rows seeded at once (:func:`rng.keyed_draws`), and the
+record's CRC is written. One writer thread per run writes the sealed
+records in plan order, one write each, while the next record is built;
+the builder waits for a write before it hands over the next record. A
+configurable worker pool runs the extraction and, with more than one
+worker, builds several records at once, without ever reordering batches
+or archive records.
 
 Reports are JSON; all wall-clock measurements live under ``timings_s``
 keys so reproducibility checks can strip them.
@@ -32,7 +35,7 @@ import shutil
 import tempfile
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -53,7 +56,7 @@ from .manifest import (
     ingestion_report,
     load_manifest,
 )
-from .rng import MASK_STREAM, keyed_rng
+from .rng import MASK_STREAM, keyed_draws
 from .specaugment import MaskPolicy, mask_in_place
 
 WORKERS_ENV_VAR = "CONCAT_AUGMENT_WORKERS"
@@ -354,6 +357,8 @@ def _build_group(
         except (PipelineError, OSError) as exc:
             failures[row] = str(exc)
     record = _lay_out([instances[row] for row in rows], config) if rows else None
+    if config.specaugment is not None:
+        draws = keyed_draws(config.seed, MASK_STREAM, epoch, [ordinals[row] for row in rows])
     kept = []
     for at, row in enumerate(rows):
         features = record.features[at]
@@ -363,8 +368,7 @@ def _build_group(
             failures[row] = str(exc)
             continue
         if config.specaugment is not None:
-            rng = keyed_rng(config.seed, MASK_STREAM, epoch, ordinals[row])
-            mask_in_place(features[: instances[row].n_frames], config.specaugment, rng)
+            mask_in_place(features[: instances[row].n_frames], config.specaugment, draws[at])
         kept.append(at)
     if len(kept) < len(rows):
         full = record
@@ -410,11 +414,11 @@ def _sized_group(frames: np.ndarray) -> _Group:
 _EXHAUSTED = object()
 
 
-def _ordered_pool_map(fn, items, workers: int):
+def _ordered_pool_map(fn, items, workers: int, window: int | None = None):
     """Map with a worker pool, yielding results strictly in input order.
 
-    The in-flight window is bounded (2x workers) so producers stall
-    instead of racing ahead of the writer.
+    The in-flight window is bounded (by default 2x workers) so producers
+    stall instead of racing ahead of the writer.
     """
     if workers <= 1:
         for item in items:
@@ -423,7 +427,7 @@ def _ordered_pool_map(fn, items, workers: int):
     items = iter(items)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
-        while len(pending) < 2 * workers:
+        while len(pending) < (window or 2 * workers):
             item = next(items, _EXHAUSTED)
             if item is _EXHAUSTED:
                 break
@@ -541,7 +545,9 @@ def _epoch(
 
     def results():
         failed_original = failed_augmented = batches = emitted = padded = true = 0
-        for built in _ordered_pool_map(build, jobs, workers):
+        # One record less than the pool's default window is in flight:
+        # a run's writer thread holds one more while it writes it.
+        for built in _ordered_pool_map(build, jobs, workers, 2 * workers - 1):
             failed_original += built.failed_original
             failed_augmented += built.failed_augmented
             report.diagnostics.extend(built.diagnostics)
@@ -580,11 +586,12 @@ def _epoch(
 
 def _drive(
     config: PipelineConfig,
-    sink: Callable[[int, Iterator[_Group]], object],
+    sink: Callable[[int, Iterator[_Group]], dict | None],
     load_features: bool,
     on_prepared: Callable[[], object] = lambda: None,
 ) -> AuditReport:
-    """Feed every epoch of the engine to ``sink``, then total and write the report."""
+    """Feed every epoch of the engine to ``sink``, then total and write the
+    report. Timings the sink returns join the epoch's ``timings_s``."""
     if config.emit not in EMIT_MODES:
         raise ConfigurationError(f"unknown emit mode {config.emit!r}")
     started = time.perf_counter()
@@ -592,7 +599,12 @@ def _drive(
     engine = _epochs(config, range(config.epochs), report, load_features, on_prepared)
     try:
         for epoch, groups in engine:
-            sink(epoch, groups)
+            try:
+                timings = sink(epoch, groups)
+            finally:
+                groups.close()  # a sink that failed leaves no build running on the store
+            if timings:
+                report.epochs[-1]["timings_s"].update(timings)
     except PipelineError as exc:
         if report.ingestion:  # the manifest was read: record how far the epochs got
             report.error = str(exc)
@@ -633,29 +645,104 @@ def _make_dir(path: Path) -> None:
         raise ConfigurationError(f"cannot create output directory {path}: {exc}") from None
 
 
+def _writing(path: Path, write: Callable, *args):
+    """``write(*args)``, with an OSError raised as a ConfigurationError naming ``path``."""
+    try:
+        return write(*args)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+class _Writer:
+    """A run's one writer thread: it makes the run's writes in plan
+    order, one at a time, each while the calling thread builds the next
+    record. ``write_s`` sums the thread's seconds spent writing and
+    ``wait_s`` the caller's seconds spent waiting for it."""
+
+    def __init__(self):
+        self._thread = ThreadPoolExecutor(max_workers=1, thread_name_prefix="concat-augment-writer")
+        self._pending: Future | None = None
+        self.write_s = 0.0
+        self.wait_s = 0.0
+
+    def write_all(self, writes: Iterable[tuple]) -> None:
+        """Run each ``(path, write, *args)`` of ``writes`` as
+        :func:`_writing` does, on the thread; return once the last has
+        ended. The next item is taken from ``writes`` while a write is in
+        flight, and handed over once that write has ended. A write's
+        error is raised here; an error raised by ``writes`` is raised
+        once the write in flight has ended, whatever that write's fate."""
+        try:
+            for write in writes:
+                self._wait()
+                self._pending = self._thread.submit(self._timed, *write)
+            self._wait()
+        except BaseException:
+            with contextlib.suppress(Exception):  # the error raised first is the run's
+                self._wait()
+            raise
+
+    def _timed(self, path: Path, write: Callable, *args) -> None:
+        start = time.perf_counter()
+        try:
+            _writing(path, write, *args)
+        finally:
+            self.write_s += time.perf_counter() - start
+
+    def _wait(self) -> None:
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            start = time.perf_counter()
+            try:
+                pending.result()
+            finally:
+                self.wait_s += time.perf_counter() - start
+
+    def close(self) -> None:
+        """Join the thread; :meth:`write_all` has already waited out its writes."""
+        self._thread.shutdown()
+
+
 def run(config: PipelineConfig) -> AuditReport:
     """Plan, filter, batch, mask and write every epoch; report.
 
     Emits batch artifacts in the configured binary format plus a JSON
     report. All emitted bytes are a pure function of (manifest, config,
     seed); only the report's ``timings_s`` fields vary between reruns.
+    An output file that cannot be written is fatal: a
+    :class:`ConfigurationError` naming it.
     """
     if config.out_dir is None:
         raise ConfigurationError("run requires an output directory")
     out_dir = Path(config.out_dir)
+    writer = _Writer()
 
-    def write(epoch: int, groups: Iterator[_Group]) -> None:
+    def emit(epoch: int, groups: Iterator[_Group]) -> dict:
+        write_s, wait_s = writer.write_s, writer.wait_s
         if config.emit == "stream":
-            with StreamWriter(out_dir / f"epoch-{epoch:03d}.cabxs") as writer:
-                for built in groups:
-                    writer.write(built.record)
+            path = out_dir / f"epoch-{epoch:03d}.cabxs"
+            stream = _writing(path, StreamWriter, path)
+            try:
+                writer.write_all((path, stream.write, built.record) for built in groups)
+            except BaseException:
+                with contextlib.suppress(OSError):  # the error raised first is the run's
+                    stream.close()
+                raise
+            _writing(path, stream.close)
         else:
             epoch_dir = out_dir / f"epoch-{epoch:03d}"
-            epoch_dir.mkdir()
-            for index, built in enumerate(groups):
-                write_batch_file(built.record, epoch_dir / f"batch-{index:05d}.cabx")
+            _make_dir(epoch_dir)
+            writer.write_all(
+                (path, write_batch_file, built.record, path)
+                for index, built in enumerate(groups)
+                for path in [epoch_dir / f"batch-{index:05d}.cabx"]
+            )
+        return {"write": writer.write_s - write_s, "writer_wait": writer.wait_s - wait_s}
 
-    return _drive(config, write, load_features=True, on_prepared=lambda: _clear_outputs(out_dir))
+    try:
+        return _drive(config, emit, load_features=True, on_prepared=lambda: _clear_outputs(out_dir))
+    finally:
+        writer.close()
 
 
 _OUTPUT_NAME = re.compile(r"epoch-\d{3,}(\.cabxs)?|report\.json|\.report\.json\.\d+\.tmp")

@@ -41,6 +41,8 @@ def mask_in_place(feats: np.ndarray, policy: MaskPolicy, rng: np.random.Generato
     ~ Uniform{0..n_bins-f}; columns [start, start+f) are set to the mask
     value. Time masks work the same on rows, with width capped at
     n_frames. All frequency masks are drawn before the time masks.
+    ``rng`` is only asked for ``integers(0, high)``, so a
+    :class:`rng.KeyedDraws` replaying a generator draws the same masks.
     """
     n_frames, n_bins = feats.shape
     for _ in range(policy.n_freq_masks):

@@ -58,12 +58,24 @@ class TestRecordFormat:
             ((7, -1), -1),
             (np.array([7, -1], dtype=np.int32), -1),
             (np.array([7, 2**32], dtype=np.uint64), 2**32),
+            ([7, np.int64(2**33 + 5)], 2**33 + 5),
+            ((np.uint64(2**32),), 2**32),
+            ([np.int32(-1)], -1),
         ],
     )
     def test_target_ids_outside_u32_are_rejected(self, target, bad):
         message = rf"^target of row 1 holds token id {bad}, outside u32$"
         with pytest.raises(BatchingError, match=message):
             Record(2, 1, [2, 2], [(3,), target], 0)
+
+    def test_numpy_integer_ids_in_u32_are_kept(self):
+        record = Record(2, 1, [2, 2], [[np.int64(5)], (np.uint32(2**32 - 1), 0)], 0)
+        targets = decode_batch(record.seal().body).targets
+        assert targets.tolist() == [[5, 0], [2**32 - 1, 0]]
+
+    def test_non_integer_id_is_rejected(self):
+        with pytest.raises(BatchingError, match=r"^target of row 0 holds 1\.5, not an integer"):
+            Record(2, 1, [2], [(1.5,)], 0)
 
     @pytest.mark.parametrize("dtype", ["<u4", "<u2", "<i8", "<u8"])
     def test_target_ids_at_the_u32_ends_are_kept(self, dtype):

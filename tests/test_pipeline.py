@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from concat_augment import pipeline
 from concat_augment.archive import DATA_FILE, FeatureArchive, _encode_record
 from concat_augment.augment import Strategy
-from concat_augment.batchio import iter_stream, read_batch_file
+from concat_augment.batchio import StreamWriter, iter_stream, read_batch_file
 from concat_augment.cli import main as cli_main
 from concat_augment.errors import ArchiveError, BatchingError, ConfigurationError
 from concat_augment.features import FeatureConfig, load_or_compute
@@ -489,6 +490,126 @@ class TestFeatureStore:
             assert emitted == report.totals["total_frames_emitted"]
             trees.append(read_tree(tmp_path / out))
         assert trees[0] == trees[1]
+
+
+class TestWriter:
+    """Records are written on one writer thread while the next is built."""
+
+    @staticmethod
+    def spy_stream(monkeypatch, fail_at=None, on_write=None):
+        """Log each stream write and close; the ``fail_at``-th write (from
+        1) fails with ENOSPC, and ``on_write(n)`` runs before the n-th."""
+        events = []
+        write, close = StreamWriter.write, StreamWriter.close
+
+        def spied_write(self, record):
+            n = sum(1 for e in events if e == "write") + 1
+            if on_write is not None:
+                on_write(n)
+            events.append("write")
+            if n == fail_at:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write(self, record)
+
+        def spied_close(self):
+            events.append("close")
+            close(self)
+
+        monkeypatch.setattr(StreamWriter, "write", spied_write)
+        monkeypatch.setattr(StreamWriter, "close", spied_close)
+        return events
+
+    def test_timings_split_write_and_writer_wait(self, store_corpus, tmp_path):
+        docs = []
+        for out in ("a", "b"):
+            report = run(store_config(store_corpus, out_dir=tmp_path / out, emit="stream"))
+            for ep in report.epochs:
+                assert ep["timings_s"]["write"] >= 0
+                assert ep["timings_s"]["writer_wait"] >= 0
+            docs.append(json.loads((tmp_path / out / "report.json").read_text()))
+        assert strip_timings(docs[0]) == strip_timings(docs[1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_write_is_fatal_and_leaves_nothing_running(
+        self, store_corpus, tmp_path, monkeypatch, capsys, workers
+    ):
+        baseline = threading.active_count()
+        events = self.spy_stream(monkeypatch, fail_at=3)
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
+        out = tmp_path / "out"
+        code = cli_main(
+            ["run", "--manifest", str(store_corpus), "--audio-root", str(store_corpus.parent),
+             "--out", str(out), "--budget", "200", "--emit", "stream"]
+        )
+        path = out / "epoch-000.cabxs"
+        message = f"cannot write {path}: No space left on device"
+        assert code == 1
+        assert capsys.readouterr().err == f"fatal: {message}\n"
+        assert json.loads((out / "report.json").read_text())["error"] == message
+        assert events == ["write"] * 3 + ["close"]
+        assert threading.active_count() == baseline
+
+    def test_failed_batch_file_write_names_the_file(self, store_corpus, tmp_path, monkeypatch):
+        written = []
+
+        def write_batch_file(record, path):
+            if len(written) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            written.append(path)
+
+        monkeypatch.setattr(pipeline, "write_batch_file", write_batch_file)
+        out = tmp_path / "out"
+        path = out / "epoch-000" / "batch-00002.cabx"
+        with pytest.raises(ConfigurationError, match=rf"^cannot write {re.escape(str(path))}: "):
+            run(store_config(store_corpus, out_dir=out, budget_frames=200))
+
+    def test_unopenable_stream_is_fatal(self, store_corpus, tmp_path, monkeypatch):
+        clear = pipeline._clear_outputs
+
+        def clear_then_block(out_dir):
+            clear(out_dir)
+            (out_dir / "epoch-000.cabxs").mkdir()
+
+        monkeypatch.setattr(pipeline, "_clear_outputs", clear_then_block)
+        path = tmp_path / "out" / "epoch-000.cabxs"
+        message = rf"^cannot write {re.escape(str(path))}: Is a directory$"
+        with pytest.raises(ConfigurationError, match=message):
+            run(store_config(store_corpus, out_dir=tmp_path / "out", emit="stream"))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_build_error_while_a_write_is_in_flight(
+        self, store_corpus, tmp_path, monkeypatch, workers
+    ):
+        baseline = threading.active_count()
+        writing = threading.Event()
+        build_failed = threading.Event()
+
+        def on_write(n):
+            if n == 2:  # hold the second write until the third build has failed
+                writing.set()
+                assert build_failed.wait(10)
+
+        events = self.spy_stream(monkeypatch, on_write=on_write)
+        lay_out = pipeline._lay_out
+        calls = []
+
+        def failing_lay_out(instances, config):
+            calls.append(1)
+            if len(calls) == 3:
+                assert writing.wait(10)
+                build_failed.set()
+                raise BatchingError("corrupt record")
+            return lay_out(instances, config)
+
+        monkeypatch.setattr(pipeline, "_lay_out", failing_lay_out)
+        config = store_config(
+            store_corpus, out_dir=tmp_path / "out", emit="stream", budget_frames=200,
+            workers=workers,
+        )
+        with pytest.raises(BatchingError, match="^corrupt record$"):
+            run(config)
+        assert events == ["write", "write", "close"]
+        assert threading.active_count() == baseline
 
 
 class TestAudit:
