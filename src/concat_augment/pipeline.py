@@ -586,12 +586,12 @@ def _epoch(
 
 def _drive(
     config: PipelineConfig,
-    sink: Callable[[int, Iterator[_Group]], dict | None],
+    sink: Callable[[int, Iterator[_Group]], object],
     load_features: bool,
     on_prepared: Callable[[], object] = lambda: None,
 ) -> AuditReport:
     """Feed every epoch of the engine to ``sink``, then total and write the
-    report. Timings the sink returns join the epoch's ``timings_s``."""
+    report. A dict of timings the sink returns joins the epoch's ``timings_s``."""
     if config.emit not in EMIT_MODES:
         raise ConfigurationError(f"unknown emit mode {config.emit!r}")
     started = time.perf_counter()
@@ -603,7 +603,7 @@ def _drive(
                 timings = sink(epoch, groups)
             finally:
                 groups.close()  # a sink that failed leaves no build running on the store
-            if timings:
+            if isinstance(timings, dict):
                 report.epochs[-1]["timings_s"].update(timings)
     except PipelineError as exc:
         if report.ingestion:  # the manifest was read: record how far the epochs got
