@@ -103,8 +103,8 @@ class Record:
                     raise _target_out_of_range(row, tokens)
                 tail[pos + 1 : pos + 1 + len(tokens)] = tokens
             else:
-                # struct checks each id, a Python int or a numpy integer
-                # alike, where a numpy assignment would wrap numpy's.
+                # struct range-checks every id, Python and numpy integers
+                # alike; a numpy slice assignment wraps numpy integers.
                 try:
                     struct.pack_into(f"<{len(tokens)}I", tail, 4 * (pos + 1), *tokens)
                 except struct.error:
