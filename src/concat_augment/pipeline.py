@@ -14,12 +14,12 @@ laid out from its instances' frame counts and targets: every
 constituent's features are read from the archive straight into their
 row, each row is masked in place, with the mask draws of all the
 record's rows seeded at once (:func:`rng.keyed_draws`), and the
-record's CRC is written. One writer thread per run writes the sealed
-records in plan order, one write each, while the next record is built;
-the builder waits for a write before it hands over the next record. A
-configurable worker pool runs the extraction and, with more than one
-worker, builds several records at once, without ever reordering batches
-or archive records.
+record's CRC is written. A configurable pool of worker threads computes
+the features and builds the records; the calling thread appends the
+features to the archive and writes the sealed records, one write each,
+in plan order, while the pool builds the next ones. Batches and archive
+records are never reordered, and their bytes do not depend on the pool
+size. An audit sizes its groups on the calling thread, with no pool.
 
 Reports are JSON; all wall-clock measurements live under ``timings_s``
 keys so reproducibility checks can strip them.
@@ -35,8 +35,9 @@ import shutil
 import tempfile
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -411,33 +412,24 @@ def _sized_group(frames: np.ndarray) -> _Group:
     return _Group(None, len(frames), len(frames) * int(frames.max()), int(frames.sum()))
 
 
-_EXHAUSTED = object()
+def _ordered_pool_map(fn, items, workers: int):
+    """Map ``fn`` over ``items`` on a pool of ``workers`` threads,
+    yielding results strictly in input order.
 
-
-def _ordered_pool_map(fn, items, workers: int, window: int | None = None):
-    """Map with a worker pool, yielding results strictly in input order.
-
-    The in-flight window is bounded (by default 2x workers) so producers
-    stall instead of racing ahead of the writer.
+    While the caller holds one result, ``3 * workers - 2`` more are
+    submitted, so at most ``3 * workers - 1`` are alive: at 1 worker the
+    pool makes the next result while the caller handles this one. The
+    next item is submitted before a result is yielded, so the pool works
+    while the caller does. Closing the generator waits for the submitted
+    calls to end.
     """
-    if workers <= 1:
-        for item in items:
-            yield fn(item)
-        return
     items = iter(items)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        while len(pending) < (window or 2 * workers):
-            item = next(items, _EXHAUSTED)
-            if item is _EXHAUSTED:
-                break
-            pending.append(pool.submit(fn, item))
+        pending = deque(pool.submit(fn, item) for item in islice(items, 3 * workers - 2))
         while pending:
-            done = pending.popleft()
-            item = next(items, _EXHAUSTED)
-            if item is not _EXHAUSTED:
-                pending.append(pool.submit(fn, item))
-            yield done.result()
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+            yield result
 
 
 def _check_config(config: PipelineConfig) -> None:
@@ -477,8 +469,6 @@ def _epochs(
     prepared = _prepare(config, with_loader=load_features)
     report.ingestion = ingestion_report(prepared.parse, prepared.index)
     on_prepared()
-    if not load_features:
-        workers = 1  # metadata-only groups gain nothing from threads
     try:
         for epoch in epochs:
             yield epoch, _epoch(prepared, config, epoch, workers, report)
@@ -492,9 +482,10 @@ def _epoch(
 ) -> Iterator[_Group]:
     """Plan, filter and compose one epoch on position arrays, build the
     instances of its batches and extract the features they reference
-    now; return the generator that builds its groups. Only the groups
-    outlive this call, so the engine holds one epoch's lists at a time.
-    An audit builds no instance: it sizes each group from frame counts."""
+    now; return the generator that builds its groups, on the worker
+    pool. Only the groups outlive this call, so the engine holds one
+    epoch's lists at a time. An audit builds no instance: it sizes each
+    group from frame counts, on the calling thread."""
     t0 = time.perf_counter()
     corpus = prepared.parse.utterances
     plan = plan_epoch(corpus, prepared.index, config.strategy, config.seed, epoch)
@@ -545,9 +536,10 @@ def _epoch(
 
     def results():
         failed_original = failed_augmented = batches = emitted = padded = true = 0
-        # One record less than the pool's default window is in flight:
-        # a run's writer thread holds one more while it writes it.
-        for built in _ordered_pool_map(build, jobs, workers, 2 * workers - 1):
+        builds = (
+            map(build, jobs) if prepared.store is None else _ordered_pool_map(build, jobs, workers)
+        )
+        for built in builds:
             failed_original += built.failed_original
             failed_augmented += built.failed_augmented
             report.diagnostics.extend(built.diagnostics)
@@ -653,54 +645,20 @@ def _writing(path: Path, write: Callable, *args):
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-class _Writer:
-    """A run's one writer thread: it makes the run's writes in plan
-    order, one at a time, each while the calling thread builds the next
-    record. ``write_s`` sums the thread's seconds spent writing and
-    ``wait_s`` the caller's seconds spent waiting for it."""
-
-    def __init__(self):
-        self._thread = ThreadPoolExecutor(max_workers=1, thread_name_prefix="concat-augment-writer")
-        self._pending: Future | None = None
-        self.write_s = 0.0
-        self.wait_s = 0.0
-
-    def write_all(self, writes: Iterable[tuple]) -> None:
-        """Run each ``(path, write, *args)`` of ``writes`` as
-        :func:`_writing` does, on the thread; return once the last has
-        ended. The next item is taken from ``writes`` while a write is in
-        flight, and handed over once that write has ended. A write's
-        error is raised here; an error raised by ``writes`` is raised
-        once the write in flight has ended, whatever that write's fate."""
-        try:
-            for write in writes:
-                self._wait()
-                self._pending = self._thread.submit(self._timed, *write)
-            self._wait()
-        except BaseException:
-            with contextlib.suppress(Exception):  # the error raised first is the run's
-                self._wait()
-            raise
-
-    def _timed(self, path: Path, write: Callable, *args) -> None:
+def _write_all(writes: Iterable[tuple]) -> dict:
+    """Make each ``(path, write, *args)`` of ``writes`` as :func:`_writing`
+    does, in order, on the calling thread. Return its seconds spent
+    writing and its seconds spent waiting for ``writes`` to yield the next
+    write."""
+    write_s = wait_s = 0.0
+    start = time.perf_counter()
+    for write in writes:
+        ready = time.perf_counter()
+        wait_s += ready - start
+        _writing(*write)
         start = time.perf_counter()
-        try:
-            _writing(path, write, *args)
-        finally:
-            self.write_s += time.perf_counter() - start
-
-    def _wait(self) -> None:
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            start = time.perf_counter()
-            try:
-                pending.result()
-            finally:
-                self.wait_s += time.perf_counter() - start
-
-    def close(self) -> None:
-        """Join the thread; :meth:`write_all` has already waited out its writes."""
-        self._thread.shutdown()
+        write_s += start - ready
+    return {"write": write_s, "writer_wait": wait_s}
 
 
 def run(config: PipelineConfig) -> AuditReport:
@@ -709,40 +667,35 @@ def run(config: PipelineConfig) -> AuditReport:
     Emits batch artifacts in the configured binary format plus a JSON
     report. All emitted bytes are a pure function of (manifest, config,
     seed); only the report's ``timings_s`` fields vary between reruns.
-    An output file that cannot be written is fatal: a
+    The worker pool builds the records while the calling thread writes
+    them. An output file that cannot be written is fatal: a
     :class:`ConfigurationError` naming it.
     """
     if config.out_dir is None:
         raise ConfigurationError("run requires an output directory")
     out_dir = Path(config.out_dir)
-    writer = _Writer()
 
     def emit(epoch: int, groups: Iterator[_Group]) -> dict:
-        write_s, wait_s = writer.write_s, writer.wait_s
         if config.emit == "stream":
             path = out_dir / f"epoch-{epoch:03d}.cabxs"
             stream = _writing(path, StreamWriter, path)
             try:
-                writer.write_all((path, stream.write, built.record) for built in groups)
+                timings = _write_all((path, stream.write, built.record) for built in groups)
             except BaseException:
                 with contextlib.suppress(OSError):  # the error raised first is the run's
                     stream.close()
                 raise
             _writing(path, stream.close)
-        else:
-            epoch_dir = out_dir / f"epoch-{epoch:03d}"
-            _make_dir(epoch_dir)
-            writer.write_all(
-                (path, write_batch_file, built.record, path)
-                for index, built in enumerate(groups)
-                for path in [epoch_dir / f"batch-{index:05d}.cabx"]
-            )
-        return {"write": writer.write_s - write_s, "writer_wait": writer.wait_s - wait_s}
+            return timings
+        epoch_dir = out_dir / f"epoch-{epoch:03d}"
+        _make_dir(epoch_dir)
+        return _write_all(
+            (path, write_batch_file, built.record, path)
+            for index, built in enumerate(groups)
+            for path in [epoch_dir / f"batch-{index:05d}.cabx"]
+        )
 
-    try:
-        return _drive(config, emit, load_features=True, on_prepared=lambda: _clear_outputs(out_dir))
-    finally:
-        writer.close()
+    return _drive(config, emit, load_features=True, on_prepared=lambda: _clear_outputs(out_dir))
 
 
 _OUTPUT_NAME = re.compile(r"epoch-\d{3,}(\.cabxs)?|report\.json|\.report\.json\.\d+\.tmp")
@@ -781,10 +734,13 @@ def iter_epoch_batches(config: PipelineConfig, epoch: int) -> Iterator[Batch]:
     """
     report = AuditReport(config={}, ingestion={})
     for _, groups in _epochs(config, [epoch], report, load_features=True):
-        for built in groups:
-            batch = decode_batch(built.record.body)
-            batch.instance_ids = built.instance_ids
-            yield batch
+        try:
+            for built in groups:
+                batch = decode_batch(built.record.body)
+                batch.instance_ids = built.instance_ids
+                yield batch
+        finally:
+            groups.close()  # before the engine closes the store the builds read
 
 
 def format_summary(report: AuditReport) -> str:

@@ -6,7 +6,9 @@ import re
 import sys
 import tempfile
 import threading
+import time
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -314,6 +316,48 @@ class TestRun:
         with FeatureArchive(tmp_path / "arch", "r") as archive:
             assert all(f"u{i:06d}" in archive for i in range(12))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_iter_epoch_batches_closed_early_stops_builds_first(
+        self, small_audio_corpus, tmp_path, monkeypatch, workers
+    ):
+        lock = threading.Lock()
+        running = []  # one entry per build in progress
+        at_close = []  # builds in progress at each archive close
+        build, read, close = pipeline._build_group, FeatureArchive.read, FeatureArchive.close
+
+        def counted_build(*args):
+            with lock:
+                running.append(1)
+            try:
+                return build(*args)
+            finally:
+                with lock:
+                    running.pop()
+
+        def slow_read(self, *args, **kwargs):
+            time.sleep(0.02)
+            return read(self, *args, **kwargs)
+
+        def spied_close(self):
+            with lock:
+                at_close.append(len(running))
+            close(self)
+
+        monkeypatch.setattr(pipeline, "_build_group", counted_build)
+        monkeypatch.setattr(FeatureArchive, "read", slow_read)
+        monkeypatch.setattr(FeatureArchive, "close", spied_close)
+        config = PipelineConfig(
+            manifest_path=small_audio_corpus,
+            audio_root=small_audio_corpus.parent,
+            seed=2,
+            budget_frames=120,
+            workers=workers,
+        )
+        batches = iter_epoch_batches(config, epoch=0)
+        next(batches)
+        batches.close()
+        assert at_close == [0]
+
 
 MISSING = "u000004"
 
@@ -493,7 +537,8 @@ class TestFeatureStore:
 
 
 class TestWriter:
-    """Records are written on one writer thread while the next is built."""
+    """The calling thread writes each record in plan order while the
+    worker pool builds the next ones."""
 
     @staticmethod
     def spy_stream(monkeypatch, fail_at=None, on_write=None):
@@ -611,6 +656,47 @@ class TestWriter:
         assert events == ["write", "write", "close"]
         assert threading.active_count() == baseline
 
+    @pytest.mark.parametrize("emit", pipeline.EMIT_MODES)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_records_alive_are_bounded(self, store_corpus, tmp_path, monkeypatch, workers, emit):
+        lock = threading.Lock()
+        alive = peak = 0
+        lay_out = pipeline._lay_out
+
+        def released():
+            nonlocal alive
+            with lock:
+                alive -= 1
+
+        def counted_lay_out(instances, config):
+            nonlocal alive, peak
+            record = lay_out(instances, config)
+            with lock:
+                alive += 1
+                peak = max(peak, alive)
+            weakref.finalize(record, released)
+            return record
+
+        # slow writes let the pool fill every slot it is allowed
+        write_batch_file, stream_write = pipeline.write_batch_file, StreamWriter.write
+
+        def slow(write):
+            def slowed(*args):
+                time.sleep(0.005)
+                return write(*args)
+
+            return slowed
+
+        monkeypatch.setattr(pipeline, "_lay_out", counted_lay_out)
+        monkeypatch.setattr(pipeline, "write_batch_file", slow(write_batch_file))
+        monkeypatch.setattr(StreamWriter, "write", slow(stream_write))
+        report = run(store_config(
+            store_corpus, out_dir=tmp_path / "out", emit=emit, budget_frames=200, workers=workers,
+        ))
+        assert report.totals["batches"] > 2 * (3 * workers - 1)
+        assert peak <= 3 * workers - 1
+        assert alive == 0
+
 
 class TestAudit:
     def test_audit_matches_run_counts(self, tmp_path):
@@ -658,6 +744,22 @@ class TestAudit:
         with pytest.raises(BatchingError, match=named + ", over the budget of 400"):
             audit(config)
         assert "over the budget" in json.loads((tmp_path / "r.json").read_text())["error"]
+
+    def test_audit_starts_no_thread(self, tmp_path, monkeypatch):
+        rows = [(f"u{i}", f"missing{i}.wav", 100 + i, "1 2 3", f"s{i % 4}") for i in range(60)]
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(manifest_text(rows), encoding="utf-8")
+        config = PipelineConfig(manifest_path=manifest, seed=3, epochs=2, budget_frames=700)
+        expected = audit(config)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("audit started a thread pool")
+
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, "4")
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        report = audit(config)
+        assert report.totals["batches"] > 4
+        assert strip_timings(report.to_dict()) == strip_timings(expected.to_dict())
 
     def test_audit_needs_no_audio(self, tmp_path):
         rows = [(f"u{i}", f"missing{i}.wav", 100 + i, "1 2 3", "s") for i in range(50)]
