@@ -231,18 +231,6 @@ def compute_logmel(pcm, cfg: FeatureConfig | None = None) -> np.ndarray:
     return feats
 
 
-def validate_feature_matrix(feats: np.ndarray, n_mels: int | None = None) -> None:
-    """Check the FeatureMatrix contract: 2-D, >= 1 frame, all finite."""
-    if feats.ndim != 2:
-        raise FeatureError(f"feature matrix must be 2-D, got shape {feats.shape}")
-    if feats.shape[0] < 1:
-        raise FeatureError("feature matrix has no frames")
-    if n_mels is not None and feats.shape[1] != n_mels:
-        raise FeatureError(f"expected {n_mels} bins, got {feats.shape[1]}")
-    if not np.all(np.isfinite(feats)):
-        raise FeatureError("feature matrix contains non-finite values")
-
-
 def load_pcm(path: str | Path) -> np.ndarray:
     """Load mono PCM from .wav (16-bit), .npy, or raw .f32/.pcm float32."""
     path = Path(path)

@@ -21,6 +21,12 @@ in plan order, while the pool builds the next ones. Batches and archive
 records are never reordered, and their bytes do not depend on the pool
 size. An audit sizes its groups on the calling thread, with no pool.
 
+A run is one context manager (``_Run``) that reads the manifest once and
+owns the feature store; each epoch's groups are closed inside it, so an
+early close (a failed write, a failed build, a caller that stops
+iterating) cancels the queued builds and waits for the running ones
+before the store closes.
+
 Reports are JSON; all wall-clock measurements live under ``timings_s``
 keys so reproducibility checks can strip them.
 """
@@ -49,14 +55,7 @@ from .batching import ACCOUNTING_MODES, Batch, compose_batches, target_codes
 from .batchio import Record, StreamWriter, decode_batch, write_batch_file
 from .errors import BatchingError, ConfigurationError, FeatureError, PipelineError
 from .features import FeatureConfig, load_or_compute
-from .manifest import (
-    ParseResult,
-    SpeakerIndex,
-    Utterance,
-    build_speaker_index,
-    ingestion_report,
-    load_manifest,
-)
+from .manifest import Utterance, build_speaker_index, ingestion_report, load_manifest
 from .rng import MASK_STREAM, keyed_draws
 from .specaugment import MaskPolicy, mask_in_place
 
@@ -85,23 +84,6 @@ class PipelineConfig:
     target_pad_id: int = 0
     audio_root: str | Path | None = None
     archive_dir: str | Path | None = None
-    workers: int | None = None  # None -> CONCAT_AUGMENT_WORKERS or 1
-
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            if self.workers < 1:
-                raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-            return self.workers
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigurationError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
-        return workers
 
     def summary(self) -> dict:
         return {
@@ -192,10 +174,10 @@ class _FeatureStore:
     archive is the user's ``archive_dir``, or a scratch one in a
     temporary directory; it is opened at the first extraction and
     :meth:`close` removes the scratch directory. After an extraction
-    :meth:`load` reads without a lock. An id fails when its audio does
-    not load or its features' frame count (the archive index's ``T``) is
-    not its manifest ``n_frames``; it keeps its message, and every load
-    of it raises ``FeatureError(message)``.
+    :meth:`read` reads an instance's constituents without a lock. An id
+    fails when its audio does not load or its features' frame count (the
+    archive index's ``T``) is not its manifest ``n_frames``; it keeps its
+    message, and every read of it raises ``FeatureError(message)``.
     """
 
     def __init__(self, config: PipelineConfig, by_id: dict[str, Utterance]):
@@ -255,13 +237,18 @@ class _FeatureStore:
     def failed(self, utt_id: str) -> bool:
         return utt_id in self._failed
 
-    def load(self, utt_id: str, out: np.ndarray | None = None) -> np.ndarray:
-        """An utterance's features, read into ``out`` (a ``(T, F)`` slice
-        of a record) when given."""
-        error = self._failed.get(utt_id)
-        if error is not None:
-            raise FeatureError(error)
-        return self._archive.read(utt_id, out=out)
+    def read(self, constituents: tuple[str, ...], out: np.ndarray | None) -> None:
+        """Read an instance's constituents, in order, into ``out`` (its
+        row of a record) at their frame offsets; with ``out`` None, read
+        each into a new array only to check it."""
+        start = 0
+        for utt_id in constituents:
+            error = self._failed.get(utt_id)
+            if error is not None:
+                raise FeatureError(error)
+            end = start + self._by_id[utt_id].n_frames
+            self._archive.read(utt_id, out=None if out is None else out[start:end])
+            start = end
 
     def close(self) -> None:
         try:
@@ -270,32 +257,6 @@ class _FeatureStore:
         finally:
             if self._scratch is not None:
                 self._scratch.cleanup()
-
-
-@dataclass
-class _Prepared:
-    """What a run reads once: the parsed manifest and its speaker index
-    and, when features are loaded, each utterance by id and the store."""
-
-    parse: ParseResult
-    index: SpeakerIndex
-    by_id: dict[str, Utterance] | None
-    store: _FeatureStore | None
-
-
-def _prepare(config: PipelineConfig, with_loader: bool) -> _Prepared:
-    try:
-        parse = load_manifest(config.manifest_path, config.corpus_mode)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read manifest: {exc}") from exc
-    corpus = parse.utterances
-    if not len(corpus):
-        raise ConfigurationError(f"manifest {config.manifest_path} has no accepted utterances")
-    index = build_speaker_index(corpus)
-    if not with_loader:
-        return _Prepared(parse, index, None, None)
-    by_id = {u.id: u for u in corpus}
-    return _Prepared(parse, index, by_id, _FeatureStore(config, by_id))
 
 
 @dataclass
@@ -326,7 +287,6 @@ def _build_group(
     config: PipelineConfig,
     epoch: int,
     store: _FeatureStore,
-    by_id: dict[str, Utterance],
 ) -> _Group:
     """Build one batch's record in place: read each instance's
     constituents, in order, into its row at their frame offsets, mask the
@@ -338,14 +298,6 @@ def _build_group(
     one are read, to find which fails first. If a read into the record
     fails, the kept rows are laid out again, since B and T_max change.
     """
-
-    def read(inst: TrainingInstance, features: np.ndarray | None) -> None:
-        start = 0
-        for utt_id in inst.constituents:
-            end = start + by_id[utt_id].n_frames
-            store.load(utt_id, None if features is None else features[start:end])
-            start = end
-
     # row -> message; a kept exception's traceback would hold this frame, and its record
     failures = {}
     rows = []
@@ -354,7 +306,7 @@ def _build_group(
             rows.append(row)
             continue
         try:
-            read(inst, None)
+            store.read(inst.constituents, None)
         except (PipelineError, OSError) as exc:
             failures[row] = str(exc)
     record = _lay_out([instances[row] for row in rows], config) if rows else None
@@ -364,7 +316,7 @@ def _build_group(
     for at, row in enumerate(rows):
         features = record.features[at]
         try:
-            read(instances[row], features)
+            store.read(instances[row].constituents, features)
         except (PipelineError, OSError) as exc:
             failures[row] = str(exc)
             continue
@@ -420,16 +372,19 @@ def _ordered_pool_map(fn, items, workers: int):
     submitted, so at most ``3 * workers - 1`` are alive: at 1 worker the
     pool makes the next result while the caller handles this one. The
     next item is submitted before a result is yielded, so the pool works
-    while the caller does. Closing the generator waits for the submitted
-    calls to end.
+    while the caller does. Closing the generator cancels the submitted
+    calls that have not started and waits for the running ones to end.
     """
     items = iter(items)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
         pending = deque(pool.submit(fn, item) for item in islice(items, 3 * workers - 2))
         while pending:
             result = pending.popleft().result()
             pending.extend(pool.submit(fn, item) for item in islice(items, 1))
             yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _check_config(config: PipelineConfig) -> None:
@@ -448,47 +403,69 @@ def _check_config(config: PipelineConfig) -> None:
         )
 
 
-def _epochs(
-    config: PipelineConfig,
-    epochs: Iterable[int],
-    report: AuditReport,
-    load_features: bool,
-    on_prepared: Callable[[], object] = lambda: None,
-) -> Iterator[tuple[int, Iterator[_Group]]]:
+def _pool_size() -> int:
+    """The worker pool's size: ``CONCAT_AUGMENT_WORKERS``, or 1 when unset."""
+    env = os.environ.get(WORKERS_ENV_VAR)
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
+    return workers
+
+
+class _Run:
     """The epoch engine behind ``run``, ``audit`` and ``iter_epoch_batches``.
 
-    Yields ``(epoch, groups)`` per epoch, where ``groups`` yields every
-    non-empty group in plan order and, once exhausted, appends the
-    epoch's entry to ``report``. The feature store is closed when the
-    engine ends, however it ends. A bad setting is fatal before the
-    manifest is read or any output exists; ``on_prepared`` is called
-    once the manifest is read, before the first epoch is planned.
+    Opening a run resolves the pool size, checks the config, reads the
+    manifest and its speaker index once and records the ingestion in
+    ``report``; a bad setting is fatal before the manifest is read or any
+    output exists. When features are loaded, the run owns the feature
+    store and closes it on exit. Callers close each epoch's groups
+    (:func:`_epoch`) inside the run's ``with`` block, so the builds
+    reading the store have ended before it closes.
     """
-    workers = config.resolved_workers()
-    _check_config(config)
-    prepared = _prepare(config, with_loader=load_features)
-    report.ingestion = ingestion_report(prepared.parse, prepared.index)
-    on_prepared()
-    try:
-        for epoch in epochs:
-            yield epoch, _epoch(prepared, config, epoch, workers, report)
-    finally:
-        if prepared.store is not None:
-            prepared.store.close()
+
+    def __init__(self, config: PipelineConfig, report: AuditReport, load_features: bool):
+        self.config = config
+        self.report = report
+        self.workers = _pool_size()
+        _check_config(config)
+        try:
+            parse = load_manifest(config.manifest_path, config.corpus_mode)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read manifest: {exc}") from exc
+        self.corpus = parse.utterances
+        if not len(self.corpus):
+            raise ConfigurationError(f"manifest {config.manifest_path} has no accepted utterances")
+        self.index = build_speaker_index(self.corpus)
+        report.ingestion = ingestion_report(parse, self.index)
+        self.by_id = {u.id: u for u in self.corpus} if load_features else None
+        self.store = _FeatureStore(config, self.by_id) if load_features else None
+
+    def __enter__(self) -> _Run:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.store is not None:
+            self.store.close()
 
 
-def _epoch(
-    prepared: _Prepared, config: PipelineConfig, epoch: int, workers: int, report: AuditReport
-) -> Iterator[_Group]:
+def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
     """Plan, filter and compose one epoch on position arrays, build the
     instances of its batches and extract the features they reference
     now; return the generator that builds its groups, on the worker
-    pool. Only the groups outlive this call, so the engine holds one
-    epoch's lists at a time. An audit builds no instance: it sizes each
-    group from frame counts, on the calling thread."""
+    pool, and yields every non-empty one in plan order. Once exhausted,
+    it appends the epoch's entry to the report. Only the groups outlive
+    this call, so the engine holds one epoch's lists at a time. An audit
+    builds no instance: it sizes each group from frame counts, on the
+    calling thread."""
+    config, corpus, report, store = engine.config, engine.corpus, engine.report, engine.store
     t0 = time.perf_counter()
-    corpus = prepared.parse.utterances
-    plan = plan_epoch(corpus, prepared.index, config.strategy, config.seed, epoch)
+    plan = plan_epoch(corpus, engine.index, config.strategy, config.seed, epoch)
     survivors = length_filter(plan, corpus.n_frames, config.max_frames, config.include_original)
     t_plan = time.perf_counter()
     over = np.flatnonzero(survivors.frames > config.budget_frames)
@@ -507,21 +484,22 @@ def _epoch(
         config.accounting,
     )
     t_compose = time.perf_counter()
-    if prepared.store is None:
-        jobs = [survivors.frames[group] for group in groups]
-        build = _sized_group
+    if store is None:
+        sizes = [survivors.frames[group] for group in groups]
+        builds = (_sized_group(frames) for frames in sizes)
     else:
         # Built in the main thread, groups then members then constituents,
         # so the store extracts (and archives) ids in first-use order.
         jobs = []
         for group in groups:
             ordinals = group.tolist()
-            jobs.append((ordinals, [survivors.instance(r, prepared.by_id) for r in ordinals]))
-        prepared.store.extract([instances for _, instances in jobs], workers)
+            jobs.append((ordinals, [survivors.instance(r, engine.by_id) for r in ordinals]))
+        store.extract([instances for _, instances in jobs], engine.workers)
 
         def build(job):
-            return _build_group(*job, config, epoch, prepared.store, prepared.by_id)
+            return _build_group(*job, config, epoch, store)
 
+        builds = _ordered_pool_map(build, jobs, engine.workers)
     t_extract = time.perf_counter()
 
     histogram: dict[str, int] = {}
@@ -536,19 +514,17 @@ def _epoch(
 
     def results():
         failed_original = failed_augmented = batches = emitted = padded = true = 0
-        builds = (
-            map(build, jobs) if prepared.store is None else _ordered_pool_map(build, jobs, workers)
-        )
-        for built in builds:
-            failed_original += built.failed_original
-            failed_augmented += built.failed_augmented
-            report.diagnostics.extend(built.diagnostics)
-            if built.size:
-                batches += 1
-                emitted += built.size
-                padded += built.padded_frames
-                true += built.true_frames
-                yield built
+        with contextlib.closing(builds):  # an early close cancels the queued builds
+            for built in builds:
+                failed_original += built.failed_original
+                failed_augmented += built.failed_augmented
+                report.diagnostics.extend(built.diagnostics)
+                if built.size:
+                    batches += 1
+                    emitted += built.size
+                    padded += built.padded_frames
+                    true += built.true_frames
+                    yield built
         report.epochs.append(
             {
                 "epoch": epoch,
@@ -580,31 +556,30 @@ def _drive(
     config: PipelineConfig,
     sink: Callable[[int, Iterator[_Group]], object],
     load_features: bool,
-    on_prepared: Callable[[], object] = lambda: None,
 ) -> AuditReport:
-    """Feed every epoch of the engine to ``sink``, then total and write the
-    report. A dict of timings the sink returns joins the epoch's ``timings_s``."""
+    """Feed every epoch of a run to ``sink``, then total and write the
+    report. A dict of timings the sink returns joins the epoch's
+    ``timings_s``. A run that loads features writes batches: once its
+    manifest is read, it clears what an earlier run wrote to ``out_dir``."""
     if config.emit not in EMIT_MODES:
         raise ConfigurationError(f"unknown emit mode {config.emit!r}")
     started = time.perf_counter()
     report = AuditReport(config=config.summary(), ingestion={})
-    engine = _epochs(config, range(config.epochs), report, load_features, on_prepared)
     try:
-        for epoch, groups in engine:
-            try:
-                timings = sink(epoch, groups)
-            finally:
-                groups.close()  # a sink that failed leaves no build running on the store
-            if isinstance(timings, dict):
-                report.epochs[-1]["timings_s"].update(timings)
+        with _Run(config, report, load_features) as engine:
+            if load_features:
+                _clear_outputs(Path(config.out_dir))
+            for epoch in range(config.epochs):
+                with contextlib.closing(_epoch(engine, epoch)) as groups:
+                    timings = sink(epoch, groups)
+                if isinstance(timings, dict):
+                    report.epochs[-1]["timings_s"].update(timings)
     except PipelineError as exc:
         if report.ingestion:  # the manifest was read: record how far the epochs got
             report.error = str(exc)
             with contextlib.suppress(PipelineError):  # the run's own error is the one raised
                 _write_report(report, config)
         raise
-    finally:
-        engine.close()
 
     report.totals = {
         "epochs": len(report.epochs),
@@ -695,7 +670,7 @@ def run(config: PipelineConfig) -> AuditReport:
             for path in [epoch_dir / f"batch-{index:05d}.cabx"]
         )
 
-    return _drive(config, emit, load_features=True, on_prepared=lambda: _clear_outputs(out_dir))
+    return _drive(config, emit, load_features=True)
 
 
 _OUTPUT_NAME = re.compile(r"epoch-\d{3,}(\.cabxs)?|report\.json|\.report\.json\.\d+\.tmp")
@@ -733,14 +708,14 @@ def iter_epoch_batches(config: PipelineConfig, epoch: int) -> Iterator[Batch]:
     closed when the iteration ends.
     """
     report = AuditReport(config={}, ingestion={})
-    for _, groups in _epochs(config, [epoch], report, load_features=True):
-        try:
-            for built in groups:
-                batch = decode_batch(built.record.body)
-                batch.instance_ids = built.instance_ids
-                yield batch
-        finally:
-            groups.close()  # before the engine closes the store the builds read
+    with (
+        _Run(config, report, load_features=True) as engine,
+        contextlib.closing(_epoch(engine, epoch)) as groups,
+    ):
+        for built in groups:
+            batch = decode_batch(built.record.body)
+            batch.instance_ids = built.instance_ids
+            yield batch
 
 
 def format_summary(report: AuditReport) -> str:

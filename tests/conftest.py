@@ -1,7 +1,9 @@
-"""Shared fixtures: synthetic manifests and on-disk audio corpora."""
+"""Shared fixtures: synthetic manifests, on-disk audio corpora and a check
+that no test leaves a thread running."""
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -87,3 +89,12 @@ def small_audio_corpus(tmp_path):
 def zlib_crc32(monkeypatch):
     """Every CRC computed by zlib, as on a platform without libdeflate."""
     monkeypatch.setattr(checksum, "_libdeflate_crc32", None)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread it started still running."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads left running: {left}"

@@ -5,9 +5,11 @@ and ``run``'s per-epoch counts are ``audit``'s minus the failures it
 reports."""
 
 import dataclasses
+import os
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +20,13 @@ from concat_augment.augment import Strategy, length_filter, plan_epoch
 from concat_augment.errors import PipelineError
 from concat_augment.features import FeatureConfig
 from concat_augment.manifest import build_speaker_index, load_manifest
-from concat_augment.pipeline import PipelineConfig, audit, iter_epoch_batches, run
+from concat_augment.pipeline import (
+    WORKERS_ENV_VAR,
+    PipelineConfig,
+    audit,
+    iter_epoch_batches,
+    run,
+)
 from concat_augment.specaugment import MaskPolicy
 
 import emit_oracle
@@ -86,7 +94,6 @@ def configs(draw):
         accounting=draw(st.sampled_from(["padded", "true"])),
         emit=draw(st.sampled_from(["files", "stream"])),
         target_pad_id=draw(st.sampled_from([0, 7, 2**32 - 1])),
-        workers=draw(st.integers(1, 2)),
     )
 
 
@@ -124,8 +131,8 @@ def check_run_agrees_with_audit(report, config):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(corpora(), configs(), st.integers(0, 2**32 - 1))
-def test_run_writes_the_reference_bytes(corpus, overrides, feature_seed):
+@given(corpora(), configs(), st.integers(0, 2**32 - 1), st.integers(1, 2))
+def test_run_writes_the_reference_bytes(corpus, overrides, feature_seed, workers):
     mode, rows, missing = corpus
     rng = np.random.default_rng(feature_seed)
     table = {
@@ -133,7 +140,10 @@ def test_run_writes_the_reference_bytes(corpus, overrides, feature_seed):
         for utt_id, _, n_frames, _, _ in rows
         if utt_id not in missing
     }
-    with tempfile.TemporaryDirectory() as tmp:
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.dict(os.environ, {WORKERS_ENV_VAR: str(workers)}),
+    ):
         root = Path(tmp)
         (root / "train.tsv").write_text(manifest_text(rows), encoding="utf-8")
         with FeatureArchive(

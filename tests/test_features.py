@@ -18,7 +18,6 @@ from concat_augment.features import (
     load_pcm,
     mel_filterbank,
     power_spectrogram,
-    validate_feature_matrix,
 )
 from concat_augment.manifest import Utterance
 
@@ -130,7 +129,8 @@ class TestComputeLogmel:
         for _ in range(20):
             pcm = rng.uniform(-1, 1, size=int(rng.integers(400, 3000)))
             feats = compute_logmel(pcm, CFG)
-            validate_feature_matrix(feats, n_mels=80)
+            assert feats.shape == (frame_count(len(pcm), CFG), 80)
+            assert np.isfinite(feats).all()
 
     def test_too_short_raises(self):
         with pytest.raises(FeatureError, match="too short"):

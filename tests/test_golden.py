@@ -10,6 +10,8 @@ and record new digests here.
 
 import hashlib
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,13 @@ import pytest
 from concat_augment.archive import DATA_FILE, FeatureArchive
 from concat_augment.augment import Strategy
 from concat_augment.features import FeatureConfig
-from concat_augment.pipeline import PipelineConfig, audit, iter_epoch_batches, run
+from concat_augment.pipeline import (
+    WORKERS_ENV_VAR,
+    PipelineConfig,
+    audit,
+    iter_epoch_batches,
+    run,
+)
 from concat_augment.specaugment import MaskPolicy
 
 from archive_records import record_span
@@ -96,11 +104,11 @@ WORDS = ("Grüße,", "ñandú", "東京", "naïve!", "𝄞clef", "«quote»", "o
 
 # Emit branches the cases above leave out: text targets written as code
 # points (in a stream, from two workers) and unmasked features. Overrides,
-# then the digests of the run's tree and the run's report.
+# the pool size, then the digests of the run's tree and the run's report.
 EMIT_BRANCHES = {
     "asr-normalized": (
-        dict(manifest_path="corpus/text.tsv", corpus_mode="asr-normalized", emit="stream",
-             workers=2),
+        dict(manifest_path="corpus/text.tsv", corpus_mode="asr-normalized", emit="stream"),
+        2,
         (
             "5efdad49d28797568051d970c451af553f415b772eaaed5e7b229f7299eade8d",
             "f955aeb137048c83d02651ed7d4cb1765f0a1eeb39ed1c4bc5974611a05c321e",
@@ -108,6 +116,7 @@ EMIT_BRANCHES = {
     ),
     "no-specaugment": (
         dict(specaugment=None),
+        1,
         (
             "11e65ac2ab7968aa4e67a9c360f78e4e9604ca9193c1592295eac1cc8875116b",
             "baecca2a4d7b24402e72cb7feff7f3d0e169131d253679ec9bd8293bbc66b1af",
@@ -173,10 +182,14 @@ def config(kind="random", **overrides):
         budget_frames=600,
         specaugment=MaskPolicy(freq_param=4, time_param=12, n_freq_masks=1, n_time_masks=2),
         feature=FeatureConfig(n_mels=N_BINS),
-        workers=1,
     )
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+def pool_of(workers):
+    """Set the pool size, as ``CONCAT_AUGMENT_WORKERS`` does, for a ``with`` block."""
+    return mock.patch.dict(os.environ, {WORKERS_ENV_VAR: str(workers)})
 
 
 def tree_digest(root):
@@ -202,7 +215,8 @@ def test_run_files_bytes(corpus, kind):
 
 
 def test_run_stream_bytes(corpus):
-    run(config("random", out_dir="out", emit="stream", workers=2))
+    with pool_of(2):
+        run(config("random", out_dir="out", emit="stream"))
     got = (tree_digest(corpus / "out"), report_digest(corpus / "out" / "report.json"))
     assert got == GOLDEN["stream-random"]
 
@@ -234,8 +248,9 @@ def test_branch_bytes(corpus, branch):
 
 @pytest.mark.parametrize("branch", sorted(EMIT_BRANCHES))
 def test_emit_branch_bytes(corpus, branch):
-    overrides, digests = EMIT_BRANCHES[branch]
-    run(config(out_dir="out", **overrides)).check_consistency()
+    overrides, workers, digests = EMIT_BRANCHES[branch]
+    with pool_of(workers):
+        run(config(out_dir="out", **overrides)).check_consistency()
     got = (tree_digest(corpus / "out"), report_digest(corpus / "out" / "report.json"))
     assert got == digests
 
@@ -252,7 +267,8 @@ def flip_payload_byte(archive_dir, utt_id):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_checksum_mismatch_bytes(corpus, workers):
     flip_payload_byte(corpus / "archive", CORRUPT_ID)
-    report = run(config(out_dir="out", workers=workers))
+    with pool_of(workers):
+        report = run(config(out_dir="out"))
     report.check_consistency()
     dropped = [d for d in report.diagnostics if f"checksum mismatch for '{CORRUPT_ID}'" in d]
     assert dropped

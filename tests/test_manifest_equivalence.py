@@ -101,15 +101,21 @@ def mark_big_counts(text):
 
 def oracle_outcome(parse, source, mode):
     """The reference's outcome on a source whose big counts are marked,
-    with each marked count's skip read as the parser words it."""
+    with each marked count's skip read as the parser words it. A marked
+    field that is not a number (a ``\\r`` that ends no line joined the
+    count to the next row's text) is read as unparseable, mark removed."""
     result = outcome(parse, source, mode)
     if result[0] == "error":
         return result
     utterances, skipped = result
     for i, (line, message) in enumerate(skipped):
         if marked := _MARKED.fullmatch(message):
-            count = int(ast.literal_eval(marked[1]).replace("#", ""))
-            skipped[i] = line, f"n_frames {count} does not fit in 64 bits"
+            field = ast.literal_eval(marked[1]).replace("#", "")
+            try:
+                message = f"n_frames {int(field)} does not fit in 64 bits"
+            except ValueError:
+                message = f"unparseable n_frames {field!r}"
+            skipped[i] = line, message
     return utterances, skipped
 
 

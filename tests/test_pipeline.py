@@ -235,11 +235,12 @@ class TestRun:
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "report.json"]
         assert "over the budget" in json.loads((out / "report.json").read_text())["error"]
 
-    def test_worker_pool_does_not_change_bytes(self, tmp_path):
+    def test_worker_pool_does_not_change_bytes(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(6)
         manifest = write_audio_corpus(tmp_path / "c", 16, rng)
 
         def one_run(out, workers):
+            monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
             config = PipelineConfig(
                 manifest_path=manifest,
                 out_dir=out,
@@ -248,7 +249,6 @@ class TestRun:
                 epochs=1,
                 budget_frames=600,
                 specaugment=MaskPolicy(),
-                workers=workers,
             )
             run(config)
 
@@ -258,19 +258,16 @@ class TestRun:
 
     def test_workers_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONCAT_AUGMENT_WORKERS", "3")
-        assert PipelineConfig(manifest_path="x").resolved_workers() == 3
-        for bad in ("abc", "0"):
+        assert pipeline._pool_size() == 3
+        for bad in ("abc", "0", "-2"):
             monkeypatch.setenv("CONCAT_AUGMENT_WORKERS", bad)
             with pytest.raises(ConfigurationError, match=f"CONCAT_AUGMENT_WORKERS.*{bad}"):
-                PipelineConfig(manifest_path="x").resolved_workers()
-        monkeypatch.delenv("CONCAT_AUGMENT_WORKERS")
-        assert PipelineConfig(manifest_path="x").resolved_workers() == 1
-        for bad in (0, -2):
-            with pytest.raises(ConfigurationError, match=f"workers must be >= 1, got {bad}"):
-                PipelineConfig(manifest_path="x", workers=bad).resolved_workers()
-        with pytest.raises(ConfigurationError, match="workers"):
-            run(PipelineConfig(manifest_path="x", out_dir=tmp_path / "out", workers=0))
+                pipeline._pool_size()
+        with pytest.raises(ConfigurationError, match="CONCAT_AUGMENT_WORKERS"):
+            run(PipelineConfig(manifest_path="x", out_dir=tmp_path / "out"))
         assert not (tmp_path / "out").exists()
+        monkeypatch.delenv("CONCAT_AUGMENT_WORKERS")
+        assert pipeline._pool_size() == 1
 
     def test_archive_cache_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -346,17 +343,56 @@ class TestRun:
         monkeypatch.setattr(pipeline, "_build_group", counted_build)
         monkeypatch.setattr(FeatureArchive, "read", slow_read)
         monkeypatch.setattr(FeatureArchive, "close", spied_close)
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
         config = PipelineConfig(
             manifest_path=small_audio_corpus,
             audio_root=small_audio_corpus.parent,
             seed=2,
             budget_frames=120,
-            workers=workers,
         )
         batches = iter_epoch_batches(config, epoch=0)
         next(batches)
         batches.close()
         assert at_close == [0]
+
+    def test_iter_epoch_batches_closed_early_starts_no_build(self, small_audio_corpus, monkeypatch):
+        stop, started, late = builds_started_after(monkeypatch)
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, "4")
+        config = PipelineConfig(
+            manifest_path=small_audio_corpus,
+            audio_root=small_audio_corpus.parent,
+            seed=2,
+            budget_frames=120,
+        )
+        batches = iter_epoch_batches(config, epoch=0)
+        next(batches)
+        stop.set()
+        batches.close()
+        assert late == []
+        assert len(started) < audit(config).epochs[0]["batch_count"]  # some were cancelled
+
+
+def builds_started_after(monkeypatch):
+    """Slow every archive read by 20 ms and log each ``_build_group`` call
+    as it starts, and again in ``late`` once ``stop`` is set. Returns
+    ``(stop, started, late)``."""
+    stop = threading.Event()
+    started, late = [], []
+    build, read = pipeline._build_group, FeatureArchive.read
+
+    def logged_build(*args):
+        started.append(1)
+        if stop.is_set():
+            late.append(1)
+        return build(*args)
+
+    def slow_read(self, *args, **kwargs):
+        time.sleep(0.02)
+        return read(self, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_build_group", logged_build)
+    monkeypatch.setattr(FeatureArchive, "read", slow_read)
+    return stop, started, late
 
 
 MISSING = "u000004"
@@ -380,7 +416,6 @@ def store_config(manifest, **overrides):
         epochs=2,
         budget_frames=600,
         specaugment=MaskPolicy(),
-        workers=1,
     )
     base.update(overrides)
     return PipelineConfig(**base)
@@ -398,10 +433,11 @@ class TestFeatureStore:
             return load_or_compute(utt, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "load_or_compute", counting)
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # more thread switches inside the pool
         try:
-            report = run(store_config(store_corpus, out_dir=tmp_path / "out", workers=workers))
+            report = run(store_config(store_corpus, out_dir=tmp_path / "out"))
         finally:
             sys.setswitchinterval(interval)
         ids = {u.id for u in load_manifest(store_corpus).utterances}
@@ -422,11 +458,12 @@ class TestFeatureStore:
         assert strip_timings(scratch.to_dict()) == strip_timings(fed.to_dict())
         assert any(MISSING in d for d in fed.diagnostics)
 
-    def test_archive_bytes_do_not_depend_on_workers(self, store_corpus, tmp_path):
+    def test_archive_bytes_do_not_depend_on_workers(self, store_corpus, tmp_path, monkeypatch):
         for workers in (1, 2):
+            monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
             run(store_config(
                 store_corpus, out_dir=tmp_path / f"o{workers}",
-                archive_dir=tmp_path / f"arch{workers}", workers=workers,
+                archive_dir=tmp_path / f"arch{workers}",
             ))
         one = read_tree(tmp_path / "arch1")
         assert list(one) == [DATA_FILE]
@@ -594,6 +631,24 @@ class TestWriter:
         assert events == ["write"] * 3 + ["close"]
         assert threading.active_count() == baseline
 
+    def test_failed_write_starts_no_build(self, store_corpus, tmp_path, monkeypatch):
+        stop, started, late = builds_started_after(monkeypatch)
+
+        def on_write(n):
+            if n == 3:  # the write that fails
+                stop.set()
+
+        self.spy_stream(monkeypatch, fail_at=3, on_write=on_write)
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, "4")
+        config = store_config(
+            store_corpus, out_dir=tmp_path / "out", emit="stream", budget_frames=200
+        )
+        with pytest.raises(ConfigurationError, match="No space left on device"):
+            run(config)
+        assert late == []
+        # the run fails in epoch 0, and some of its builds were cancelled
+        assert len(started) < audit(config).epochs[0]["batch_count"]
+
     def test_failed_batch_file_write_names_the_file(self, store_corpus, tmp_path, monkeypatch):
         written = []
 
@@ -647,9 +702,9 @@ class TestWriter:
             return lay_out(instances, config)
 
         monkeypatch.setattr(pipeline, "_lay_out", failing_lay_out)
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
         config = store_config(
-            store_corpus, out_dir=tmp_path / "out", emit="stream", budget_frames=200,
-            workers=workers,
+            store_corpus, out_dir=tmp_path / "out", emit="stream", budget_frames=200
         )
         with pytest.raises(BatchingError, match="^corrupt record$"):
             run(config)
@@ -690,8 +745,9 @@ class TestWriter:
         monkeypatch.setattr(pipeline, "_lay_out", counted_lay_out)
         monkeypatch.setattr(pipeline, "write_batch_file", slow(write_batch_file))
         monkeypatch.setattr(StreamWriter, "write", slow(stream_write))
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
         report = run(store_config(
-            store_corpus, out_dir=tmp_path / "out", emit=emit, budget_frames=200, workers=workers,
+            store_corpus, out_dir=tmp_path / "out", emit=emit, budget_frames=200,
         ))
         assert report.totals["batches"] > 2 * (3 * workers - 1)
         assert peak <= 3 * workers - 1
