@@ -3,8 +3,8 @@ Concatenation strategies
 ========================
 
 The augmentation core: plan an epoch of self / same-speaker / random
-pairings over a toy corpus, filter it by length, and turn survivors
-into training instances.
+pairings over a toy corpus, filter it by length, and read the
+survivors' constituents, frame counts and targets.
 """
 
 from concat_augment import (
@@ -24,7 +24,6 @@ corpus = Corpus.from_utterances([
     Utterance("u3", "u3.npy", n_frames=200, target=(5, 5, 1), speaker_id="bob"),
     Utterance("u4", "u4.npy", n_frames=60, target=(2, 8), speaker_id=None),
 ])
-by_id = {u.id: u for u in corpus}
 index = build_speaker_index(corpus)
 
 for kind in ("self", "speaker", "random"):
@@ -45,13 +44,13 @@ print(f"\ncombined: {len(survivors)} instances "
       f"({survivors.dropped_original}/{survivors.dropped_augmented} dropped orig/aug), "
       f"frames {survivors.frames.tolist()}")
 
-# Only a batch that is emitted builds its instances: metadata whose frame
-# counts add and whose targets concatenate with no separator token. The
-# batch then reads each constituent's features, in order, straight into
-# the instance's row of its record (see demo 05).
+# A survivor is read from the plan's positions only when a batch is
+# built: its frame counts add and its targets concatenate with no
+# separator token. The batch then reads each constituent's features, in
+# order, straight into the survivor's row of its record (see demo 05).
 for r in (0, len(survivors) - 1):
-    inst = survivors.instance(r, by_id)
-    parts = [by_id[c] for c in inst.constituents]
-    print(f"survivor {r}: {inst.constituents} ({inst.strategy or 'original'}), "
-          f"{inst.n_frames} frames (= {' + '.join(str(p.n_frames) for p in parts)}), "
-          f"target {inst.target}")
+    kind = "original" if r < len(survivors.originals) else plan.strategy.kind
+    parts = " + ".join(str(corpus.n_frames[p]) for p in survivors.positions(r))
+    print(f"survivor {r}: {survivors.constituents(r)} ({kind}), "
+          f"{survivors.frames[r]} frames (= {parts}), "
+          f"target {survivors.target(r, corpus.targets)}")

@@ -16,20 +16,19 @@ utterance anchors exactly one augmented instance, so pre-filter the
 augmented set is the same size as the eligible original set. Plans are
 a pure function of (seed, epoch, strategy, utterance order) and rerun
 bit-identically. A plan and its length filter hold utterance positions
-and frame counts only; a :class:`TrainingInstance` is built from them
-when a batch needs its features.
+and frame counts only; a survivor's constituents and target are read
+from them (:class:`Survivors`) only when a batch is built.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .manifest import Corpus, SpeakerIndex, Target, Utterance
+from .manifest import Corpus, SpeakerIndex, Target
 from .rng import PLAN_STREAM, keyed_rng
 
 STRATEGY_KINDS = ("self", "speaker", "random")
@@ -58,27 +57,6 @@ class Strategy:
             raise ConfigurationError(f"arity must be >= 2, got {self.k}")
 
 
-@dataclass(frozen=True)
-class TrainingInstance:
-    """A training instance with provenance.
-
-    Originals have a single constituent and ``strategy is None``;
-    augmented instances record their ordered constituent utterance ids
-    and the strategy that created them. An instance is metadata only:
-    the batch that emits it reads its constituents' features straight
-    into the instance's row of the batch record.
-    """
-
-    constituents: tuple[str, ...]
-    n_frames: int
-    target: Target
-    strategy: str | None = None
-
-    @property
-    def is_original(self) -> bool:
-        return self.strategy is None
-
-
 @dataclass(frozen=True, eq=False)
 class EpochPlan:
     """All pairings for one epoch, by position.
@@ -89,8 +67,6 @@ class EpochPlan:
     reason)`` of every utterance that anchors nothing.
     """
 
-    epoch: int
-    seed: int
     strategy: Strategy
     ids: Sequence[str] = field(repr=False)
     anchors: np.ndarray  # n, int
@@ -99,10 +75,6 @@ class EpochPlan:
 
     def __len__(self) -> int:
         return len(self.anchors)
-
-    def entry(self, row: int) -> PlanEntry:
-        """Row ``row`` as ``(anchor_id, partner_ids)``."""
-        return self.ids[self.anchors[row]], tuple(self.ids[p] for p in self.partners[row])
 
     @property
     def pairings(self) -> tuple[PlanEntry, ...]:
@@ -115,17 +87,6 @@ class EpochPlan:
         """Each row's frame count, given every utterance's: frame counts
         add exactly under concatenation."""
         return frames[self.anchors] + frames[self.partners].sum(axis=1)
-
-    def canonical_bytes(self) -> bytes:
-        """Stable byte serialization, for determinism audits."""
-        doc = {
-            "epoch": self.epoch,
-            "seed": self.seed,
-            "strategy": [self.strategy.kind, self.strategy.k],
-            "pairings": [[a, list(p)] for a, p in self.pairings],
-            "excluded": [list(e) for e in self.excluded],
-        }
-        return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
 def _gap_partners(rng: np.random.Generator, pool: int, anchor_pos: int, n_partners: int):
@@ -186,11 +147,11 @@ def plan_epoch(
     if strategy.kind == "self":
         everyone = np.arange(n)
         partners = np.repeat(everyone[:, None], n_partners, axis=1)
-        return EpochPlan(epoch, seed, strategy, ids, everyone, partners, ())
+        return EpochPlan(strategy, ids, everyone, partners, ())
 
     if strategy.kind == "random":
         partners = _within(rng, n, n_partners)
-        return EpochPlan(epoch, seed, strategy, ids, np.arange(n), partners, ())
+        return EpochPlan(strategy, ids, np.arange(n), partners, ())
 
     # speaker strategy
     if index is None or len(index) == 0:
@@ -217,7 +178,7 @@ def plan_epoch(
         (ids[i], EXCLUDED_SPEAKERLESS if none else EXCLUDED_SINGLETON)
         for i, none in zip(left_out.tolist(), speakerless.tolist())
     )
-    return EpochPlan(epoch, seed, strategy, ids, anchors, partners, excluded)
+    return EpochPlan(strategy, ids, anchors, partners, excluded)
 
 
 def _join_targets(targets: list[Target]) -> Target:
@@ -229,32 +190,6 @@ def _join_targets(targets: list[Target]) -> Target:
     for t in targets:
         joined = joined + t  # type: ignore[operator]
     return joined
-
-
-def instance_from_utterance(utt: Utterance) -> TrainingInstance:
-    return TrainingInstance(
-        constituents=(utt.id,),
-        n_frames=utt.n_frames,
-        target=utt.target,
-        strategy=None,
-    )
-
-
-def instance_from_plan(
-    entry: PlanEntry,
-    utterances_by_id: Mapping[str, Utterance],
-    strategy: Strategy,
-) -> TrainingInstance:
-    """Metadata-only augmented instance: exact frame and target sums."""
-    anchor, partners = entry
-    constituents = (anchor, *partners)
-    utts = [utterances_by_id[c] for c in constituents]
-    return TrainingInstance(
-        constituents=constituents,
-        n_frames=sum(u.n_frames for u in utts),
-        target=_join_targets([u.target for u in utts]),
-        strategy=strategy.kind,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,20 +213,22 @@ class Survivors:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def constituents(self, r: int) -> tuple[str, ...]:
-        """The utterance ids survivor ``r`` concatenates, in order."""
+    def positions(self, r: int) -> list[int]:
+        """The utterance positions survivor ``r`` concatenates, in order."""
         n_original = len(self.originals)
         if r < n_original:
-            return (self.plan.ids[self.originals[r]],)
-        anchor, partners = self.plan.entry(self.augmented[r - n_original])
-        return (anchor, *partners)
+            return [int(self.originals[r])]
+        row = self.augmented[r - n_original]
+        return [int(self.plan.anchors[row]), *self.plan.partners[row].tolist()]
 
-    def instance(self, r: int, utterances_by_id: Mapping[str, Utterance]) -> TrainingInstance:
-        """Metadata-only instance of survivor ``r``."""
-        anchor, *partners = self.constituents(r)
-        if r < len(self.originals):
-            return instance_from_utterance(utterances_by_id[anchor])
-        return instance_from_plan((anchor, tuple(partners)), utterances_by_id, self.plan.strategy)
+    def constituents(self, r: int) -> tuple[str, ...]:
+        """The utterance ids survivor ``r`` concatenates, in order."""
+        return tuple(self.plan.ids[p] for p in self.positions(r))
+
+    def target(self, r: int, targets: Sequence[Target]) -> Target:
+        """Survivor ``r``'s target, given every utterance's by position:
+        text joins with one space, tokens concatenate."""
+        return _join_targets([targets[p] for p in self.positions(r)])
 
 
 def length_filter(

@@ -153,12 +153,6 @@ def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     return weights
 
 
-def filter_center_freqs(cfg: FeatureConfig) -> np.ndarray:
-    """Center frequency in Hz of each Mel filter."""
-    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(cfg.sample_rate_hz / 2.0), cfg.n_mels + 2)
-    return mel_to_hz(mel_points)[1:-1]
-
-
 @lru_cache(maxsize=8)
 def _analysis_arrays(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
     """The Hann window and Mel filterbank of ``cfg``, built once per

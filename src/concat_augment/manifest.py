@@ -421,22 +421,6 @@ def load_manifest(path: str | Path, mode: str = "tokens") -> ParseResult:
     raise ManifestError(f"manifest {path} changed while it was read")
 
 
-def serialize_manifest(utterances: Iterable[Utterance]) -> str:
-    """Write utterances back to TSV. parse(serialize(x)) == x on accepted rows."""
-    out = ["\t".join(REQUIRED_COLUMNS + ("speaker",))]
-    for utt in utterances:
-        if isinstance(utt.target, str):
-            tgt = utt.target
-        else:
-            tgt = " ".join(str(t) for t in utt.target)
-        row = (utt.id, utt.audio_ref, str(utt.n_frames), tgt, utt.speaker_id or "")
-        for value in row:
-            if "\t" in value:
-                raise ManifestError(f"tab inside field {value!r} of utterance {utt.id!r}")
-        out.append("\t".join(row))
-    return "\n".join(out) + "\n"
-
-
 def build_speaker_index(corpus: Corpus) -> SpeakerIndex:
     """Group a corpus's utterances by speaker code.
 

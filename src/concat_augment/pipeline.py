@@ -10,7 +10,8 @@ resident in memory. When features are loaded, each utterance's log-Mel
 matrix is extracted once per run into a feature store (the run's
 archive) before the first epoch that references it. Each batch is then
 built as one CABX record in a single buffer (:class:`batchio.Record`),
-laid out from its instances' frame counts and targets: every
+laid out from its survivors' frame counts and targets, read by corpus
+position (:class:`augment.Survivors`): every
 constituent's features are read from the archive straight into their
 row, each row is masked in place, with the mask draws of all the
 record's rows seeded at once (:func:`rng.keyed_draws`), and the
@@ -50,16 +51,19 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .archive import FeatureArchive
-from .augment import Strategy, TrainingInstance, length_filter, plan_epoch
+from .augment import Strategy, Survivors, length_filter, plan_epoch
 from .batching import ACCOUNTING_MODES, Batch, compose_batches, target_codes
 from .batchio import Record, StreamWriter, decode_batch, write_batch_file
 from .errors import BatchingError, ConfigurationError, FeatureError, PipelineError
 from .features import FeatureConfig, load_or_compute
-from .manifest import Utterance, build_speaker_index, ingestion_report, load_manifest
+from .manifest import Corpus, Target, build_speaker_index, ingestion_report, load_manifest
 from .rng import MASK_STREAM, keyed_draws
 from .specaugment import MaskPolicy, mask_in_place
 
 WORKERS_ENV_VAR = "CONCAT_AUGMENT_WORKERS"
+# The largest pool: it bounds the threads a run starts and the
+# 3 * workers - 1 records it holds at once.
+MAX_WORKERS = 256
 
 EMIT_MODES = ("files", "stream")
 
@@ -165,27 +169,32 @@ class AuditReport:
 
 
 class _FeatureStore:
-    """Every utterance's features for one run, extracted at most once.
+    """Every utterance's features for one run, extracted at most once,
+    by corpus position.
 
-    :meth:`extract` computes, on the worker pool, the ids a batch plan
-    references that the store does not hold yet; the calling thread, the
-    one writer, appends them to a :class:`FeatureArchive` in first-use
-    order, so the archive's bytes do not depend on the pool size. The
-    archive is the user's ``archive_dir``, or a scratch one in a
-    temporary directory; it is opened at the first extraction and
-    :meth:`close` removes the scratch directory. After an extraction
-    :meth:`read` reads an instance's constituents without a lock. An id
-    fails when its audio does not load or its features' frame count (the
-    archive index's ``T``) is not its manifest ``n_frames``; it keeps its
-    message, and every read of it raises ``FeatureError(message)``.
+    :meth:`extract` takes the positions an epoch's batches reference, in
+    first-use order. It checks the frame count of each archived one the
+    first time it is referenced, and computes the others on the worker
+    pool; the calling thread, the one writer, appends them to a
+    :class:`FeatureArchive` in that order, so the archive's bytes do not
+    depend on the pool size. Only a position computed from audio is read
+    as an :class:`Utterance`. The archive is the user's ``archive_dir``,
+    or a scratch one in a temporary directory; it is opened at the first
+    extraction and :meth:`close` removes the scratch directory. After an
+    extraction :meth:`read` reads a survivor's constituents without a
+    lock. A position fails when its audio does not load or its features'
+    frame count (the archive index's ``T``) is not its manifest
+    ``n_frames``; it keeps its message, and every read of it raises
+    ``FeatureError(message)``.
     """
 
-    def __init__(self, config: PipelineConfig, by_id: dict[str, Utterance]):
+    def __init__(self, config: PipelineConfig, corpus: Corpus):
         self._config = config
-        self._by_id = by_id
+        self._corpus = corpus
         self._archive: FeatureArchive | None = None
         self._scratch: tempfile.TemporaryDirectory | None = None
-        self._failed: dict[str, str] = {}
+        self._checked: set[int] = set()
+        self._failed: dict[int, str] = {}
 
     def _open(self) -> FeatureArchive:
         root = self._config.archive_dir
@@ -193,61 +202,59 @@ class _FeatureStore:
             self._scratch = tempfile.TemporaryDirectory(prefix="concat-augment-")
             root = self._scratch.name
         # The open checks that the archive was extracted with this feature config.
-        archive = FeatureArchive(root, mode="a", feature=self._config.feature)
-        for utt_id in archive.ids():
-            if utt_id in self._by_id:
-                self._check_frames(archive, utt_id)
-        return archive
+        return FeatureArchive(root, mode="a", feature=self._config.feature)
 
-    def _check_frames(self, archive: FeatureArchive, utt_id: str) -> None:
-        frames = archive.shape(utt_id)[0]
-        expected = self._by_id[utt_id].n_frames
+    def _check_frames(self, pos: int) -> None:
+        utt_id = self._corpus.ids[pos]
+        frames = self._archive.shape(utt_id)[0]
+        expected = int(self._corpus.n_frames[pos])
         if frames != expected:
-            self._failed[utt_id] = (
+            self._failed[pos] = (
                 f"utterance {utt_id}: manifest says {expected} frames, features have {frames}"
             )
 
-    def extract(self, groups: list[list[TrainingInstance]], workers: int) -> None:
+    def extract(self, positions: Iterable[int], workers: int) -> None:
         if self._archive is None:
             self._archive = self._open()
-        archive = self._archive
-        missing = dict.fromkeys(
-            utt_id
-            for group in groups
-            for inst in group
-            for utt_id in inst.constituents
-            if utt_id not in archive and utt_id not in self._failed
-        )
-        for utt_id, feats, error in _ordered_pool_map(self._compute, missing, workers):
-            if error is None:
-                archive.write(utt_id, feats)
-                self._check_frames(archive, utt_id)
+        archive, ids = self._archive, self._corpus.ids
+        new = [pos for pos in dict.fromkeys(positions) if pos not in self._checked]
+        self._checked.update(new)
+        missing = []
+        for pos in new:
+            if ids[pos] in archive:
+                self._check_frames(pos)
             else:
-                self._failed[utt_id] = error
+                missing.append(pos)
+        for pos, feats, error in _ordered_pool_map(self._compute, missing, workers):
+            if error is None:
+                archive.write(ids[pos], feats)
+                self._check_frames(pos)
+            else:
+                self._failed[pos] = error
 
-    def _compute(self, utt_id: str) -> tuple[str, np.ndarray | None, str | None]:
+    def _compute(self, pos: int) -> tuple[int, np.ndarray | None, str | None]:
         try:
             feats = load_or_compute(
-                self._by_id[utt_id], self._config.feature, audio_root=self._config.audio_root
+                self._corpus[pos], self._config.feature, audio_root=self._config.audio_root
             )
         except Exception as exc:  # a failed utterance is dropped from every instance using it
-            return utt_id, None, str(exc)
-        return utt_id, feats, None
+            return pos, None, str(exc)
+        return pos, feats, None
 
-    def failed(self, utt_id: str) -> bool:
-        return utt_id in self._failed
+    def failed(self, pos: int) -> bool:
+        return pos in self._failed
 
-    def read(self, constituents: tuple[str, ...], out: np.ndarray | None) -> None:
-        """Read an instance's constituents, in order, into ``out`` (its
-        row of a record) at their frame offsets; with ``out`` None, read
-        each into a new array only to check it."""
+    def read(self, positions: list[int], out: np.ndarray | None) -> None:
+        """Read a survivor's constituents, in order, into ``out`` (its row
+        of a record) at their frame offsets; with ``out`` None, read each
+        into a new array only to check it."""
         start = 0
-        for utt_id in constituents:
-            error = self._failed.get(utt_id)
+        for pos in positions:
+            error = self._failed.get(pos)
             if error is not None:
                 raise FeatureError(error)
-            end = start + self._by_id[utt_id].n_frames
-            self._archive.read(utt_id, out=None if out is None else out[start:end])
+            end = start + int(self._corpus.n_frames[pos])
+            self._archive.read(self._corpus.ids[pos], out=None if out is None else out[start:end])
             start = end
 
     def close(self) -> None:
@@ -275,73 +282,83 @@ class _Group:
     instance_ids: list[tuple[str, ...]] = field(default_factory=list)
 
 
-def _lay_out(instances: list[TrainingInstance], config: PipelineConfig) -> Record:
-    lengths = [inst.n_frames for inst in instances]
-    targets = [target_codes(inst.target) for inst in instances]
-    return Record(max(lengths), config.feature.n_mels, lengths, targets, config.target_pad_id)
+def _lay_out(
+    ordinals: list[int], survivors: Survivors, targets: list[Target], config: PipelineConfig
+) -> Record:
+    lengths = survivors.frames[ordinals].tolist()
+    codes = [target_codes(survivors.target(r, targets)) for r in ordinals]
+    return Record(max(lengths), config.feature.n_mels, lengths, codes, config.target_pad_id)
 
 
 def _build_group(
     ordinals: list[int],
-    instances: list[TrainingInstance],
+    survivors: Survivors,
+    targets: list[Target],
     config: PipelineConfig,
     epoch: int,
     store: _FeatureStore,
 ) -> _Group:
-    """Build one batch's record in place: read each instance's
+    """Build one batch's record in place: read each survivor's
     constituents, in order, into its row at their frame offsets, mask the
-    row's frames, seal.
+    row's frames, seal. ``targets`` is the corpus's, by position.
 
-    An instance is dropped at its first constituent that fails in the
+    A survivor is dropped at its first constituent that fails in the
     store or on the archive read. One with a constituent the store has
     failed is left out of the layout; only the constituents before that
     one are read, to find which fails first. If a read into the record
     fails, the kept rows are laid out again, since B and T_max change.
     """
+    positions = [survivors.positions(r) for r in ordinals]
     # row -> message; a kept exception's traceback would hold this frame, and its record
     failures = {}
     rows = []
-    for row, inst in enumerate(instances):
-        if not any(store.failed(utt_id) for utt_id in inst.constituents):
+    for row, constituents in enumerate(positions):
+        if not any(store.failed(pos) for pos in constituents):
             rows.append(row)
             continue
         try:
-            store.read(inst.constituents, None)
+            store.read(constituents, None)
         except (PipelineError, OSError) as exc:
             failures[row] = str(exc)
-    record = _lay_out([instances[row] for row in rows], config) if rows else None
+
+    def lay_out(rows):
+        return _lay_out([ordinals[row] for row in rows], survivors, targets, config)
+
+    record = lay_out(rows) if rows else None
     if config.specaugment is not None:
         draws = keyed_draws(config.seed, MASK_STREAM, epoch, [ordinals[row] for row in rows])
     kept = []
     for at, row in enumerate(rows):
         features = record.features[at]
         try:
-            store.read(instances[row].constituents, features)
+            store.read(positions[row], features)
         except (PipelineError, OSError) as exc:
             failures[row] = str(exc)
             continue
         if config.specaugment is not None:
-            mask_in_place(features[: instances[row].n_frames], config.specaugment, draws[at])
+            mask_in_place(features[: record.feature_lengths[at]], config.specaugment, draws[at])
         kept.append(at)
     if len(kept) < len(rows):
         full = record
         rows = [rows[at] for at in kept]
-        record = _lay_out([instances[row] for row in rows], config) if rows else None
+        record = lay_out(rows) if rows else None
         for new_at, at in enumerate(kept):
             # padding is zero in both, so whole rows copy
             record.features[new_at] = full.features[at, : record.features.shape[1]]
 
+    n_original = len(survivors.originals)
     failed_original = failed_augmented = 0
     diagnostics = []
     for row in sorted(failures):
-        inst = instances[row]
-        if inst.is_original:
+        r = ordinals[row]
+        if r < n_original:
             failed_original += 1
         else:
             failed_augmented += 1
+        constituents = survivors.constituents(r)
         diagnostics.append(
-            f"epoch {epoch}: dropped {inst.constituents}: "
-            f"failed to load features for {inst.constituents}: {failures[row]}"
+            f"epoch {epoch}: dropped {constituents}: "
+            f"failed to load features for {constituents}: {failures[row]}"
         )
     if record is None:
         return _Group(None, 0, 0, 0, failed_original, failed_augmented, diagnostics)
@@ -355,7 +372,7 @@ def _build_group(
         failed_original,
         failed_augmented,
         diagnostics,
-        [instances[row].constituents for row in rows],
+        [survivors.constituents(ordinals[row]) for row in rows],
     )
 
 
@@ -412,8 +429,10 @@ def _pool_size() -> int:
         workers = int(env)
     except ValueError:
         workers = 0
-    if workers < 1:
-        raise ConfigurationError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {env!r}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ConfigurationError(
+            f"{WORKERS_ENV_VAR} must be an integer from 1 to {MAX_WORKERS}, got {env!r}"
+        )
     return workers
 
 
@@ -443,8 +462,7 @@ class _Run:
             raise ConfigurationError(f"manifest {config.manifest_path} has no accepted utterances")
         self.index = build_speaker_index(self.corpus)
         report.ingestion = ingestion_report(parse, self.index)
-        self.by_id = {u.id: u for u in self.corpus} if load_features else None
-        self.store = _FeatureStore(config, self.by_id) if load_features else None
+        self.store = _FeatureStore(config, self.corpus) if load_features else None
 
     def __enter__(self) -> _Run:
         return self
@@ -455,14 +473,13 @@ class _Run:
 
 
 def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
-    """Plan, filter and compose one epoch on position arrays, build the
-    instances of its batches and extract the features they reference
-    now; return the generator that builds its groups, on the worker
+    """Plan, filter and compose one epoch on position arrays and extract
+    the features its batches reference now; return the generator that
+    builds its groups, each from its survivors' ordinals on the worker
     pool, and yields every non-empty one in plan order. Once exhausted,
     it appends the epoch's entry to the report. Only the groups outlive
-    this call, so the engine holds one epoch's lists at a time. An audit
-    builds no instance: it sizes each group from frame counts, on the
-    calling thread."""
+    this call, so the engine holds one epoch's arrays at a time. An
+    audit sizes each group from frame counts, on the calling thread."""
     config, corpus, report, store = engine.config, engine.corpus, engine.report, engine.store
     t0 = time.perf_counter()
     plan = plan_epoch(corpus, engine.index, config.strategy, config.seed, epoch)
@@ -488,16 +505,16 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
         sizes = [survivors.frames[group] for group in groups]
         builds = (_sized_group(frames) for frames in sizes)
     else:
-        # Built in the main thread, groups then members then constituents,
-        # so the store extracts (and archives) ids in first-use order.
-        jobs = []
-        for group in groups:
-            ordinals = group.tolist()
-            jobs.append((ordinals, [survivors.instance(r, engine.by_id) for r in ordinals]))
-        store.extract([instances for _, instances in jobs], engine.workers)
+        # Groups then members then constituents: the store extracts (and
+        # archives) the utterances in first-use order.
+        jobs = [group.tolist() for group in groups]
+        store.extract(
+            (pos for ordinals in jobs for r in ordinals for pos in survivors.positions(r)),
+            engine.workers,
+        )
 
-        def build(job):
-            return _build_group(*job, config, epoch, store)
+        def build(ordinals):
+            return _build_group(ordinals, survivors, corpus.targets, config, epoch, store)
 
         builds = _ordered_pool_map(build, jobs, engine.workers)
     t_extract = time.perf_counter()

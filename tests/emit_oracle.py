@@ -7,14 +7,16 @@ Planning, filtering and composition come from the package (their own
 reference is ``plan_oracle``). Concatenating, masking, collating and
 encoding are written here, apart from the package's in-place record
 path (``pipeline._build_group``), so that the reference shares no emit
-code with it. A materialized instance here is a ``(TrainingInstance,
-features)`` pair.
+code with it. An instance here is an :class:`Instance`, built from the
+plan's pairings and the utterances, and a materialized one is an
+``(Instance, features)`` pair.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +27,28 @@ from concat_augment.manifest import build_speaker_index, load_manifest
 from concat_augment.rng import MASK_STREAM, keyed_rng
 
 _U32 = struct.Struct("<I")
+
+
+class Instance(NamedTuple):
+    constituents: tuple[str, ...]
+    n_frames: int
+    target: tuple[int, ...] | str
+
+
+def survivor_instance(survivors, pairings, ordinal, by_id) -> Instance:
+    """Survivor ``ordinal`` as an :class:`Instance`. ``pairings`` is its
+    plan's, ``by_id`` the utterances by id: frames sum, text joins with
+    one space and tokens concatenate."""
+    n_original = len(survivors.originals)
+    if ordinal < n_original:
+        constituents = (survivors.plan.ids[survivors.originals[ordinal]],)
+    else:
+        anchor, partners = pairings[survivors.augmented[ordinal - n_original]]
+        constituents = (anchor, *partners)
+    utts = [by_id[c] for c in constituents]
+    targets = [u.target for u in utts]
+    target = " ".join(targets) if isinstance(targets[0], str) else sum(targets, ())
+    return Instance(constituents, sum(u.n_frames for u in utts), target)
 
 
 def with_features(instance, load_features):
@@ -114,6 +138,7 @@ def emit(config, table: dict[str, np.ndarray]) -> dict[str, bytes]:
     for epoch in range(config.epochs):
         plan = plan_epoch(utterances, index, config.strategy, config.seed, epoch)
         survivors = length_filter(plan, frames, config.max_frames, config.include_original)
+        pairings = plan.pairings
         groups = compose_batches(
             survivors.frames,
             config.budget_frames,
@@ -128,7 +153,8 @@ def emit(config, table: dict[str, np.ndarray]) -> dict[str, bytes]:
             for ordinal in group.tolist():
                 try:
                     inst, feats = with_features(
-                        survivors.instance(ordinal, by_id), table.__getitem__
+                        survivor_instance(survivors, pairings, ordinal, by_id),
+                        table.__getitem__,
                     )
                 except KeyError:
                     continue

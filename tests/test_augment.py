@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from concat_augment.archive import FeatureArchive
-from concat_augment.augment import (
-    Strategy,
-    instance_from_plan,
-    instance_from_utterance,
-    length_filter,
-    plan_epoch,
-)
+from concat_augment.augment import Strategy, length_filter, plan_epoch
 from concat_augment.errors import ConfigurationError
 from concat_augment.features import FeatureConfig
 from concat_augment.manifest import Corpus, Utterance, build_speaker_index
@@ -35,6 +31,22 @@ def fake_loader(utts, n_bins=6):
         return rng.standard_normal((by_id[uid].n_frames, n_bins)).astype(np.float32)
 
     return load
+
+
+def same_plan(a, b):
+    """Whether two plans pair and exclude the same utterances, in the same order."""
+    return (
+        a.pairings == b.pairings
+        and a.excluded == b.excluded
+        and np.array_equal(a.anchors, b.anchors)
+        and np.array_equal(a.partners, b.partners)
+    )
+
+
+def augmented_survivors(utts, strategy, seed=0, epoch=0, index=None):
+    """Every augmented instance of one epoch's plan over ``utts``, unfiltered."""
+    plan = plan_epoch(utts, index, strategy, seed=seed, epoch=epoch)
+    return length_filter(plan, utts.n_frames, 2**62, include_original=False)
 
 
 def epoch_rows(root, utts, strategy, n_bins=6, archived=None):
@@ -171,7 +183,7 @@ class TestPlanProperties:
         for strat in (Strategy("self"), Strategy("random"), Strategy("speaker")):
             a = plan_epoch(utts, idx, strat, seed=77, epoch=3)
             b = plan_epoch(utts, idx, strat, seed=77, epoch=3)
-            assert a.canonical_bytes() == b.canonical_bytes()
+            assert same_plan(a, b)
 
     def test_epochs_differ(self):
         # consecutive epochs differ in at least one pairing, 100 trials
@@ -195,8 +207,9 @@ class TestPlanProperties:
 
 
 class TestMaterialize:
-    """Plan entries as instances (``instance_from_plan``) and as the rows
-    the run path builds from them (``iter_epoch_batches``)."""
+    """Plan rows as survivors (``Survivors.constituents``, ``frames`` and
+    ``target``) and as the rows the run path builds from them
+    (``iter_epoch_batches``)."""
 
     def test_concat_order_and_rows(self, tmp_path):
         utts = [utt("a", n_frames=100), utt("b", n_frames=50)]
@@ -214,9 +227,9 @@ class TestMaterialize:
 
     def test_self_concat_doubles_frames_and_target(self, tmp_path):
         utts = [utt("u", n_frames=80, target=(5, 9))]
-        inst = instance_from_plan(("u", ("u",)), {"u": utts[0]}, Strategy("self"))
-        assert inst.n_frames == 160
-        assert inst.target == (5, 9, 5, 9)
+        survivors = augmented_survivors(corpus(*utts), Strategy("self"))
+        assert survivors.frames.tolist() == [160]
+        assert survivors.target(0, [(5, 9)]) == (5, 9, 5, 9)
         frames, _ = epoch_rows(tmp_path, utts, Strategy("self"))[("u", "u")]
         assert frames.shape[0] == 160
         np.testing.assert_array_equal(frames[:80], frames[80:])
@@ -226,43 +239,41 @@ class TestMaterialize:
         rng = np.random.default_rng(12)
         utts = synth_utterances(30, 3, 5, 40, rng)
         by_id = {u.id: u for u in utts}
-        plan = plan_epoch(utts, None, Strategy("random", k=3), seed=1, epoch=0)
-        for entry in plan.pairings[:10]:
-            inst = instance_from_plan(entry, by_id, Strategy("random", k=3))
-            anchor, partners = entry
-            expected_frames = sum(by_id[c].n_frames for c in (anchor, *partners))
-            expected_tokens = sum(len(by_id[c].target) for c in (anchor, *partners))
-            assert inst.n_frames == expected_frames
-            assert len(inst.target) == expected_tokens
+        survivors = augmented_survivors(utts, Strategy("random", k=3), seed=1)
+        for r in range(10):
+            parts = [by_id[c] for c in survivors.constituents(r)]
+            assert len(parts) == 3
+            assert survivors.frames[r] == sum(p.n_frames for p in parts)
+            assert len(survivors.target(r, utts.targets)) == sum(len(p.target) for p in parts)
 
     def test_text_targets_joined_with_single_space(self):
-        utts = [utt("a", target="the cat"), utt("b", target="sat down")]
-        inst = instance_from_plan(("a", ("b",)), {u.id: u for u in utts}, Strategy("random"))
-        assert inst.target == "the cat sat down"
-        assert len(inst.target) == len("the cat") + len("sat down") + 1
+        survivors = augmented_survivors(
+            corpus(utt("a", target="the cat"), utt("b", target="sat down")), Strategy("random")
+        )
+        assert survivors.constituents(0) == ("a", "b")
+        target = survivors.target(0, ["the cat", "sat down"])
+        assert target == "the cat sat down"
+        assert len(target) == len("the cat") + len("sat down") + 1
 
     def test_no_new_tokens_introduced(self):
         rng = np.random.default_rng(13)
         utts = synth_utterances(60, 4, 5, 20, rng)
-        by_id = {u.id: u for u in utts}
-        plan = plan_epoch(utts, None, Strategy("random"), seed=2, epoch=0)
-        for entry in plan.pairings:
-            inst = instance_from_plan(entry, by_id, Strategy("random"))
+        survivors = augmented_survivors(utts, Strategy("random"), seed=2)
+        assert len(survivors) == 60
+        for r in range(len(survivors)):
             allowed = set()
-            for cid in inst.constituents:
-                allowed |= set(by_id[cid].target)
-            assert set(inst.target) <= allowed
+            for pos in survivors.positions(r):
+                allowed |= set(utts.targets[pos])
+            assert set(survivors.target(r, utts.targets)) <= allowed
 
     def test_speaker_purity(self):
         rng = np.random.default_rng(14)
         utts = synth_utterances(200, 5, 5, 20, rng)
-        by_id = {u.id: u for u in utts}
         idx = build_speaker_index(utts)
-        plan = plan_epoch(utts, idx, Strategy("speaker"), seed=3, epoch=1)
-        for entry in plan.pairings:
-            inst = instance_from_plan(entry, by_id, Strategy("speaker"))
-            speakers = {by_id[c].speaker_id for c in inst.constituents}
-            assert len(speakers) == 1
+        survivors = augmented_survivors(utts, Strategy("speaker"), seed=3, epoch=1, index=idx)
+        assert len(survivors) == 200
+        for r in range(len(survivors)):
+            assert len({utts.speaker_codes[p] for p in survivors.positions(r)}) == 1
 
     def test_load_failure_drops_the_instance(self, tmp_path):
         # "b" is neither archived nor on disk: every instance using it is dropped
@@ -271,11 +282,14 @@ class TestMaterialize:
         assert set(rows) == {("a",)}
 
     def test_original_instance_from_utterance(self):
-        u = utt("a", n_frames=33, target=(1, 2, 3))
-        inst = instance_from_utterance(u)
-        assert inst.is_original
-        assert inst.constituents == ("a",)
-        assert inst.n_frames == 33
+        utts = corpus(utt("a", n_frames=33, target=(1, 2, 3)))
+        plan = plan_epoch(utts, None, Strategy("self"), seed=0, epoch=0)
+        survivors = length_filter(plan, utts.n_frames, 3000)
+        assert len(survivors.originals) == 1  # survivor 0 is the original
+        assert survivors.positions(0) == [0]
+        assert survivors.constituents(0) == ("a",)
+        assert survivors.frames[0] == 33
+        assert survivors.target(0, utts.targets) == (1, 2, 3)
 
 
 class TestCombineAndFilter:
@@ -283,16 +297,19 @@ class TestCombineAndFilter:
 
     @staticmethod
     def _filter(utts, strategy, max_frames=3000, include_original=True):
+        """The survivors, and each one's ``(constituents, frames, is_original)``."""
         utts = corpus(*utts)
         plan = plan_epoch(utts, None, strategy, seed=0, epoch=0)
         frames = np.array([u.n_frames for u in utts])
         survivors = length_filter(plan, frames, max_frames, include_original)
-        by_id = {u.id: u for u in utts}
-        return survivors, [survivors.instance(r, by_id) for r in range(len(survivors))]
+        return survivors, [
+            (survivors.constituents(r), int(survivors.frames[r]), r < len(survivors.originals))
+            for r in range(len(survivors))
+        ]
 
     def test_overlong_augmented_dropped(self):
         result, instances = self._filter([utt("o1", n_frames=1600)], Strategy("self"))
-        assert [i.constituents for i in instances] == [("o1",)]
+        assert [constituents for constituents, _, _ in instances] == [("o1",)]
         assert result.dropped_augmented == 1
         assert result.dropped_original == 0
 
@@ -304,7 +321,7 @@ class TestCombineAndFilter:
 
     def test_originals_precede_augmented(self):
         _, instances = self._filter([utt("o1", n_frames=10)], Strategy("random"))
-        assert [i.strategy for i in instances] == [None, "random"]
+        assert instances == [(("o1",), 10, True), (("o1", "o1"), 20, False)]
 
     def test_survivors_match_brute_force_on_random_pairs(self):
         rng = np.random.default_rng(15)
@@ -313,16 +330,16 @@ class TestCombineAndFilter:
         plan = plan_epoch(utts, None, Strategy("random"), seed=4, epoch=0)
         frames = np.array([u.n_frames for u in utts])
         result = length_filter(plan, frames, max_frames=3000, include_original=False)
-        expected = sum(
-            1
+        expected = [
+            (anchor, *partners)
             for anchor, partners in plan.pairings
             if by_id[anchor].n_frames + sum(by_id[p].n_frames for p in partners) <= 3000
-        )
-        assert len(result) == expected
-        assert result.dropped_augmented == len(plan.pairings) - expected
-        instances = [result.instance(r, by_id) for r in range(len(result))]
-        assert all(i.n_frames <= 3000 for i in instances)
-        assert [i.n_frames for i in instances] == result.frames.tolist()
+        ]
+        assert [result.constituents(r) for r in range(len(result))] == expected
+        assert result.dropped_augmented == len(plan.pairings) - len(expected)
+        recount = [sum(by_id[c].n_frames for c in constituents) for constituents in expected]
+        assert all(n <= 3000 for n in recount)
+        assert recount == result.frames.tolist()
 
     def test_frame_counts_that_overflow_int64_are_dropped(self):
         utts = [utt("a", n_frames=2**62), utt("b", n_frames=2**62)]
@@ -344,10 +361,80 @@ class TestCombineAndFilter:
         utts = synth_utterances(100, 5, 5, 20, rng)
         result, instances = self._filter(utts, Strategy("random"), include_original=False)
         assert len(instances) <= 100
-        assert all(not i.is_original for i in instances)
+        assert not any(is_original for _, _, is_original in instances)
         assert result.dropped_original == 0
 
     def test_bad_max_frames(self, tmp_path):
         config = PipelineConfig(manifest_path=tmp_path / "never-read.tsv", max_frames=0)
         with pytest.raises(ConfigurationError, match="max_frames must be >= 1, got 0"):
             audit(config)
+
+
+_words = st.text("abcxyz", min_size=1, max_size=4)
+_token_target = st.lists(st.integers(0, 30), min_size=1, max_size=4).map(tuple)
+_text_target = st.lists(_words, min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def _corpora(draw):
+    """A small corpus, all token or all text targets, some speakers unlabelled."""
+    target = draw(st.sampled_from([_token_target, _text_target]))
+    rows = draw(st.lists(
+        st.tuples(st.integers(1, 60), target, st.sampled_from(["s0", "s1", "s2", None])),
+        min_size=1,
+        max_size=12,
+    ))
+    return corpus(*(utt(f"u{i}", n, t, spk) for i, (n, t, spk) in enumerate(rows)))
+
+
+@st.composite
+def _strategies(draw):
+    kind = draw(st.sampled_from(["self", "speaker", "random"]))
+    return Strategy(kind, 2 if kind == "self" else draw(st.integers(2, 4)))
+
+
+class TestSurvivorsOracle:
+    """Every survivor's positions, frames, constituents and target against
+    an oracle built from the plan's pairings and the utterances."""
+
+    @staticmethod
+    def oracle(utts, plan, max_frames, include_original):
+        """``(constituents, frames, target)`` of every survivor, in order:
+        originals in corpus order, then augmented rows in plan order."""
+        by_id = {u.id: u for u in utts}
+        rows = [(u.id,) for u in utts] if include_original else []
+        rows += [(anchor, *partners) for anchor, partners in plan.pairings]
+        expected = []
+        for constituents in rows:
+            parts = [by_id[c] for c in constituents]
+            frames = sum(p.n_frames for p in parts)
+            if frames > max_frames:
+                continue
+            if isinstance(parts[0].target, str):
+                target = " ".join(p.target for p in parts)
+            else:
+                target = tuple(token for p in parts for token in p.target)
+            expected.append((constituents, frames, target))
+        return expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        utts=_corpora(),
+        strategy=_strategies(),
+        max_frames=st.integers(1, 150),
+        include_original=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_survivors_match_the_oracle(self, utts, strategy, max_frames, include_original, seed):
+        index = build_speaker_index(utts)
+        assume(strategy.kind != "speaker" or len(index))
+        plan = plan_epoch(utts, index, strategy, seed=seed, epoch=0)
+        survivors = length_filter(plan, utts.n_frames, max_frames, include_original)
+        expected = self.oracle(utts, plan, max_frames, include_original)
+        assert len(survivors) == len(expected)
+        position = {utt_id: i for i, utt_id in enumerate(utts.ids)}
+        for r, (constituents, frames, target) in enumerate(expected):
+            assert survivors.positions(r) == [position[c] for c in constituents]
+            assert survivors.constituents(r) == constituents
+            assert survivors.frames[r] == frames
+            assert survivors.target(r, utts.targets) == target

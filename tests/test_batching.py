@@ -3,22 +3,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from concat_augment.augment import TrainingInstance
 from concat_augment.batching import compose_batches, padding_waste
 from concat_augment.errors import BatchingError
 
-from emit_oracle import pad_and_collate
+from emit_oracle import Instance, pad_and_collate
 
 
-def meta(uid, n_frames, strategy=None):
-    return TrainingInstance(constituents=(uid,), n_frames=n_frames, target=(1, 2),
-                            strategy=strategy)
+def meta(uid, n_frames):
+    return Instance(constituents=(uid,), n_frames=n_frames, target=(1, 2))
 
 
 def with_feats(uid, n_frames, n_bins=6, target=(1, 2), seed=0):
     """An ``(instance, features)`` pair, as the reference collates them."""
     rng = np.random.default_rng(seed + n_frames)
-    inst = TrainingInstance(constituents=(uid,), n_frames=n_frames, target=target)
+    inst = Instance(constituents=(uid,), n_frames=n_frames, target=target)
     return inst, rng.standard_normal((n_frames, n_bins)).astype(np.float32)
 
 

