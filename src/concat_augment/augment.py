@@ -181,9 +181,10 @@ def plan_epoch(
     return EpochPlan(strategy, ids, anchors, partners, excluded)
 
 
-def _join_targets(targets: list[Target]) -> Target:
-    # text joins with a single space; token sequences concatenate with
-    # no separator symbol of any kind
+def join_targets(targets: list[Target]) -> Target:
+    """The target of a concatenation of utterances with ``targets``, in
+    order: text joins with a single space; token sequences concatenate
+    with no separator symbol of any kind."""
     if isinstance(targets[0], str):
         return " ".join(targets)  # type: ignore[arg-type]
     joined: tuple[int, ...] = ()
@@ -221,6 +222,23 @@ class Survivors:
         row = self.augmented[r - n_original]
         return [int(self.plan.anchors[row]), *self.plan.partners[row].tolist()]
 
+    def first_use(self, ordinals: np.ndarray) -> np.ndarray:
+        """The distinct positions that survivors ``ordinals`` concatenate,
+        in the order they are first used: ``dict.fromkeys`` over each
+        survivor's :meth:`positions`, in turn, as one array."""
+        ordinals = np.asarray(ordinals, dtype=np.int64)
+        n_original = len(self.originals)
+        # one row per survivor, its positions padded with -1
+        table = np.full((len(ordinals), self.plan.partners.shape[1] + 1), -1, dtype=np.int64)
+        original = ordinals < n_original
+        table[original, 0] = self.originals[ordinals[original]]
+        rows = self.augmented[ordinals[~original] - n_original]
+        table[~original, 0] = self.plan.anchors[rows]
+        table[~original, 1:] = self.plan.partners[rows]
+        used = table[table >= 0]
+        distinct, first = np.unique(used, return_index=True)
+        return distinct[np.argsort(first)]
+
     def constituents(self, r: int) -> tuple[str, ...]:
         """The utterance ids survivor ``r`` concatenates, in order."""
         return tuple(self.plan.ids[p] for p in self.positions(r))
@@ -228,7 +246,7 @@ class Survivors:
     def target(self, r: int, targets: Sequence[Target]) -> Target:
         """Survivor ``r``'s target, given every utterance's by position:
         text joins with one space, tokens concatenate."""
-        return _join_targets([targets[p] for p in self.positions(r)])
+        return join_targets([targets[p] for p in self.positions(r)])
 
 
 def length_filter(

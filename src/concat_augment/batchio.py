@@ -16,11 +16,15 @@ Provenance ids are not part of the wire format.
 A :class:`Record` is one record built in place in a single buffer that
 starts with the stream length prefix: its size follows from the rows'
 frame counts and targets, so the header, targets and lengths are
-written when it is laid out, the features are filled through a
-``B x T_max x F`` view of the buffer (padding stays zero), and
-:meth:`Record.seal` writes the CRC. A writer then only writes the
-buffer: all of it to a stream, all but the prefix to a batch file.
-:func:`decode_batch` reads a record back into a :class:`Batch`.
+written when it is laid out, and the features are filled through a
+``B x T_max x F`` view of the buffer. The buffer is a new zeroed one,
+or one handed back by an earlier record whose bytes are stale: then
+:meth:`Record.finish_row` zeroes each filled row's padding, and, rows
+taken in order, folds the row into the CRC while it is still in cache,
+so :meth:`Record.seal` only adds the targets and lengths. A writer then
+only writes the buffer: all of it to a stream, all but the prefix to a
+batch file. :func:`decode_batch` reads a record back into a
+:class:`Batch`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import operator
 import os
 import struct
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,8 +69,11 @@ class Record:
     ``targets`` holds one sequence of token ids (or code points) per
     row; an id outside u32 raises :class:`BatchingError` naming the
     row. ``features`` is the writable ``B x T_max x F`` float32 view of
-    the feature region, zero until filled. Call :meth:`seal` once the
-    features are in.
+    the feature region. Without ``alloc`` the buffer is a new one and
+    every feature is zero until filled. ``alloc(size)`` instead returns
+    a uint8 array of at least ``size`` bytes, whose bytes may be stale:
+    fill each row's frames and call :meth:`finish_row`, or write whole
+    rows. Call :meth:`seal` once the features are in.
     """
 
     def __init__(
@@ -76,19 +83,24 @@ class Record:
         feature_lengths: Sequence[int],
         targets: Sequence[Sequence[int]],
         target_pad_id: int,
+        alloc: Callable[[int], np.ndarray] | None = None,
     ):
         b = len(feature_lengths)
         cells = b * t_max * n_bins
         # pad id, then per row a target length and its ids, then per row a feature length
         words = 1 + b + sum(len(tokens) for tokens in targets) + b
         size = _PREFIX + _HEADER.size + 4 * (cells + words) + _U32.size
-        # Zeroed by calloc: fresh pages need no memset, and padding is never written.
-        self.buffer = np.zeros(size, dtype=np.uint8)
+        if alloc is None:
+            # Zeroed by calloc: fresh pages need no memset.
+            self.buffer = np.zeros(size, dtype=np.uint8)
+        else:
+            self.buffer = alloc(size)[:size]
         _U32.pack_into(self.buffer, 0, size - _PREFIX)
         _HEADER.pack_into(self.buffer, _PREFIX, MAGIC, VERSION, b, t_max, n_bins)
         at = _PREFIX + _HEADER.size
         self.features = np.frombuffer(self.buffer, "<f4", cells, at).reshape(b, t_max, n_bins)
-        tail = np.frombuffer(self.buffer, "<u4", words, at + 4 * cells)
+        self._tail_at = at + 4 * cells
+        tail = np.frombuffer(self.buffer, "<u4", words, self._tail_at)
         tail[0] = target_pad_id
         pos = 1
         for row, tokens in enumerate(targets):
@@ -112,11 +124,33 @@ class Record:
             pos += 1 + len(tokens)
         tail[pos:] = feature_lengths
         self.feature_lengths = list(feature_lengths)
+        # The CRC over the header and rows 0 .. _rows_in_crc - 1.
+        self._crc = crc32(memoryview(self.buffer)[_PREFIX:at])
+        self._rows_in_crc = 0
+
+    def finish_row(self, at: int) -> None:
+        """Zero row ``at``'s padding (its frames ``feature_lengths[at]``
+        to ``T_max``) once its frames are filled; it must not change
+        after. When every row before it is finished too, fold the row,
+        still in cache, into the CRC."""
+        row = self.features[at]
+        row[self.feature_lengths[at] :] = 0
+        if at == self._rows_in_crc:
+            start = _PREFIX + _HEADER.size + at * row.nbytes
+            self._crc = crc32(memoryview(self.buffer)[start : start + row.nbytes], self._crc)
+            self._rows_in_crc += 1
 
     def seal(self) -> "Record":
-        """Write the CRC trailer over the record's other bytes."""
+        """Write the CRC trailer over the record's other bytes: the tail
+        after the rows :meth:`finish_row` folded in, when it folded them
+        all, else every byte."""
         crc_at = len(self.buffer) - _U32.size
-        _U32.pack_into(self.buffer, crc_at, crc32(memoryview(self.buffer)[_PREFIX:crc_at]))
+        body = memoryview(self.buffer)
+        if self._rows_in_crc == len(self.features):
+            crc = crc32(body[self._tail_at : crc_at], self._crc)
+        else:
+            crc = crc32(body[_PREFIX:crc_at])
+        _U32.pack_into(self.buffer, crc_at, crc)
         return self
 
     @property

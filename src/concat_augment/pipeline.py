@@ -8,25 +8,32 @@ composition run on manifest metadata only (frame counts are exactly
 additive under concatenation), so the full augmented corpus is never
 resident in memory. When features are loaded, each utterance's log-Mel
 matrix is extracted once per run into a feature store (the run's
-archive) before the first epoch that references it. Each batch is then
-built as one CABX record in a single buffer (:class:`batchio.Record`),
-laid out from its survivors' frame counts and targets, read by corpus
-position (:class:`augment.Survivors`): every
-constituent's features are read from the archive straight into their
-row, each row is masked in place, with the mask draws of all the
-record's rows seeded at once (:func:`rng.keyed_draws`), and the
-record's CRC is written. A configurable pool of worker threads computes
-the features and builds the records; the calling thread appends the
-features to the archive and writes the sealed records, one write each,
-in plan order, while the pool builds the next ones. Batches and archive
-records are never reordered, and their bytes do not depend on the pool
-size. An audit sizes its groups on the calling thread, with no pool.
+archive) before the first epoch that references it, in the order the
+epoch's batches first use it (:meth:`augment.Survivors.first_use`).
+Each batch is then built as one CABX record in a single buffer
+(:class:`batchio.Record`), laid out from its survivors' frame counts
+and targets, read by corpus position (:class:`augment.Survivors`) once
+per row. Row by row, every constituent's features are read from the
+archive straight into the row, the row is masked in place, with the
+mask draws of all the record's rows seeded at once
+(:func:`rng.keyed_draws`), its padding is zeroed and it is folded into
+the record's CRC while still in cache; the seal adds the rest. A
+configurable pool of worker threads computes the features and builds
+the records; the calling thread appends the features to the archive
+and writes the sealed records, one write each, in plan order, while the
+pool builds the next ones. Record buffers are reused: a sink hands each
+record's buffer back to the run's free list once it is written (or
+decoded), and a build takes one from there before it allocates.
+Batches and archive records are never reordered, and their bytes do
+not depend on the pool size. An audit sizes its groups on the calling
+thread, with no pool. ``run`` writes each epoch into a temporary
+sibling and renames it into place when the epoch ends.
 
 A run is one context manager (``_Run``) that reads the manifest once and
-owns the feature store; each epoch's groups are closed inside it, so an
-early close (a failed write, a failed build, a caller that stops
-iterating) cancels the queued builds and waits for the running ones
-before the store closes.
+owns the feature store and the free list; each epoch's groups are closed
+inside it, so an early close (a failed write, a failed build, a caller
+that stops iterating) cancels the queued builds and waits for the
+running ones before the store closes.
 
 Reports are JSON; all wall-clock measurements live under ``timings_s``
 keys so reproducibility checks can strip them.
@@ -40,18 +47,19 @@ import os
 import re
 import shutil
 import tempfile
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .archive import FeatureArchive
-from .augment import Strategy, Survivors, length_filter, plan_epoch
+from .augment import Strategy, Survivors, join_targets, length_filter, plan_epoch
 from .batching import ACCOUNTING_MODES, Batch, compose_batches, target_codes
 from .batchio import Record, StreamWriter, decode_batch, write_batch_file
 from .errors import BatchingError, ConfigurationError, FeatureError, PipelineError
@@ -172,12 +180,12 @@ class _FeatureStore:
     """Every utterance's features for one run, extracted at most once,
     by corpus position.
 
-    :meth:`extract` takes the positions an epoch's batches reference, in
-    first-use order. It checks the frame count of each archived one the
-    first time it is referenced, and computes the others on the worker
-    pool; the calling thread, the one writer, appends them to a
-    :class:`FeatureArchive` in that order, so the archive's bytes do not
-    depend on the pool size. Only a position computed from audio is read
+    :meth:`extract` takes the distinct positions an epoch's batches
+    reference, as an array in first-use order. It checks the frame count
+    of each archived one the first time it is referenced, and computes
+    the others on the worker pool; the calling thread, the one writer,
+    appends them to a :class:`FeatureArchive` in that order, so the
+    archive's bytes do not depend on the pool size. Only a position computed from audio is read
     as an :class:`Utterance`. The archive is the user's ``archive_dir``,
     or a scratch one in a temporary directory; it is opened at the first
     extraction and :meth:`close` removes the scratch directory. After an
@@ -193,7 +201,7 @@ class _FeatureStore:
         self._corpus = corpus
         self._archive: FeatureArchive | None = None
         self._scratch: tempfile.TemporaryDirectory | None = None
-        self._checked: set[int] = set()
+        self._checked = np.zeros(len(corpus), dtype=bool)
         self._failed: dict[int, str] = {}
 
     def _open(self) -> FeatureArchive:
@@ -213,14 +221,14 @@ class _FeatureStore:
                 f"utterance {utt_id}: manifest says {expected} frames, features have {frames}"
             )
 
-    def extract(self, positions: Iterable[int], workers: int) -> None:
+    def extract(self, positions: np.ndarray, workers: int) -> None:
         if self._archive is None:
             self._archive = self._open()
         archive, ids = self._archive, self._corpus.ids
-        new = [pos for pos in dict.fromkeys(positions) if pos not in self._checked]
-        self._checked.update(new)
+        new = positions[~self._checked[positions]]
+        self._checked[new] = True
         missing = []
-        for pos in new:
+        for pos in new.tolist():
             if ids[pos] in archive:
                 self._check_frames(pos)
             else:
@@ -266,11 +274,42 @@ class _FeatureStore:
                 self._scratch.cleanup()
 
 
+class _FreeList:
+    """Record buffers that sinks hand back once a record is written, for
+    the next builds to take instead of allocating: at most ``cap`` of
+    them, the bound on the records alive at once. A taken buffer's
+    bytes are stale; :class:`Record` zeroes each row's padding. A new
+    buffer's size is rounded up to a power of two, so records of close
+    sizes share buffers instead of replacing them as sizes grow; its
+    pages that no record touches take no memory."""
+
+    def __init__(self, cap: int):
+        self._cap = cap
+        self._free: list[np.ndarray] = []
+        self._lock = threading.Lock()
+
+    def take(self, size: int) -> np.ndarray:
+        """A uint8 buffer of at least ``size`` bytes; one handed back that
+        is too small is dropped."""
+        with self._lock:
+            buffer = self._free.pop() if self._free else None
+        if buffer is not None and len(buffer) >= size:
+            return buffer
+        return np.empty(1 << (size - 1).bit_length(), dtype=np.uint8)
+
+    def give(self, record: Record) -> None:
+        """Hand back the buffer of ``record``, which is not read again."""
+        with self._lock:
+            if len(self._free) < self._cap:
+                self._free.append(record.buffer.base)
+
+
 @dataclass
 class _Group:
     """One composed group's result: its sealed record (None in an audit,
-    or when every instance failed to load), its size, its frame mass and
-    the provenance of the instances it kept."""
+    or when every instance failed to load), its size, its frame mass,
+    the provenance of the instances it kept and its build's seconds by
+    stage (:data:`BUILD_STAGES`)."""
 
     record: Record | None
     size: int
@@ -280,14 +319,35 @@ class _Group:
     failed_augmented: int = 0
     diagnostics: list[str] = field(default_factory=list)
     instance_ids: list[tuple[str, ...]] = field(default_factory=list)
+    timings: list[float] = field(default_factory=list)
+
+
+# A build's stages, as each epoch's timings_s names their seconds summed
+# over the pool threads: reading each row's constituents (with the
+# archive's CRC check), drawing and applying its masks, and zeroing its
+# padding and folding it into the record's CRC, with the seal.
+BUILD_STAGES = ("build_read", "build_mask", "build_checksum")
+_READ, _MASK, _CHECKSUM = range(len(BUILD_STAGES))
+
+
+def _lap(seconds: list[float], stage: int, since: float) -> float:
+    """Add the time since ``since`` to ``seconds[stage]``; return now."""
+    now = time.perf_counter()
+    seconds[stage] += now - since
+    return now
 
 
 def _lay_out(
-    ordinals: list[int], survivors: Survivors, targets: list[Target], config: PipelineConfig
+    lengths: list[int],
+    positions: list[list[int]],
+    targets: list[Target],
+    config: PipelineConfig,
+    free_list: _FreeList,
 ) -> Record:
-    lengths = survivors.frames[ordinals].tolist()
-    codes = [target_codes(survivors.target(r, targets)) for r in ordinals]
-    return Record(max(lengths), config.feature.n_mels, lengths, codes, config.target_pad_id)
+    codes = [target_codes(join_targets([targets[p] for p in row])) for row in positions]
+    return Record(
+        max(lengths), config.feature.n_mels, lengths, codes, config.target_pad_id, free_list.take
+    )
 
 
 def _build_group(
@@ -297,18 +357,23 @@ def _build_group(
     config: PipelineConfig,
     epoch: int,
     store: _FeatureStore,
+    free_list: _FreeList,
 ) -> _Group:
-    """Build one batch's record in place: read each survivor's
-    constituents, in order, into its row at their frame offsets, mask the
-    row's frames, seal. ``targets`` is the corpus's, by position.
+    """Build one batch's record in place, in a buffer from ``free_list``:
+    read each survivor's constituents, in order, into its row at their
+    frame offsets, mask the row's frames, finish the row (zero its
+    padding, add it to the CRC), seal. ``targets`` is the corpus's, by
+    position.
 
     A survivor is dropped at its first constituent that fails in the
     store or on the archive read. One with a constituent the store has
     failed is left out of the layout; only the constituents before that
     one are read, to find which fails first. If a read into the record
-    fails, the kept rows are laid out again, since B and T_max change.
+    fails, the kept rows are laid out again, since B and T_max change,
+    and that record is sealed over all its bytes.
     """
     positions = [survivors.positions(r) for r in ordinals]
+    frames = survivors.frames[ordinals].tolist()
     # row -> message; a kept exception's traceback would hold this frame, and its record
     failures = {}
     rows = []
@@ -322,11 +387,16 @@ def _build_group(
             failures[row] = str(exc)
 
     def lay_out(rows):
-        return _lay_out([ordinals[row] for row in rows], survivors, targets, config)
+        lengths = [frames[row] for row in rows]
+        return _lay_out(lengths, [positions[row] for row in rows], targets, config, free_list)
 
     record = lay_out(rows) if rows else None
-    if config.specaugment is not None:
+    policy = config.specaugment
+    seconds = [0.0] * len(BUILD_STAGES)
+    now = time.perf_counter()
+    if policy is not None:
         draws = keyed_draws(config.seed, MASK_STREAM, epoch, [ordinals[row] for row in rows])
+        now = _lap(seconds, _MASK, now)
     kept = []
     for at, row in enumerate(rows):
         features = record.features[at]
@@ -335,34 +405,42 @@ def _build_group(
         except (PipelineError, OSError) as exc:
             failures[row] = str(exc)
             continue
-        if config.specaugment is not None:
-            mask_in_place(features[: record.feature_lengths[at]], config.specaugment, draws[at])
+        finally:
+            now = _lap(seconds, _READ, now)
+        if policy is not None:
+            mask_in_place(features[: frames[row]], policy, draws[at])
+            now = _lap(seconds, _MASK, now)
+        record.finish_row(at)
+        now = _lap(seconds, _CHECKSUM, now)
         kept.append(at)
     if len(kept) < len(rows):
         full = record
         rows = [rows[at] for at in kept]
         record = lay_out(rows) if rows else None
         for new_at, at in enumerate(kept):
-            # padding is zero in both, so whole rows copy
+            # finished rows have zero padding, so whole rows copy
             record.features[new_at] = full.features[at, : record.features.shape[1]]
+        free_list.give(full)
 
+    ids = survivors.plan.ids
     n_original = len(survivors.originals)
     failed_original = failed_augmented = 0
     diagnostics = []
     for row in sorted(failures):
-        r = ordinals[row]
-        if r < n_original:
+        if ordinals[row] < n_original:
             failed_original += 1
         else:
             failed_augmented += 1
-        constituents = survivors.constituents(r)
+        constituents = tuple(ids[p] for p in positions[row])
         diagnostics.append(
             f"epoch {epoch}: dropped {constituents}: "
             f"failed to load features for {constituents}: {failures[row]}"
         )
     if record is None:
-        return _Group(None, 0, 0, 0, failed_original, failed_augmented, diagnostics)
+        return _Group(None, 0, 0, 0, failed_original, failed_augmented, diagnostics, [], seconds)
+    start = time.perf_counter()
     record.seal()
+    _lap(seconds, _CHECKSUM, start)
     b, t_max, _ = record.features.shape
     return _Group(
         record,
@@ -372,7 +450,8 @@ def _build_group(
         failed_original,
         failed_augmented,
         diagnostics,
-        [survivors.constituents(ordinals[row]) for row in rows],
+        [tuple(ids[p] for p in positions[row]) for row in rows],
+        seconds,
     )
 
 
@@ -443,7 +522,10 @@ class _Run:
     manifest and its speaker index once and records the ingestion in
     ``report``; a bad setting is fatal before the manifest is read or any
     output exists. When features are loaded, the run owns the feature
-    store and closes it on exit. Callers close each epoch's groups
+    store, which it closes on exit, and the free list of record buffers
+    (``3 * workers - 1``, as many as the records alive at once), to
+    which sinks hand back each record they are done with. Callers close
+    each epoch's groups
     (:func:`_epoch`) inside the run's ``with`` block, so the builds
     reading the store have ended before it closes.
     """
@@ -463,6 +545,7 @@ class _Run:
         self.index = build_speaker_index(self.corpus)
         report.ingestion = ingestion_report(parse, self.index)
         self.store = _FeatureStore(config, self.corpus) if load_features else None
+        self.free_list = _FreeList(3 * self.workers - 1) if load_features else None
 
     def __enter__(self) -> _Run:
         return self
@@ -508,13 +591,13 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
         # Groups then members then constituents: the store extracts (and
         # archives) the utterances in first-use order.
         jobs = [group.tolist() for group in groups]
-        store.extract(
-            (pos for ordinals in jobs for r in ordinals for pos in survivors.positions(r)),
-            engine.workers,
-        )
+        ordinals = np.concatenate([np.zeros(0, np.int64), *groups])  # empty with no groups
+        store.extract(survivors.first_use(ordinals), engine.workers)
 
         def build(ordinals):
-            return _build_group(ordinals, survivors, corpus.targets, config, epoch, store)
+            return _build_group(
+                ordinals, survivors, corpus.targets, config, epoch, store, engine.free_list
+            )
 
         builds = _ordered_pool_map(build, jobs, engine.workers)
     t_extract = time.perf_counter()
@@ -531,10 +614,13 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
 
     def results():
         failed_original = failed_augmented = batches = emitted = padded = true = 0
+        build_s = dict.fromkeys(BUILD_STAGES, 0.0) if store is not None else {}
         with contextlib.closing(builds):  # an early close cancels the queued builds
             for built in builds:
                 failed_original += built.failed_original
                 failed_augmented += built.failed_augmented
+                for stage, seconds in zip(BUILD_STAGES, built.timings):
+                    build_s[stage] += seconds
                 report.diagnostics.extend(built.diagnostics)
                 if built.size:
                     batches += 1
@@ -562,6 +648,7 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
                     "compose": t_compose - t_plan,
                     "extract_features": t_extract - t_compose,
                     "materialize_and_emit": time.perf_counter() - t_extract,
+                    **build_s,
                 },
             }
         )
@@ -571,13 +658,14 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
 
 def _drive(
     config: PipelineConfig,
-    sink: Callable[[int, Iterator[_Group]], object],
+    sink: Callable[[int, Iterator[_Group], _FreeList | None], object],
     load_features: bool,
 ) -> AuditReport:
-    """Feed every epoch of a run to ``sink``, then total and write the
-    report. A dict of timings the sink returns joins the epoch's
-    ``timings_s``. A run that loads features writes batches: once its
-    manifest is read, it clears what an earlier run wrote to ``out_dir``."""
+    """Feed every epoch of a run to ``sink``, with the run's free list of
+    record buffers, then total and write the report. A dict of timings
+    the sink returns joins the epoch's ``timings_s``. A run that loads
+    features writes batches: once its manifest is read, it clears what an
+    earlier run wrote to ``out_dir``."""
     if config.emit not in EMIT_MODES:
         raise ConfigurationError(f"unknown emit mode {config.emit!r}")
     started = time.perf_counter()
@@ -588,7 +676,7 @@ def _drive(
                 _clear_outputs(Path(config.out_dir))
             for epoch in range(config.epochs):
                 with contextlib.closing(_epoch(engine, epoch)) as groups:
-                    timings = sink(epoch, groups)
+                    timings = sink(epoch, groups, engine.free_list)
                 if isinstance(timings, dict):
                     report.epochs[-1]["timings_s"].update(timings)
     except PipelineError as exc:
@@ -637,17 +725,20 @@ def _writing(path: Path, write: Callable, *args):
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_all(writes: Iterable[tuple]) -> dict:
-    """Make each ``(path, write, *args)`` of ``writes`` as :func:`_writing`
-    does, in order, on the calling thread. Return its seconds spent
-    writing and its seconds spent waiting for ``writes`` to yield the next
-    write."""
+def _write_all(
+    groups: Iterator[_Group], write: Callable[[int, Record], object], free_list: _FreeList
+) -> dict:
+    """Write each group's record, in order, on the calling thread, with
+    ``write(index, record)``, then hand its buffer back to ``free_list``.
+    Return the seconds spent writing and the seconds spent waiting for
+    ``groups`` to yield the next one."""
     write_s = wait_s = 0.0
     start = time.perf_counter()
-    for write in writes:
+    for index, built in enumerate(groups):
         ready = time.perf_counter()
         wait_s += ready - start
-        _writing(*write)
+        write(index, built.record)
+        free_list.give(built.record)
         start = time.perf_counter()
         write_s += start - ready
     return {"write": write_s, "writer_wait": wait_s}
@@ -662,58 +753,85 @@ def run(config: PipelineConfig) -> AuditReport:
     The worker pool builds the records while the calling thread writes
     them. An output file that cannot be written is fatal: a
     :class:`ConfigurationError` naming it.
+
+    Each epoch is written to a temporary sibling of its output
+    (``.epoch-NNN.tmp`` or ``.epoch-NNN.cabxs.tmp``) and renamed into
+    place once complete, and ``report.json`` is written last, so a run
+    that is killed leaves no partial epoch under its final name and no
+    report; a run that fails removes its temporary sibling.
     """
     if config.out_dir is None:
         raise ConfigurationError("run requires an output directory")
     out_dir = Path(config.out_dir)
 
-    def emit(epoch: int, groups: Iterator[_Group]) -> dict:
-        if config.emit == "stream":
-            path = out_dir / f"epoch-{epoch:03d}.cabxs"
-            stream = _writing(path, StreamWriter, path)
-            try:
-                timings = _write_all((path, stream.write, built.record) for built in groups)
-            except BaseException:
-                with contextlib.suppress(OSError):  # the error raised first is the run's
-                    stream.close()
-                raise
-            _writing(path, stream.close)
-            return timings
-        epoch_dir = out_dir / f"epoch-{epoch:03d}"
-        _make_dir(epoch_dir)
-        return _write_all(
-            (path, write_batch_file, built.record, path)
-            for index, built in enumerate(groups)
-            for path in [epoch_dir / f"batch-{index:05d}.cabx"]
-        )
+    def emit(epoch: int, groups: Iterator[_Group], free_list: _FreeList) -> dict:
+        name = f"epoch-{epoch:03d}{'.cabxs' if config.emit == 'stream' else ''}"
+        final, partial = out_dir / name, out_dir / f".{name}.tmp"
+        try:
+            if config.emit == "stream":
+                stream = _writing(final, StreamWriter, partial)
+
+                def write(index: int, record: Record) -> None:
+                    _writing(final, stream.write, record)
+
+                try:
+                    timings = _write_all(groups, write, free_list)
+                except BaseException:
+                    with contextlib.suppress(OSError):  # the error raised first is the run's
+                        stream.close()
+                    raise
+                _writing(final, stream.close)
+            else:
+                _make_dir(partial)
+
+                def write(index: int, record: Record) -> None:
+                    file = f"batch-{index:05d}.cabx"
+                    _writing(final / file, write_batch_file, record, partial / file)
+
+                timings = _write_all(groups, write, free_list)
+            _writing(final, os.replace, partial, final)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                _remove(partial)
+            raise
+        return timings
 
     return _drive(config, emit, load_features=True)
 
 
-_OUTPUT_NAME = re.compile(r"epoch-\d{3,}(\.cabxs)?|report\.json|\.report\.json\.\d+\.tmp")
+# What a run writes to out_dir: epochs, the report, and the temporary
+# siblings they are written to before they are renamed into place.
+_OUTPUT_NAME = re.compile(
+    r"epoch-\d{3,}(\.cabxs)?|\.epoch-\d{3,}(\.cabxs)?\.tmp"
+    r"|report\.json|\.report\.json\.\d+\.tmp"
+)
+
+
+def _remove(path: Path) -> None:
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
 
 
 def _clear_outputs(out_dir: Path) -> None:
     """Create ``out_dir`` and remove what an earlier run wrote to it: its
-    epoch directories and streams, its report and the temporary file of
-    a report write it did not finish. Nothing else is touched.
+    epoch directories and streams, its report, and the temporary files
+    of an epoch or a report it did not finish. Nothing else is touched.
     A run calls this once its config is checked and its manifest read,
     so a later fatal error leaves no earlier run's batches behind, and
     an ``out_dir`` that cannot be created fails before the first epoch."""
     _make_dir(out_dir)
     for path in out_dir.iterdir():
         if _OUTPUT_NAME.fullmatch(path.name):
-            if path.is_dir() and not path.is_symlink():
-                shutil.rmtree(path)
-            else:
-                path.unlink()
+            _remove(path)
 
 
 def audit(config: PipelineConfig) -> AuditReport:
     """Dry run through the same engine as :func:`run`: identical planning,
     filtering and batch composition, with frame counts taken from the
     manifest and no feature I/O."""
-    return _drive(config, lambda epoch, groups: deque(groups, maxlen=0), load_features=False)
+    return _drive(config, lambda epoch, groups, _: deque(groups, maxlen=0), load_features=False)
 
 
 def iter_epoch_batches(config: PipelineConfig, epoch: int) -> Iterator[Batch]:
@@ -730,8 +848,9 @@ def iter_epoch_batches(config: PipelineConfig, epoch: int) -> Iterator[Batch]:
         contextlib.closing(_epoch(engine, epoch)) as groups,
     ):
         for built in groups:
-            batch = decode_batch(built.record.body)
+            batch = decode_batch(built.record.body)  # a copy: the buffer goes back
             batch.instance_ids = built.instance_ids
+            engine.free_list.give(built.record)
             yield batch
 
 

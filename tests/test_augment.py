@@ -438,3 +438,26 @@ class TestSurvivorsOracle:
             assert survivors.constituents(r) == constituents
             assert survivors.frames[r] == frames
             assert survivors.target(r, utts.targets) == target
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    utts=_corpora(),
+    strategy=_strategies(),
+    include_original=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_first_use_is_the_order_positions_are_first_read(
+    utts, strategy, include_original, seed, data
+):
+    """``Survivors.first_use`` over any sequence of survivors, repeats
+    included, is ``dict.fromkeys`` over their positions, in turn."""
+    index = build_speaker_index(utts)
+    assume(strategy.kind != "speaker" or len(index))
+    plan = plan_epoch(utts, index, strategy, seed=seed, epoch=0)
+    survivors = length_filter(plan, utts.n_frames, 60 * strategy.k, include_original)
+    ordinal = st.integers(0, len(survivors) - 1)
+    ordinals = data.draw(st.lists(ordinal, max_size=30) if len(survivors) else st.just([]))
+    expected = list(dict.fromkeys(p for r in ordinals for p in survivors.positions(r)))
+    assert survivors.first_use(np.array(ordinals, dtype=np.int64)).tolist() == expected

@@ -2,7 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from concat_augment import checksum
 from concat_augment.archive import FeatureArchive
 from concat_augment.augment import Strategy
 from concat_augment.batchio import (
@@ -110,6 +113,72 @@ class TestRecordFormat:
         blob[40] ^= 0x01
         with pytest.raises(BatchingError, match="CRC"):
             decode_batch(bytes(blob))
+
+
+def poisoned(size):
+    """A stale buffer for ``Record(alloc=...)``: every byte 0xFF, and longer
+    than asked."""
+    return np.full(size + 13, 0xFF, dtype=np.uint8)
+
+
+# Also run under the zlib_crc32 fixture (test_golden.TestUnderZlibCrc).
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    n_bins=st.sampled_from([1, 3, 80]),
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_chained_seal_equals_a_whole_record_seal(n_bins, lengths, seed):
+    """A record in a stale buffer, each row finished in order (padding
+    zeroed, row folded into the CRC), seals to the bytes of a zeroed
+    record sealed over all its bytes. Rows of 1 x 40 x 1 to 40 x 80
+    floats fall on both sides of ``checksum._SMALL``, where the CRC
+    moves from zlib to libdeflate."""
+    rng = np.random.default_rng(seed)
+    t_max = max(lengths)
+    targets = [tuple(rng.integers(0, 2**32, size=int(rng.integers(0, 4)))) for _ in lengths]
+    rows = [rng.standard_normal((n, n_bins)).astype(np.float32) for n in lengths]
+    whole = Record(t_max, n_bins, lengths, targets, target_pad_id=3)
+    chained = Record(t_max, n_bins, lengths, targets, target_pad_id=3, alloc=poisoned)
+    for at, feats in enumerate(rows):
+        whole.features[at, : len(feats)] = feats
+        chained.features[at, : len(feats)] = feats
+        chained.finish_row(at)
+    assert bytes(chained.seal().buffer) == bytes(whole.seal().buffer)
+    assert decode_batch(chained.body).feature_lengths == lengths
+
+
+def test_rows_finished_out_of_order_seal_over_every_byte():
+    lengths = [3, 1, 2]
+    whole = Record(3, 2, lengths, [(1,), (2,), (3,)], target_pad_id=0)
+    record = Record(3, 2, lengths, [(1,), (2,), (3,)], target_pad_id=0, alloc=poisoned)
+    for at in (1, 0, 2):  # row 1 first: it is not folded in, so neither are the rest
+        whole.features[at, : lengths[at]] = at + 1
+        record.features[at, : lengths[at]] = at + 1
+        record.finish_row(at)
+    assert bytes(record.seal().buffer) == bytes(whole.seal().buffer)
+
+
+def test_a_row_chained_seal_hands_libdeflate_only_the_rows_and_the_tail(monkeypatch):
+    if checksum._libdeflate_crc32 is None:
+        pytest.skip("libdeflate.so.0 does not load here")
+    fn, sizes = checksum._libdeflate_crc32, []
+
+    def counted(value, address, size):
+        sizes.append(size)
+        return fn(value, address, size)
+
+    monkeypatch.setattr(checksum, "_libdeflate_crc32", counted)
+    record = Record(40, 32, [40, 30], [tuple(range(1100)), (7,)], 0, alloc=poisoned)
+    record.features[:] = 1.0
+    record.finish_row(0)
+    record.finish_row(1)
+    record.seal()
+    tail = 4 * (1 + 2 + 1101 + 2)
+    assert sizes == [40 * 32 * 4, 40 * 32 * 4, tail]
+    decode_batch(bytes(record.body))
 
 
 class TestFilesAndStream:

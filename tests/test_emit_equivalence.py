@@ -15,7 +15,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from concat_augment.archive import FeatureArchive
+from concat_augment import pipeline
+from concat_augment.archive import DATA_FILE, FeatureArchive
 from concat_augment.augment import Strategy, length_filter, plan_epoch
 from concat_augment.errors import PipelineError
 from concat_augment.features import FeatureConfig
@@ -30,6 +31,7 @@ from concat_augment.pipeline import (
 from concat_augment.specaugment import MaskPolicy
 
 import emit_oracle
+from archive_records import record_span
 from conftest import manifest_text
 from test_pipeline import read_tree
 
@@ -130,36 +132,46 @@ def check_run_agrees_with_audit(report, config):
         assert ran["emitted_instances"] == dry["emitted_instances"] - failures
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(corpora(), configs(), st.integers(0, 2**32 - 1), st.integers(1, 2))
-def test_run_writes_the_reference_bytes(corpus, overrides, feature_seed, workers):
-    mode, rows, missing = corpus
+def feature_table(rows, missing, feature_seed):
+    """Features for every row not in ``missing``, by id."""
     rng = np.random.default_rng(feature_seed)
-    table = {
+    return {
         utt_id: rng.standard_normal((n_frames, N_BINS)).astype(np.float32)
         for utt_id, _, n_frames, _, _ in rows
         if utt_id not in missing
     }
+
+
+def archived_config(root, mode, rows, table, overrides) -> PipelineConfig:
+    """Write the manifest and an archive of ``table`` under ``root``; the
+    config of a run over them."""
+    (root / "train.tsv").write_text(manifest_text(rows), encoding="utf-8")
+    feature = FeatureConfig(n_mels=N_BINS)
+    with FeatureArchive(root / "archive", mode="a", feature=feature) as archive:
+        for utt_id, feats in table.items():
+            archive.write(utt_id, feats)
+    return PipelineConfig(
+        manifest_path=root / "train.tsv",
+        out_dir=root / "out",
+        corpus_mode=mode,
+        audio_root=root,
+        archive_dir=root / "archive",
+        feature=feature,
+        **overrides,
+    )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corpora(), configs(), st.integers(0, 2**32 - 1), st.integers(1, 2))
+def test_run_writes_the_reference_bytes(corpus, overrides, feature_seed, workers):
+    mode, rows, missing = corpus
+    table = feature_table(rows, missing, feature_seed)
     with (
         tempfile.TemporaryDirectory() as tmp,
         mock.patch.dict(os.environ, {WORKERS_ENV_VAR: str(workers)}),
     ):
         root = Path(tmp)
-        (root / "train.tsv").write_text(manifest_text(rows), encoding="utf-8")
-        with FeatureArchive(
-            root / "archive", mode="a", feature=FeatureConfig(n_mels=N_BINS)
-        ) as archive:
-            for utt_id, feats in table.items():
-                archive.write(utt_id, feats)
-        config = PipelineConfig(
-            manifest_path=root / "train.tsv",
-            out_dir=root / "out",
-            corpus_mode=mode,
-            audio_root=root,
-            archive_dir=root / "archive",
-            feature=FeatureConfig(n_mels=N_BINS),
-            **overrides,
-        )
+        config = archived_config(root, mode, rows, table, overrides)
         try:
             expected = emit_oracle.emit(config, table)
         except PipelineError as exc:  # e.g. the speaker strategy with no speaker groups
@@ -174,3 +186,49 @@ def test_run_writes_the_reference_bytes(corpus, overrides, feature_seed, workers
         assert read_tree(root / "out") == expected
         check_survivors_emitted_once(config, missing)
         check_run_agrees_with_audit(report, config)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    corpora(),
+    configs(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_reused_buffers_write_the_reference_bytes(corpus, overrides, feature_seed, workers, data):
+    """Every record buffer the free list hands out is poisoned with 0xFF
+    bytes, so a byte a build leaves unwritten shows. Records of mixed
+    sizes share the buffers, and archive records with a flipped payload
+    byte fail their read inside a record, so its kept rows are laid out
+    again."""
+    mode, rows, missing = corpus
+    table = feature_table(rows, missing, feature_seed)
+    corrupt = data.draw(st.sets(st.sampled_from(sorted(table))) if table else st.just(set()))
+    take = pipeline._FreeList.take
+
+    def poisoned(self, size):
+        buffer = take(self, size)
+        buffer.fill(0xFF)
+        return buffer
+
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.dict(os.environ, {WORKERS_ENV_VAR: str(workers)}),
+        mock.patch.object(pipeline._FreeList, "take", poisoned),
+    ):
+        root = Path(tmp)
+        config = archived_config(root, mode, rows, table, overrides)
+        with open(root / "archive" / DATA_FILE, "r+b") as f:
+            for utt_id in corrupt:
+                f.seek(record_span(root / "archive", utt_id)[1])
+                byte = f.read(1)[0]
+                f.seek(-1, os.SEEK_CUR)
+                f.write(bytes([byte ^ 0x10]))
+        kept = {utt_id: feats for utt_id, feats in table.items() if utt_id not in corrupt}
+        try:
+            expected = emit_oracle.emit(config, kept)
+        except PipelineError:  # covered by test_run_writes_the_reference_bytes
+            return
+        run(config).check_consistency()
+        assert read_tree(root / "out") == expected

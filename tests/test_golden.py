@@ -28,6 +28,7 @@ from concat_augment.pipeline import (
 )
 from concat_augment.specaugment import MaskPolicy
 
+import test_batchio
 from archive_records import record_span
 from conftest import manifest_text
 from emit_oracle import encode_batch
@@ -285,7 +286,8 @@ def test_checksum_mismatch_bytes(corpus, workers):
 @pytest.mark.usefixtures("zlib_crc32")
 class TestUnderZlibCrc:
     """Every digest above again, with every CRC computed by zlib as on a
-    platform without libdeflate: the two give the same bytes."""
+    platform without libdeflate: the two give the same bytes. A record
+    sealed row by row, too."""
 
     test_run_files_bytes = staticmethod(test_run_files_bytes)
     test_run_stream_bytes = staticmethod(test_run_stream_bytes)
@@ -294,3 +296,6 @@ class TestUnderZlibCrc:
     test_branch_bytes = staticmethod(test_branch_bytes)
     test_emit_branch_bytes = staticmethod(test_emit_branch_bytes)
     test_checksum_mismatch_bytes = staticmethod(test_checksum_mismatch_bytes)
+    test_row_chained_seal = staticmethod(
+        test_batchio.test_row_chained_seal_equals_a_whole_record_seal
+    )

@@ -31,6 +31,7 @@ from concat_augment.pipeline import (
 )
 from concat_augment.specaugment import MaskPolicy
 
+from archive_records import record_span
 from conftest import manifest_text, pcm_samples_for_frames, write_audio_corpus
 
 
@@ -297,6 +298,27 @@ class TestRun:
         )
         run(config2)
         assert read_tree(tmp_path / "out1") == read_tree(tmp_path / "out2")
+
+    def test_iter_epoch_batches_batches_outlive_the_next_builds(
+        self, small_audio_corpus, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, "2")
+        config = PipelineConfig(
+            manifest_path=small_audio_corpus,
+            audio_root=small_audio_corpus.parent,
+            seed=2,
+            budget_frames=120,
+            specaugment=MaskPolicy(),
+        )
+        batches, copies = [], []
+        for batch in iter_epoch_batches(config, epoch=0):
+            batches.append(batch)
+            copies.append((batch.features.copy(), batch.targets.copy(), batch.instance_ids[:]))
+        assert len(batches) > 2 * (3 * 2 - 1)  # each buffer is reused
+        for batch, (features, targets, ids) in zip(batches, copies):
+            assert batch.features.tobytes() == features.tobytes()
+            np.testing.assert_array_equal(batch.targets, targets)
+            assert batch.instance_ids == ids
 
     def test_iter_epoch_batches_closes_archive(self, small_audio_corpus, tmp_path):
         manifest = small_audio_corpus
@@ -687,6 +709,8 @@ class TestWriter:
             for ep in report.epochs:
                 assert ep["timings_s"]["write"] >= 0
                 assert ep["timings_s"]["writer_wait"] >= 0
+                for stage in pipeline.BUILD_STAGES:  # build_read, build_mask, build_checksum
+                    assert ep["timings_s"][stage] > 0
             docs.append(json.loads((tmp_path / out / "report.json").read_text()))
         assert strip_timings(docs[0]) == strip_timings(docs[1])
 
@@ -795,7 +819,13 @@ class TestWriter:
     def test_records_alive_are_bounded(self, store_corpus, tmp_path, monkeypatch, workers, emit):
         lock = threading.Lock()
         alive = peak = 0
-        lay_out = pipeline._lay_out
+        free = []  # the free list's length after each hand-back
+        lay_out, give = pipeline._lay_out, pipeline._FreeList.give
+
+        def counted_give(self, record):
+            give(self, record)
+            with lock:
+                free.append(len(self._free))
 
         def released():
             nonlocal alive
@@ -822,6 +852,7 @@ class TestWriter:
             return slowed
 
         monkeypatch.setattr(pipeline, "_lay_out", counted_lay_out)
+        monkeypatch.setattr(pipeline._FreeList, "give", counted_give)
         monkeypatch.setattr(pipeline, "write_batch_file", slow(write_batch_file))
         monkeypatch.setattr(StreamWriter, "write", slow(stream_write))
         monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
@@ -831,6 +862,130 @@ class TestWriter:
         assert report.totals["batches"] > 2 * (3 * workers - 1)
         assert peak <= 3 * workers - 1
         assert alive == 0
+        assert len(free) == report.totals["batches"]  # every written record's buffer
+        assert 0 < max(free) <= 3 * workers - 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_free_list_is_bounded_when_records_are_laid_out_again(
+        self, store_corpus, tmp_path, monkeypatch, workers
+    ):
+        """A record laid out again after a failed read holds one buffer
+        more while it is copied; the free list still keeps at most
+        ``3 * workers - 1``."""
+        archive = tmp_path / "arch"
+        run(store_config(store_corpus, out_dir=tmp_path / "fill", archive_dir=archive))
+        at = record_span(archive, "u000001")[1] + 8  # a payload byte: its reads fail
+        with open(archive / DATA_FILE, "r+b") as f:
+            f.seek(at)
+            byte = f.read(1)[0]
+            f.seek(at)
+            f.write(bytes([byte ^ 0x20]))
+        free = []  # the free list's length after each hand-back
+        give, write_batch_file = pipeline._FreeList.give, pipeline.write_batch_file
+
+        def counted_give(self, record):
+            give(self, record)
+            free.append(len(self._free))
+
+        def slow_write(*args):  # lets the pool fill every slot it is allowed
+            time.sleep(0.005)
+            write_batch_file(*args)
+
+        monkeypatch.setattr(pipeline._FreeList, "give", counted_give)
+        monkeypatch.setattr(pipeline, "write_batch_file", slow_write)
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
+        report = run(store_config(
+            store_corpus, out_dir=tmp_path / "out", archive_dir=archive, budget_frames=200,
+        ))
+        assert any("checksum mismatch for 'u000001'" in d for d in report.diagnostics)
+        assert len(free) > report.totals["batches"]  # some records were laid out again
+        assert max(free) <= 3 * workers - 1
+
+    def test_shared_free_list_under_many_workers_and_thread_switches(
+        self, store_corpus, tmp_path, monkeypatch
+    ):
+        """Eight workers on fewer cores take and hand back buffers while
+        threads switch every 10 us: the bytes are the one-worker bytes,
+        so no buffer went to two records at once."""
+        def config(out):
+            return store_config(store_corpus, out_dir=tmp_path / out, budget_frames=200)
+
+        run(config("one"))
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run(config("many"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert read_tree(tmp_path / "many") == read_tree(tmp_path / "one")
+
+    def test_no_build_reuses_a_buffer_while_its_record_is_written(
+        self, store_corpus, tmp_path, monkeypatch
+    ):
+        changed = []
+        write = StreamWriter.write
+
+        def slow_write(self, record):
+            before = bytes(record.buffer)
+            time.sleep(0.005)  # the pool builds meanwhile
+            write(self, record)
+            changed.append(bytes(record.buffer) != before)
+
+        monkeypatch.setattr(StreamWriter, "write", slow_write)
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, "2")
+        report = run(store_config(
+            store_corpus, out_dir=tmp_path / "out", emit="stream", budget_frames=200
+        ))
+        assert len(changed) == report.totals["batches"] > 2 * (3 * 2 - 1)
+        assert not any(changed)
+
+    @pytest.mark.parametrize("emit", pipeline.EMIT_MODES)
+    def test_a_run_killed_mid_epoch_leaves_no_partial_epoch(
+        self, store_corpus, tmp_path, monkeypatch, emit
+    ):
+        class Killed(BaseException):
+            pass
+
+        writes = []
+        at_kill = []  # out_dir as a kill at that moment would leave it
+        write_batch_file, stream_write = pipeline.write_batch_file, StreamWriter.write
+
+        def killed_at_the_write(write):
+            def killing(*args):
+                writes.append(1)
+                if len(writes) == done + 2:  # the third write of epoch 1
+                    at_kill.extend(sorted(p.name for p in out.iterdir()))
+                    raise Killed
+                return write(*args)
+
+            return killing
+
+        out = tmp_path / "out"
+        config = store_config(store_corpus, out_dir=out, emit=emit, budget_frames=200)
+        done = run(config).epochs[0]["batch_count"]
+        expected = read_tree(out)
+        monkeypatch.setattr(pipeline, "write_batch_file", killed_at_the_write(write_batch_file))
+        monkeypatch.setattr(StreamWriter, "write", killed_at_the_write(stream_write))
+        with pytest.raises(Killed):
+            run(config)
+        final = "epoch-000.cabxs" if emit == "stream" else "epoch-000"
+        assert at_kill == [f".{final.replace('000', '001')}.tmp", final]
+        assert sorted(p.name for p in out.iterdir()) == [final]  # the failed run cleaned up
+        assert read_tree(out) == {
+            name: data for name, data in expected.items() if name.startswith(final)
+        }
+
+    def test_rerun_removes_the_temporary_siblings_of_a_killed_run(self, store_corpus, tmp_path):
+        out = tmp_path / "out"
+        (out / ".epoch-001.tmp").mkdir(parents=True)
+        (out / ".epoch-001.tmp" / "batch-00000.cabx").write_bytes(b"CABX")
+        (out / ".epoch-002.cabxs.tmp").write_bytes(b"partial")
+        (out / ".epoch-1.tmp").write_bytes(b"not ours")
+        run(store_config(store_corpus, out_dir=out, emit="stream"))
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [".epoch-1.tmp", "report.json"] + [f"epoch-{e:03d}.cabxs" for e in range(2)]
+        )
 
 
 class TestAudit:
