@@ -181,10 +181,9 @@ def plan_epoch(
     return EpochPlan(strategy, ids, anchors, partners, excluded)
 
 
-def join_targets(targets: list[Target]) -> Target:
-    """The target of a concatenation of utterances with ``targets``, in
-    order: text joins with a single space; token sequences concatenate
-    with no separator symbol of any kind."""
+def _join_targets(targets: list[Target]) -> Target:
+    # text joins with a single space; token sequences concatenate with
+    # no separator symbol of any kind
     if isinstance(targets[0], str):
         return " ".join(targets)  # type: ignore[arg-type]
     joined: tuple[int, ...] = ()
@@ -246,7 +245,7 @@ class Survivors:
     def target(self, r: int, targets: Sequence[Target]) -> Target:
         """Survivor ``r``'s target, given every utterance's by position:
         text joins with one space, tokens concatenate."""
-        return join_targets([targets[p] for p in self.positions(r)])
+        return _join_targets([targets[p] for p in self.positions(r)])
 
 
 def length_filter(

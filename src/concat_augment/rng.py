@@ -140,42 +140,16 @@ class KeyedDraws:
         if span >= _U32:
             # a range of exactly 2**32 values takes a 32-bit half as it is
             return low + (self._next32() if span == _U32 else self._bounded64(span))
-        return low + self._below(span + 1)
-
-    def spans(self, bounds: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-        """For each ``(extent, cap)`` of ``bounds``, in order, draw ``width
-        = integers(0, min(cap, extent) + 1)``, then ``start =
-        integers(0, extent - width + 1)``; return the ``(start, width)``
-        pairs. One call draws all of a row's masks."""
-        below = self._below
-        drawn = []
-        for extent, cap in bounds:
-            width = below(min(cap, extent) + 1)
-            drawn.append((below(extent - width + 1), width))
-        return drawn
-
-    def _below(self, high: int) -> int:
-        """``integers(0, high)``, with the 32-bit draw inlined for ``high``
-        up to ``2**32 - 1``."""
-        if not 1 < high <= _U32:
-            return 0 if high == 1 else self.integers(0, high)
+        if not span:
+            return low
         # Lemire's multiply-and-reject, on 32-bit halves
-        half = self._half
-        if half is None:
-            self._state = state = (self._state * _PCG_MULT + self._inc) & _U128
-            rot = state >> 122
-            value = ((state >> 64) ^ state) & _U64
-            value = (value >> rot | value << (64 - rot)) & _U64
-            self._half = value >> 32
-            half = value & _U32
-        else:
-            self._half = None
-        m = half * high
-        if m & _U32 < high:
-            threshold = (_U32 - high + 1) % high
+        excl = span + 1
+        m = self._next32() * excl
+        if m & _U32 < excl:
+            threshold = (_U32 - span) % excl
             while m & _U32 < threshold:
-                m = self._next32() * high
-        return m >> 32
+                m = self._next32() * excl
+        return low + (m >> 32)
 
     def _bounded64(self, span: int) -> int:
         excl = span + 1

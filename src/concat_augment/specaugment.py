@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .rng import KeyedDraws
 
 
 @dataclass(frozen=True)
@@ -35,30 +34,22 @@ class MaskPolicy:
             raise ConfigurationError("mask counts must be >= 0")
 
 
-def mask_in_place(feats: np.ndarray, policy: MaskPolicy, rng) -> None:
+def mask_in_place(feats: np.ndarray, policy: MaskPolicy, rng: np.random.Generator) -> None:
     """Mask random frequency bands and time spans of a T x F matrix.
 
     For each frequency mask, width f ~ Uniform{0..F} and start
     ~ Uniform{0..n_bins-f}; columns [start, start+f) are set to the mask
     value. Time masks work the same on rows, with width capped at
     n_frames. All frequency masks are drawn before the time masks.
-    ``rng`` is a ``np.random.Generator``, asked only for ``integers(0,
-    high)``, or a :class:`rng.KeyedDraws` replaying one, which draws the
-    same masks in one :meth:`~rng.KeyedDraws.spans` call.
+    ``rng`` is only asked for ``integers(0, high)``, so a
+    :class:`rng.KeyedDraws` replaying a generator draws the same masks.
     """
     n_frames, n_bins = feats.shape
-    n_freq = policy.n_freq_masks
-    bounds = [(n_bins, policy.freq_param)] * n_freq
-    bounds += [(n_frames, policy.time_param)] * policy.n_time_masks
-    if isinstance(rng, KeyedDraws):
-        spans = rng.spans(bounds)
-    else:
-        spans = []
-        for extent, cap in bounds:
-            width = int(rng.integers(0, min(cap, extent) + 1))
-            spans.append((int(rng.integers(0, extent - width + 1)), width))
-    for i, (start, width) in enumerate(spans):
-        if i < n_freq:
-            feats[:, start : start + width] = policy.mask_value
-        else:
-            feats[start : start + width] = policy.mask_value
+    for _ in range(policy.n_freq_masks):
+        width = int(rng.integers(0, min(policy.freq_param, n_bins) + 1))
+        start = int(rng.integers(0, n_bins - width + 1))
+        feats[:, start : start + width] = policy.mask_value
+    for _ in range(policy.n_time_masks):
+        width = int(rng.integers(0, min(policy.time_param, n_frames) + 1))
+        start = int(rng.integers(0, n_frames - width + 1))
+        feats[start : start + width, :] = policy.mask_value

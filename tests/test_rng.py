@@ -110,28 +110,3 @@ def test_masks_match_a_generators(
     (replay,) = keyed_draws(seed, MASK_STREAM, epoch, [ordinal])
     mask_in_place(feats, policy, replay)
     np.testing.assert_array_equal(feats, expected)
-
-
-@SETTINGS
-@given(
-    seed=SEEDS,
-    ordinal=ORDINALS,
-    bounds=st.lists(
-        st.tuples(
-            st.one_of(st.integers(1, 400), st.sampled_from([2**32 - 2, 2**32, 2**40])),
-            st.one_of(st.integers(0, 400), st.just(2**62)),
-        ),
-        max_size=6,
-    ),
-)
-def test_spans_draw_what_integers_draws(seed, ordinal, bounds):
-    """One ``spans`` call draws each width, then its start, as the
-    generator's ``integers`` calls do; extents past 32 bits take the
-    64-bit draw."""
-    (replay,) = keyed_draws(seed, MASK_STREAM, 0, [ordinal])
-    rng = keyed_rng(seed, MASK_STREAM, 0, ordinal)
-    expected = []
-    for extent, cap in bounds:
-        width = int(rng.integers(0, min(cap, extent) + 1))
-        expected.append((int(rng.integers(0, extent - width + 1)), width))
-    assert replay.spans(bounds) == expected
