@@ -185,10 +185,11 @@ class _FeatureStore:
     of each archived one the first time it is referenced, and computes
     the others on the worker pool; the calling thread, the one writer,
     appends them to a :class:`FeatureArchive` in that order, so the
-    archive's bytes do not depend on the pool size. Only a position computed from audio is read
-    as an :class:`Utterance`. The archive is the user's ``archive_dir``,
-    or a scratch one in a temporary directory; it is opened at the first
-    extraction and :meth:`close` removes the scratch directory. After an
+    archive's bytes do not depend on the pool size. Only a position
+    computed from audio is read as an :class:`Utterance`. The archive is
+    the user's ``archive_dir``, or a scratch one in a temporary
+    directory; it is opened at the first extraction and :meth:`close`
+    removes the scratch directory. After an
     extraction :meth:`read` reads a survivor's constituents without a
     lock. A position fails when its audio does not load or its features'
     frame count (the archive index's ``T``) is not its manifest

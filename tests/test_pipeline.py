@@ -901,6 +901,22 @@ class TestWriter:
         assert len(free) > report.totals["batches"]  # some records were laid out again
         assert max(free) <= 3 * workers - 1
 
+    def test_a_buffer_too_small_is_freed_before_its_replacement(self, monkeypatch):
+        free_list = pipeline._FreeList(2)
+        record = pipeline.Record(1, 1, [1], [[7]], 0, free_list.take)
+        buffer = weakref.ref(record.buffer.base)
+        free_list.give(record)
+        del record
+        empty, alive = np.empty, []
+
+        def recorded_empty(*args, **kwargs):
+            alive.append(buffer() is not None)
+            return empty(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.np, "empty", recorded_empty)
+        assert len(free_list.take(1 << 20)) >= 1 << 20
+        assert alive == [False]
+
     def test_shared_free_list_under_many_workers_and_thread_switches(
         self, store_corpus, tmp_path, monkeypatch
     ):
