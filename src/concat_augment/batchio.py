@@ -140,6 +140,22 @@ class Record:
             self._crc = crc32(memoryview(self.buffer)[start : start + row.nbytes], self._crc)
             self._rows_in_crc += 1
 
+    def move_rows(self, rows: Sequence[int], t_max: int) -> np.ndarray:
+        """Move the finished rows ``rows`` (ascending, none longer than
+        ``t_max`` frames) to the start of the feature region as a
+        ``len(rows) x t_max`` block, in row order, and return the buffer,
+        over which a record of those rows is then laid out (its
+        ``alloc``). Each destination starts at or before its source, so
+        no row is overwritten before it has moved; the first ``t_max``
+        frames of a finished row carry its zero padding."""
+        at = _PREFIX + _HEADER.size
+        size = t_max * self.features.shape[2] * self.features.itemsize
+        view = memoryview(self.buffer)
+        for new, old in enumerate(rows):
+            src = at + old * self.features[0].nbytes
+            view[at + new * size : at + (new + 1) * size] = view[src : src + size]  # a memmove
+        return self.buffer
+
     def seal(self) -> "Record":
         """Write the CRC trailer over the record's other bytes: the tail
         after the rows :meth:`finish_row` folded in, when it folded them

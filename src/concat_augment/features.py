@@ -13,7 +13,10 @@ All DSP runs in float64; storage (the feature archive) uses float32.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import logging
+import threading
 import wave
 from dataclasses import dataclass
 from functools import lru_cache
@@ -164,9 +167,131 @@ def _analysis_arrays(cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
     return window, fb
 
 
+def _load_openblas():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or
+    None without the library or its symbols."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy loaded: the same handle
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+_openblas = _load_openblas()
+_pin_lock = threading.Lock()
+_pins = 0  # blocks in one_blas_thread
+_unpinned = 0  # the thread count to restore when the last one ends
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread while the block runs,
+    then restore its thread count: when a pool of workers computes
+    features, the pool is the parallelism, and BLAS threads on top of it
+    oversubscribe the cores. The count is process-wide; nested and
+    concurrent blocks restore it when the last one ends. Without the
+    library or its symbols this does nothing. The bytes do not depend
+    on the count."""
+    global _pins, _unpinned
+    if _openblas is None:
+        yield
+        return
+    get, set_ = _openblas
+    with _pin_lock:
+        if _pins == 0:
+            _unpinned = get()
+            set_(1)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins -= 1
+            if _pins == 0:
+                set_(_unpinned)
+
+
 def _frame_signal(pcm: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """The ``frame_count`` frames of ``pcm``, a read-only (T, win) view of it."""
     return np.lib.stride_tricks.sliding_window_view(pcm, cfg.win_samples)[:: cfg.hop_samples]
+
+
+# Frames per block. At the default config a block's windowed frames,
+# spectrum and power take 1.2 MB (2.4 MB for a last block of 255 frames),
+# whatever the utterance's length; 256 frames was slower on 30 s of audio.
+BLOCK_FRAMES = 128
+# OpenBLAS computes a product of at most this many multiply-adds
+# (M * N * K) with a separate small-matrix kernel whose sums can round
+# differently, so a block's filterbank product stays above it: its rows
+# then equal those of the whole utterance's product.
+_SMALL_GEMM = 10**6
+
+
+def _block_frames(cfg: FeatureConfig) -> int | None:
+    """Frames per block for ``cfg``: ``BLOCK_FRAMES``, or the least
+    multiple of it whose filterbank product is over ``_SMALL_GEMM``.
+    None for one filter: numpy then takes a matrix-vector product, whose
+    sums depend on how BLAS splits the whole product among its threads,
+    so the utterance is one block."""
+    if cfg.n_mels == 1:
+        return None
+    least = _SMALL_GEMM // (cfg.n_mels * (cfg.n_fft // 2 + 1)) + 1
+    return -(-least // BLOCK_FRAMES) * BLOCK_FRAMES
+
+
+def _blocks(n_frames: int, rows: int | None) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each block: ``rows`` frames each, the last one
+    also taking the remainder, so no block is shorter than ``rows``
+    frames unless it is the whole utterance (as it is when ``rows`` is
+    None)."""
+    if rows is None:
+        return [(0, n_frames)]
+    starts = list(range(0, max(n_frames - rows, 0) + 1, rows))
+    return list(zip(starts, starts[1:] + [n_frames]))
+
+
+def _checked_pcm(pcm, cfg: FeatureConfig) -> np.ndarray:
+    """``pcm`` as float64, or a FeatureError: not mono, shorter than one
+    window, or not finite."""
+    pcm = np.asarray(pcm, dtype=np.float64)
+    if pcm.ndim != 1:
+        raise FeatureError(f"expected mono PCM, got shape {pcm.shape}")
+    if len(pcm) < cfg.win_samples:
+        raise FeatureError(
+            f"audio too short: {len(pcm)} samples < one window ({cfg.win_samples})"
+        )
+    if not np.all(np.isfinite(pcm)):
+        raise FeatureError("PCM contains non-finite samples")
+    return pcm
+
+
+def _power_blocks(pcm: np.ndarray, cfg: FeatureConfig):
+    """Yield ``(start, stop, power)`` for each block of the frames of
+    ``pcm`` (checked), ``power`` being their (stop - start, n_fft//2+1)
+    power spectrum in a scratch buffer that the next block overwrites."""
+    window, _ = _analysis_arrays(cfg)
+    frames = _frame_signal(pcm, cfg)
+    blocks = _blocks(len(frames), _block_frames(cfg))
+    size = max(stop - start for start, stop in blocks)
+    n_bins = cfg.n_fft // 2 + 1
+    windowed = np.empty((size, cfg.win_samples))
+    spectrum = np.empty((size, n_bins), dtype=np.complex128)
+    power = np.empty((size, n_bins))
+    for start, stop in blocks:
+        n = stop - start
+        np.multiply(frames[start:stop], window, out=windowed[:n])
+        np.fft.rfft(windowed[:n], n=cfg.n_fft, axis=1, out=spectrum[:n])
+        parts = spectrum[:n].view(np.float64)  # real, imaginary, real, ...
+        np.square(parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power[:n])
+        yield start, stop, power[:n]
 
 
 def power_spectrogram(pcm, cfg: FeatureConfig) -> np.ndarray:
@@ -184,26 +309,22 @@ def power_spectrogram(pcm, cfg: FeatureConfig) -> np.ndarray:
         If the input is shorter than one window or contains non-finite
         samples.
     """
-    pcm = np.asarray(pcm, dtype=np.float64)
-    if pcm.ndim != 1:
-        raise FeatureError(f"expected mono PCM, got shape {pcm.shape}")
-    if len(pcm) < cfg.win_samples:
-        raise FeatureError(
-            f"audio too short: {len(pcm)} samples < one window ({cfg.win_samples})"
-        )
-    if not np.all(np.isfinite(pcm)):
-        raise FeatureError("PCM contains non-finite samples")
-    window, _ = _analysis_arrays(cfg)
-    frames = _frame_signal(pcm, cfg) * window
-    spectrum = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
-    return spectrum.real**2 + spectrum.imag**2
+    pcm = _checked_pcm(pcm, cfg)
+    out = np.empty((frame_count(len(pcm), cfg), cfg.n_fft // 2 + 1))
+    for start, stop, power in _power_blocks(pcm, cfg):
+        out[start:stop] = power
+    return out
 
 
 def compute_logmel(pcm, cfg: FeatureConfig | None = None) -> np.ndarray:
     """Log-Mel filterbank features, shape (T, n_mels) float64.
 
     ``T == frame_count(len(pcm), cfg)``. Output is always finite: zero
-    energy maps to ``log(log_floor)`` exactly.
+    energy maps to ``log(log_floor)`` exactly. The frames go through in
+    blocks (:data:`BLOCK_FRAMES`), each windowed, transformed, passed
+    through the filterbank and logged into its rows of the output, so
+    the memory beside the output does not grow with the utterance. The
+    bytes are those of one whole-utterance pass.
 
     Parameters
     ----------
@@ -214,14 +335,19 @@ def compute_logmel(pcm, cfg: FeatureConfig | None = None) -> np.ndarray:
     """
     if cfg is None:
         cfg = FeatureConfig()
-    power = power_spectrogram(pcm, cfg)
+    pcm = _checked_pcm(pcm, cfg)
     _, fb = _analysis_arrays(cfg)
-    energies = power @ fb.T
-    feats = np.log(energies + cfg.log_floor)
+    feats = np.empty((frame_count(len(pcm), cfg), cfg.n_mels))
+    for start, stop, power in _power_blocks(pcm, cfg):
+        block = feats[start:stop]
+        np.matmul(power, fb.T, out=block)
+        block += cfg.log_floor
+        np.log(block, out=block)
     if cfg.mean_var_norm:
         mean = feats.mean(axis=0)
         std = feats.std(axis=0)
-        feats = (feats - mean) / np.maximum(std, 1e-8)
+        feats -= mean
+        feats /= np.maximum(std, 1e-8)
     return feats
 
 
@@ -238,7 +364,9 @@ def load_pcm(path: str | Path) -> np.ndarray:
             if wav.getsampwidth() != 2:
                 raise FeatureError(f"expected 16-bit PCM: {path}")
             raw = wav.readframes(wav.getnframes())
-        return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+        pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+        pcm /= 32768.0  # a power of two: the same bytes as a division into a new array
+        return pcm
     if suffix == ".npy":
         return np.asarray(np.load(path), dtype=np.float64)
     if suffix in (".f32", ".pcm"):

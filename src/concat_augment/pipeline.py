@@ -63,14 +63,15 @@ from .augment import Strategy, Survivors, _join_targets, length_filter, plan_epo
 from .batching import ACCOUNTING_MODES, Batch, compose_batches, target_codes
 from .batchio import Record, StreamWriter, decode_batch, write_batch_file
 from .errors import BatchingError, ConfigurationError, FeatureError, PipelineError
-from .features import FeatureConfig, load_or_compute
+from .features import FeatureConfig, load_or_compute, one_blas_thread
 from .manifest import Corpus, Target, build_speaker_index, ingestion_report, load_manifest
 from .rng import MASK_STREAM, keyed_draws
 from .specaugment import MaskPolicy, mask_in_place
 
 WORKERS_ENV_VAR = "CONCAT_AUGMENT_WORKERS"
-# The largest pool: it bounds the threads a run starts and the
-# 3 * workers - 1 records it holds at once.
+# The largest pool: it bounds the threads a run starts, the workers + 1
+# records it holds at once and the 3 * workers - 1 extracted feature
+# matrices.
 MAX_WORKERS = 256
 
 EMIT_MODES = ("files", "stream")
@@ -234,12 +235,18 @@ class _FeatureStore:
                 self._check_frames(pos)
             else:
                 missing.append(pos)
-        for pos, feats, error in _ordered_pool_map(self._compute, missing, workers):
-            if error is None:
-                archive.write(ids[pos], feats)
-                self._check_frames(pos)
-            else:
-                self._failed[pos] = error
+        with (
+            one_blas_thread() if workers > 1 else contextlib.nullcontext(),
+            contextlib.closing(
+                _ordered_pool_map(self._compute, missing, workers, 3 * workers - 1)
+            ) as computed,
+        ):
+            for pos, feats, error in computed:
+                if error is None:
+                    archive.write(ids[pos], feats)
+                    self._check_frames(pos)
+                else:
+                    self._failed[pos] = error
 
     def _compute(self, pos: int) -> tuple[int, np.ndarray | None, str | None]:
         try:
@@ -278,7 +285,8 @@ class _FeatureStore:
 class _FreeList:
     """Record buffers that sinks hand back once a record is written, for
     the next builds to take instead of allocating: at most ``cap`` of
-    them, the bound on the records alive at once. A taken buffer's
+    them, the bound on the records alive at once (``workers + 1``), so a
+    run never holds more buffers than that. A taken buffer's
     bytes are stale; :class:`Record` zeroes each row's padding. A new
     buffer's size is rounded up to a power of two, so records of close
     sizes share buffers instead of replacing them as sizes grow: a
@@ -346,11 +354,11 @@ def _lay_out(
     positions: list[list[int]],
     targets: list[Target],
     config: PipelineConfig,
-    free_list: _FreeList,
+    alloc: Callable[[int], np.ndarray],
 ) -> Record:
     codes = [target_codes(_join_targets([targets[p] for p in row])) for row in positions]
     return Record(
-        max(lengths), config.feature.n_mels, lengths, codes, config.target_pad_id, free_list.take
+        max(lengths), config.feature.n_mels, lengths, codes, config.target_pad_id, alloc
     )
 
 
@@ -373,8 +381,9 @@ def _build_group(
     store or on the archive read. One with a constituent the store has
     failed is left out of the layout; only the constituents before that
     one are read, to find which fails first. If a read into the record
-    fails, the kept rows are laid out again, since B and T_max change,
-    and that record is sealed over all its bytes.
+    fails, the kept rows are laid out again in the same buffer, since B
+    and T_max change (:meth:`Record.move_rows`), and that record is
+    sealed over all its bytes; a build never holds two buffers.
     """
     positions = [survivors.positions(r) for r in ordinals]
     frames = survivors.frames[ordinals].tolist()
@@ -390,11 +399,11 @@ def _build_group(
         except (PipelineError, OSError) as exc:
             failures[row] = str(exc)
 
-    def lay_out(rows):
+    def lay_out(rows, alloc):
         lengths = [frames[row] for row in rows]
-        return _lay_out(lengths, [positions[row] for row in rows], targets, config, free_list)
+        return _lay_out(lengths, [positions[row] for row in rows], targets, config, alloc)
 
-    record = lay_out(rows) if rows else None
+    record = lay_out(rows, free_list.take) if rows else None
     policy = config.specaugment
     seconds = [0.0] * len(BUILD_STAGES)
     now = time.perf_counter()
@@ -418,13 +427,13 @@ def _build_group(
         now = _lap(seconds, _CHECKSUM, now)
         kept.append(at)
     if len(kept) < len(rows):
-        full = record
         rows = [rows[at] for at in kept]
-        record = lay_out(rows) if rows else None
-        for new_at, at in enumerate(kept):
-            # finished rows have zero padding, so whole rows copy
-            record.features[new_at] = full.features[at, : record.features.shape[1]]
-        free_list.give(full)
+        if rows:
+            buffer = record.move_rows(kept, max(frames[row] for row in rows))
+            record = lay_out(rows, lambda size: buffer)
+        else:
+            free_list.give(record)
+            record = None
 
     ids = survivors.plan.ids
     n_original = len(survivors.originals)
@@ -464,25 +473,43 @@ def _sized_group(frames: np.ndarray) -> _Group:
     return _Group(None, len(frames), len(frames) * int(frames.max()), int(frames.sum()))
 
 
-def _ordered_pool_map(fn, items, workers: int):
+def _ordered_pool_map(fn, items, workers: int, alive: int):
     """Map ``fn`` over ``items`` on a pool of ``workers`` threads,
     yielding results strictly in input order.
 
-    While the caller holds one result, ``3 * workers - 2`` more are
-    submitted, so at most ``3 * workers - 1`` are alive: at 1 worker the
-    pool makes the next result while the caller handles this one. The
-    next item is submitted before a result is yielded, so the pool works
-    while the caller does. Closing the generator cancels the submitted
-    calls that have not started and waits for the running ones to end.
+    At most ``alive`` results are alive at once, the one the caller
+    holds among them: ``alive`` items are submitted at the start, and
+    one more each time the caller comes back for the next result, before
+    waiting for it. Record builds keep ``workers + 1`` alive, one being
+    written and one building per worker; feature extraction keeps
+    ``3 * workers - 1``, since its results are small. A call submitted
+    while a worker is free has started before this goes on, so every
+    call that has not started when the generator is closed (a failed
+    write, a caller that stops iterating) is cancelled, not started
+    late; closing then waits for the running ones to end.
     """
     items = iter(items)
     pool = ThreadPoolExecutor(max_workers=workers)
+    pending = deque()
+
+    def submit(item):
+        started = threading.Event()
+
+        def call():
+            started.set()
+            return fn(item)
+
+        pending.append(pool.submit(call))
+        if sum(not future.done() for future in pending) <= workers:
+            started.wait()  # a free worker takes it: hand it over now
+
     try:
-        pending = deque(pool.submit(fn, item) for item in islice(items, 3 * workers - 2))
+        for item in islice(items, alive):
+            submit(item)
         while pending:
-            result = pending.popleft().result()
-            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
-            yield result
+            yield pending.popleft().result()
+            for item in islice(items, 1):
+                submit(item)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -527,9 +554,9 @@ class _Run:
     ``report``; a bad setting is fatal before the manifest is read or any
     output exists. When features are loaded, the run owns the feature
     store, which it closes on exit, and the free list of record buffers
-    (``3 * workers - 1``, as many as the records alive at once), to
-    which sinks hand back each record they are done with. Callers close
-    each epoch's groups
+    (``workers + 1``, as many as the records alive at once: one being
+    written and one building per worker), to which sinks hand back each
+    record they are done with. Callers close each epoch's groups
     (:func:`_epoch`) inside the run's ``with`` block, so the builds
     reading the store have ended before it closes.
     """
@@ -549,7 +576,7 @@ class _Run:
         self.index = build_speaker_index(self.corpus)
         report.ingestion = ingestion_report(parse, self.index)
         self.store = _FeatureStore(config, self.corpus) if load_features else None
-        self.free_list = _FreeList(3 * self.workers - 1) if load_features else None
+        self.free_list = _FreeList(self.workers + 1) if load_features else None
 
     def __enter__(self) -> _Run:
         return self
@@ -603,7 +630,7 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
                 ordinals, survivors, corpus.targets, config, epoch, store, engine.free_list
             )
 
-        builds = _ordered_pool_map(build, jobs, engine.workers)
+        builds = _ordered_pool_map(build, jobs, engine.workers, engine.workers + 1)
     t_extract = time.perf_counter()
 
     histogram: dict[str, int] = {}
@@ -743,6 +770,7 @@ def _write_all(
         wait_s += ready - start
         write(index, built.record)
         free_list.give(built.record)
+        built.record = None  # not alive while the next ones are built
         start = time.perf_counter()
         write_s += start - ready
     return {"write": write_s, "writer_wait": wait_s}
@@ -855,6 +883,7 @@ def iter_epoch_batches(config: PipelineConfig, epoch: int) -> Iterator[Batch]:
             batch = decode_batch(built.record.body)  # a copy: the buffer goes back
             batch.instance_ids = built.instance_ids
             engine.free_list.give(built.record)
+            built.record = None
             yield batch
 
 

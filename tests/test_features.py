@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 import wave
 
 import numpy as np
@@ -218,6 +221,134 @@ class TestAnalysisCache:
         np.testing.assert_array_equal(window, hann_window(CFG.win_samples))
 
 
+BLOCK_EDGES = ("1", "B-1", "B", "B+1", "2B+1", "30 s")
+
+
+def edge_frames(edge: str, cfg: FeatureConfig) -> int:
+    """The frame count named by ``edge``, B being the block of ``cfg``."""
+    if edge == "30 s":
+        return frame_count(30 * cfg.sample_rate_hz, cfg)
+    b = features._block_frames(cfg) or features.BLOCK_FRAMES  # None: one block
+    return {"1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "2B+1": 2 * b + 1}[edge]
+
+
+def pcm_of_frames(n_frames: int, cfg: FeatureConfig, rng) -> np.ndarray:
+    """Random samples that make ``n_frames`` frames, with a partial hop left over."""
+    extra = int(rng.integers(cfg.hop_samples))
+    return rng.uniform(-1, 1, cfg.win_samples + (n_frames - 1) * cfg.hop_samples + extra)
+
+
+class TestBlocks:
+    """compute_logmel works through blocks of frames; its bytes are those
+    of one whole-utterance pass at every block edge."""
+
+    @pytest.mark.parametrize("edge", BLOCK_EDGES)
+    def test_default_config_matches_uncached_at_block_edges(self, edge):
+        rng = np.random.default_rng(61)
+        n_frames = edge_frames(edge, CFG)
+        pcm = pcm_of_frames(n_frames, CFG, rng)
+        feats = compute_logmel(pcm, CFG)
+        assert feats.shape == (n_frames, CFG.n_mels)
+        assert feats.tobytes() == uncached_logmel(pcm, CFG).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cfg=feature_configs(),
+        edge=st.sampled_from(BLOCK_EDGES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_uncached_at_block_edges(self, cfg, edge, seed):
+        rng = np.random.default_rng(seed)
+        pcm = pcm_of_frames(edge_frames(edge, cfg), cfg, rng)
+        assert compute_logmel(pcm, cfg).tobytes() == uncached_logmel(pcm, cfg).tobytes()
+        frames = features._frame_signal(pcm, cfg) * hann_window(cfg.win_samples)
+        spectrum = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
+        whole = spectrum.real**2 + spectrum.imag**2
+        assert power_spectrogram(pcm, cfg).tobytes() == whole.tobytes()
+
+    def test_no_block_is_short_unless_it_is_the_utterance(self):
+        """A short last block would take another BLAS path (a one-row
+        product is a matrix-vector product) and round differently."""
+        rows = features.BLOCK_FRAMES
+        for n_frames in range(1, 5 * rows):
+            blocks = features._blocks(n_frames, rows)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n_frames
+            assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+            assert len(blocks) == 1 or all(stop - start >= rows for start, stop in blocks)
+        assert features._blocks(1000, None) == [(0, 1000)]
+
+    def test_blocks_stay_above_the_small_matrix_kernel(self):
+        for n_mels in (2, 9, 40, 80, 96):
+            cfg = FeatureConfig(n_mels=n_mels)
+            rows = features._block_frames(cfg)
+            assert rows % features.BLOCK_FRAMES == 0
+            assert rows * n_mels * (cfg.n_fft // 2 + 1) > features._SMALL_GEMM
+        assert features._block_frames(CFG) == features.BLOCK_FRAMES
+
+    def test_memory_beside_the_output_is_bounded(self):
+        """30 s of audio: the whole-utterance pass peaked at 34.3 MB
+        beside a 1.9 MB output."""
+        pcm = np.random.default_rng(67).uniform(-1, 1, 30 * CFG.sample_rate_hz)
+        compute_logmel(pcm, CFG)  # the analysis arrays are built once, before
+        tracemalloc.start()
+        try:
+            feats = compute_logmel(pcm, CFG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= feats.nbytes + 4 * 2**20
+
+
+class TestOneBlasThread:
+    @pytest.mark.skipif(features._openblas is None, reason="numpy's bundled OpenBLAS not found")
+    def test_nested_blocks_restore_the_count_when_the_last_ends(self):
+        get, set_ = features._openblas
+        before = get()
+        set_(2)
+        try:
+            with features.one_blas_thread():
+                with features.one_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+            assert get() == 2
+        finally:
+            set_(before)
+
+    @pytest.mark.skipif(features._openblas is None, reason="numpy's bundled OpenBLAS not found")
+    def test_concurrent_blocks_under_thread_switches(self):
+        """Eight threads enter and leave at once while threads switch
+        every 10 us: inside, the count is always 1; after, it is back."""
+        get, set_ = features._openblas
+        before = get()
+        set_(2)
+        seen = []
+
+        def enter_and_leave():
+            for _ in range(200):
+                with features.one_blas_thread():
+                    seen.append(get())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert get() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            set_(before)
+        assert set(seen) == {1} and len(seen) == 8 * 200
+
+    def test_without_the_library_it_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(features, "_openblas", None)
+        with features.one_blas_thread():
+            pass
+
+
 class TestLoadPcm:
     def test_wav_round_trip(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -229,7 +360,8 @@ class TestLoadPcm:
             f.setframerate(16000)
             f.writeframes(samples.tobytes())
         pcm = load_pcm(path)
-        np.testing.assert_allclose(pcm, samples / 32768.0)
+        assert pcm.dtype == np.float64
+        assert pcm.tobytes() == (samples / 32768.0).tobytes()
 
     def test_npy_round_trip(self, tmp_path):
         rng = np.random.default_rng(43)
