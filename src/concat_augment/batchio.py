@@ -18,7 +18,7 @@ starts with the stream length prefix: its size follows from the rows'
 frame counts and targets, so the header, targets and lengths are
 written when it is laid out, and the features are filled through a
 ``B x T_max x F`` view of the buffer. The buffer is a new zeroed one,
-or one handed back by an earlier record whose bytes are stale: then
+or one an earlier record used, whose bytes are stale: then
 :meth:`Record.finish_row` zeroes each filled row's padding, and, rows
 taken in order, folds the row into the CRC while it is still in cache,
 so :meth:`Record.seal` only adds the targets and lengths. A writer then
@@ -139,22 +139,6 @@ class Record:
             start = _PREFIX + _HEADER.size + at * row.nbytes
             self._crc = crc32(memoryview(self.buffer)[start : start + row.nbytes], self._crc)
             self._rows_in_crc += 1
-
-    def move_rows(self, rows: Sequence[int], t_max: int) -> np.ndarray:
-        """Move the finished rows ``rows`` (ascending, none longer than
-        ``t_max`` frames) to the start of the feature region as a
-        ``len(rows) x t_max`` block, in row order, and return the buffer,
-        over which a record of those rows is then laid out (its
-        ``alloc``). Each destination starts at or before its source, so
-        no row is overwritten before it has moved; the first ``t_max``
-        frames of a finished row carry its zero padding."""
-        at = _PREFIX + _HEADER.size
-        size = t_max * self.features.shape[2] * self.features.itemsize
-        view = memoryview(self.buffer)
-        for new, old in enumerate(rows):
-            src = at + old * self.features[0].nbytes
-            view[at + new * size : at + (new + 1) * size] = view[src : src + size]  # a memmove
-        return self.buffer
 
     def seal(self) -> "Record":
         """Write the CRC trailer over the record's other bytes: the tail

@@ -21,18 +21,20 @@ the record's CRC while still in cache; the seal adds the rest. A
 configurable pool of worker threads computes the features and builds
 the records; the calling thread appends the features to the archive
 and writes the sealed records, one write each, in plan order, while the
-pool builds the next ones. Record buffers are reused: a sink hands each
-record's buffer back to the run's free list once it is written (or
-decoded), and a build takes one from there before it allocates.
-Batches and archive records are never reordered, and their bytes do
-not depend on the pool size. An audit sizes its groups on the calling
-thread, with no pool. ``run`` writes each epoch into a temporary
-sibling and renames it into place when the epoch ends.
+pool builds the next ones. The run keeps one record buffer for each
+place in the pool's window of ``workers + 1`` builds, and build ``i``
+lays its record out in buffer ``i % (workers + 1)``; the window submits
+it only once the sink has written (or decoded) and dropped the record
+that last used that buffer. Batches and archive records are never
+reordered, and their bytes do not depend on the pool size. An audit
+sizes its groups on the calling thread, with no pool. ``run`` writes
+each epoch into a temporary sibling and renames it into place when the
+epoch ends.
 
 A run is one context manager (``_Run``) that reads the manifest once and
-owns the feature store and the free list; each epoch's groups are closed
-inside it, so an early close (a failed write, a failed build, a caller
-that stops iterating) cancels the queued builds and waits for the
+owns the feature store and the record buffers; each epoch's groups are
+closed inside it, so an early close (a failed write, a failed build, a
+caller that stops iterating) cancels the queued builds and waits for the
 running ones before the store closes.
 
 Reports are JSON; all wall-clock measurements live under ``timings_s``
@@ -69,9 +71,9 @@ from .rng import MASK_STREAM, keyed_draws
 from .specaugment import MaskPolicy, mask_in_place
 
 WORKERS_ENV_VAR = "CONCAT_AUGMENT_WORKERS"
-# The largest pool: it bounds the threads a run starts, the workers + 1
-# records it holds at once and the 3 * workers - 1 extracted feature
-# matrices.
+# The largest pool: it bounds the threads a run starts, its workers + 1
+# record buffers and the 3 * workers - 1 extracted feature matrices it
+# holds at once.
 MAX_WORKERS = 256
 
 EMIT_MODES = ("files", "stream")
@@ -282,40 +284,6 @@ class _FeatureStore:
                 self._scratch.cleanup()
 
 
-class _FreeList:
-    """Record buffers that sinks hand back once a record is written, for
-    the next builds to take instead of allocating: at most ``cap`` of
-    them, the bound on the records alive at once (``workers + 1``), so a
-    run never holds more buffers than that. A taken buffer's
-    bytes are stale; :class:`Record` zeroes each row's padding. A new
-    buffer's size is rounded up to a power of two, so records of close
-    sizes share buffers instead of replacing them as sizes grow: a
-    ``warm`` benchmark call allocates 2 buffers for its 23 records, not
-    7, and peaks about 9 MiB lower than with exact sizes. Pages that no
-    record touches take no memory."""
-
-    def __init__(self, cap: int):
-        self._cap = cap
-        self._free: list[np.ndarray] = []
-        self._lock = threading.Lock()
-
-    def take(self, size: int) -> np.ndarray:
-        """A uint8 buffer of at least ``size`` bytes; one handed back that
-        is too small is dropped."""
-        with self._lock:
-            buffer = self._free.pop() if self._free else None
-        if buffer is not None and len(buffer) >= size:
-            return buffer
-        del buffer  # freed before its replacement is allocated
-        return np.empty(1 << (size - 1).bit_length(), dtype=np.uint8)
-
-    def give(self, record: Record) -> None:
-        """Hand back the buffer of ``record``, which is not read again."""
-        with self._lock:
-            if len(self._free) < self._cap:
-                self._free.append(record.buffer.base)
-
-
 @dataclass
 class _Group:
     """One composed group's result: its sealed record (None in an audit,
@@ -362,6 +330,19 @@ def _lay_out(
     )
 
 
+def _buffer(buffers: list[np.ndarray | None], place: int, size: int) -> np.ndarray:
+    """``buffers[place]``, replaced first if it is missing or holds fewer
+    than ``size`` bytes; a buffer it replaces is freed before the new one
+    is allocated. Its bytes are stale: :class:`Record` zeroes each row's
+    padding. A new buffer's size is rounded up to a power of two, so
+    records of close sizes share a buffer instead of replacing it as
+    sizes grow. Pages that no record touches take no memory."""
+    if buffers[place] is None or len(buffers[place]) < size:
+        buffers[place] = None  # freed before its replacement is allocated
+        buffers[place] = np.empty(1 << (size - 1).bit_length(), dtype=np.uint8)
+    return buffers[place]
+
+
 def _build_group(
     ordinals: list[int],
     survivors: Survivors,
@@ -369,21 +350,22 @@ def _build_group(
     config: PipelineConfig,
     epoch: int,
     store: _FeatureStore,
-    free_list: _FreeList,
+    buffers: list[np.ndarray | None],
+    place: int,
 ) -> _Group:
-    """Build one batch's record in place, in a buffer from ``free_list``:
-    read each survivor's constituents, in order, into its row at their
-    frame offsets, mask the row's frames, finish the row (zero its
-    padding, add it to the CRC), seal. ``targets`` is the corpus's, by
-    position.
+    """Build one batch's record in place, in ``buffers[place]``
+    (:func:`_buffer`): read each survivor's constituents, in order, into
+    its row at their frame offsets, mask the row's frames, finish the
+    row (zero its padding, add it to the CRC), seal. ``targets`` is the
+    corpus's, by position.
 
     A survivor is dropped at its first constituent that fails in the
     store or on the archive read. One with a constituent the store has
     failed is left out of the layout; only the constituents before that
     one are read, to find which fails first. If a read into the record
-    fails, the kept rows are laid out again in the same buffer, since B
-    and T_max change (:meth:`Record.move_rows`), and that record is
-    sealed over all its bytes; a build never holds two buffers.
+    fails, the kept rows are laid out again over the same buffer (a
+    smaller record always fits), then read, masked and finished again;
+    their mask draws are keyed by ordinal, so their bytes do not change.
     """
     positions = [survivors.positions(r) for r in ordinals]
     frames = survivors.frames[ordinals].tolist()
@@ -399,41 +381,37 @@ def _build_group(
         except (PipelineError, OSError) as exc:
             failures[row] = str(exc)
 
-    def lay_out(rows, alloc):
-        lengths = [frames[row] for row in rows]
-        return _lay_out(lengths, [positions[row] for row in rows], targets, config, alloc)
+    def alloc(size: int) -> np.ndarray:
+        return _buffer(buffers, place, size)
 
-    record = lay_out(rows, free_list.take) if rows else None
     policy = config.specaugment
     seconds = [0.0] * len(BUILD_STAGES)
-    now = time.perf_counter()
-    if policy is not None:
-        draws = keyed_draws(config.seed, MASK_STREAM, epoch, [ordinals[row] for row in rows])
-        now = _lap(seconds, _MASK, now)
-    kept = []
-    for at, row in enumerate(rows):
-        features = record.features[at]
-        try:
-            store.read(positions[row], features)
-        except (PipelineError, OSError) as exc:
-            failures[row] = str(exc)
-            continue
-        finally:
-            now = _lap(seconds, _READ, now)
+    record = None
+    while rows and record is None:
+        lengths = [frames[row] for row in rows]
+        record = _lay_out(lengths, [positions[row] for row in rows], targets, config, alloc)
+        now = time.perf_counter()
         if policy is not None:
-            mask_in_place(features[: frames[row]], policy, draws[at])
+            draws = keyed_draws(config.seed, MASK_STREAM, epoch, [ordinals[row] for row in rows])
             now = _lap(seconds, _MASK, now)
-        record.finish_row(at)
-        now = _lap(seconds, _CHECKSUM, now)
-        kept.append(at)
-    if len(kept) < len(rows):
-        rows = [rows[at] for at in kept]
-        if rows:
-            buffer = record.move_rows(kept, max(frames[row] for row in rows))
-            record = lay_out(rows, lambda size: buffer)
-        else:
-            free_list.give(record)
-            record = None
+        kept = []
+        for at, row in enumerate(rows):
+            features = record.features[at]
+            try:
+                store.read(positions[row], features)
+            except (PipelineError, OSError) as exc:
+                failures[row] = str(exc)
+                continue
+            finally:
+                now = _lap(seconds, _READ, now)
+            if policy is not None:
+                mask_in_place(features[: frames[row]], policy, draws[at])
+                now = _lap(seconds, _MASK, now)
+            record.finish_row(at)
+            now = _lap(seconds, _CHECKSUM, now)
+            kept.append(row)
+        if len(kept) < len(rows):
+            rows, record = kept, None
 
     ids = survivors.plan.ids
     n_original = len(survivors.originals)
@@ -480,13 +458,16 @@ def _ordered_pool_map(fn, items, workers: int, alive: int):
     At most ``alive`` results are alive at once, the one the caller
     holds among them: ``alive`` items are submitted at the start, and
     one more each time the caller comes back for the next result, before
-    waiting for it. Record builds keep ``workers + 1`` alive, one being
-    written and one building per worker; feature extraction keeps
-    ``3 * workers - 1``, since its results are small. A call submitted
-    while a worker is free has started before this goes on, so every
-    call that has not started when the generator is closed (a failed
-    write, a caller that stops iterating) is cancelled, not started
-    late; closing then waits for the running ones to end.
+    waiting for it. So item ``i`` is submitted only after the caller has
+    come back from result ``i - alive``, and a call may reuse what that
+    result held: a record build lays out in buffer ``i % alive`` of its
+    run's ``workers + 1``, one being written and one building per
+    worker. Feature extraction keeps ``3 * workers - 1`` alive, since
+    its results are small. A call submitted while a worker is free has
+    started before this goes on, so every call that has not started
+    when the generator is closed (a failed write, a caller that stops
+    iterating) is cancelled, not started late; closing then waits for
+    the running ones to end.
     """
     items = iter(items)
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -553,12 +534,15 @@ class _Run:
     manifest and its speaker index once and records the ingestion in
     ``report``; a bad setting is fatal before the manifest is read or any
     output exists. When features are loaded, the run owns the feature
-    store, which it closes on exit, and the free list of record buffers
-    (``workers + 1``, as many as the records alive at once: one being
-    written and one building per worker), to which sinks hand back each
-    record they are done with. Callers close each epoch's groups
-    (:func:`_epoch`) inside the run's ``with`` block, so the builds
-    reading the store have ended before it closes.
+    store, which it closes on exit, and ``buffers``: one record buffer
+    for each place in the build window (``workers + 1``, the records
+    alive at once: one being written and one building per worker),
+    allocated by the first build that needs it and kept for the run.
+    A sink drops each record it is done with (``record = None``) before
+    it asks for the next, so the build that reuses its buffer starts
+    after it. Callers close each epoch's groups (:func:`_epoch`) inside
+    the run's ``with`` block, so the builds reading the store have ended
+    before it closes.
     """
 
     def __init__(self, config: PipelineConfig, report: AuditReport, load_features: bool):
@@ -576,7 +560,7 @@ class _Run:
         self.index = build_speaker_index(self.corpus)
         report.ingestion = ingestion_report(parse, self.index)
         self.store = _FeatureStore(config, self.corpus) if load_features else None
-        self.free_list = _FreeList(self.workers + 1) if load_features else None
+        self.buffers: list[np.ndarray | None] = [None] * (self.workers + 1)
 
     def __enter__(self) -> _Run:
         return self
@@ -625,12 +609,18 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
         ordinals = np.concatenate([np.zeros(0, np.int64), *groups])  # empty with no groups
         store.extract(survivors.first_use(ordinals), engine.workers)
 
-        def build(ordinals):
+        buffers = engine.buffers
+
+        def build(job):
+            index, ordinals = job
+            place = index % len(buffers)
             return _build_group(
-                ordinals, survivors, corpus.targets, config, epoch, store, engine.free_list
+                ordinals, survivors, corpus.targets, config, epoch, store, buffers, place
             )
 
-        builds = _ordered_pool_map(build, jobs, engine.workers, engine.workers + 1)
+        # One result alive per buffer: build i is submitted once the sink is
+        # done with result i - len(buffers), the last record in its buffer.
+        builds = _ordered_pool_map(build, enumerate(jobs), engine.workers, len(buffers))
     t_extract = time.perf_counter()
 
     histogram: dict[str, int] = {}
@@ -689,14 +679,14 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
 
 def _drive(
     config: PipelineConfig,
-    sink: Callable[[int, Iterator[_Group], _FreeList | None], object],
+    sink: Callable[[int, Iterator[_Group]], object],
     load_features: bool,
 ) -> AuditReport:
-    """Feed every epoch of a run to ``sink``, with the run's free list of
-    record buffers, then total and write the report. A dict of timings
-    the sink returns joins the epoch's ``timings_s``. A run that loads
-    features writes batches: once its manifest is read, it clears what an
-    earlier run wrote to ``out_dir``."""
+    """Feed every epoch of a run to ``sink``, then total and write the
+    report. A dict of timings the sink returns joins the epoch's
+    ``timings_s``. A run that loads features writes batches: once its
+    manifest is read, it clears what an earlier run wrote to
+    ``out_dir``."""
     if config.emit not in EMIT_MODES:
         raise ConfigurationError(f"unknown emit mode {config.emit!r}")
     started = time.perf_counter()
@@ -707,7 +697,7 @@ def _drive(
                 _clear_outputs(Path(config.out_dir))
             for epoch in range(config.epochs):
                 with contextlib.closing(_epoch(engine, epoch)) as groups:
-                    timings = sink(epoch, groups, engine.free_list)
+                    timings = sink(epoch, groups)
                 if isinstance(timings, dict):
                     report.epochs[-1]["timings_s"].update(timings)
     except PipelineError as exc:
@@ -756,20 +746,17 @@ def _writing(path: Path, write: Callable, *args):
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_all(
-    groups: Iterator[_Group], write: Callable[[int, Record], object], free_list: _FreeList
-) -> dict:
+def _write_all(groups: Iterator[_Group], write: Callable[[int, Record], object]) -> dict:
     """Write each group's record, in order, on the calling thread, with
-    ``write(index, record)``, then hand its buffer back to ``free_list``.
-    Return the seconds spent writing and the seconds spent waiting for
-    ``groups`` to yield the next one."""
+    ``write(index, record)``, then drop it, so a build may reuse its
+    buffer. Return the seconds spent writing and the seconds spent
+    waiting for ``groups`` to yield the next one."""
     write_s = wait_s = 0.0
     start = time.perf_counter()
     for index, built in enumerate(groups):
         ready = time.perf_counter()
         wait_s += ready - start
         write(index, built.record)
-        free_list.give(built.record)
         built.record = None  # not alive while the next ones are built
         start = time.perf_counter()
         write_s += start - ready
@@ -796,7 +783,7 @@ def run(config: PipelineConfig) -> AuditReport:
         raise ConfigurationError("run requires an output directory")
     out_dir = Path(config.out_dir)
 
-    def emit(epoch: int, groups: Iterator[_Group], free_list: _FreeList) -> dict:
+    def emit(epoch: int, groups: Iterator[_Group]) -> dict:
         name = f"epoch-{epoch:03d}{'.cabxs' if config.emit == 'stream' else ''}"
         final, partial = out_dir / name, out_dir / f".{name}.tmp"
         try:
@@ -807,7 +794,7 @@ def run(config: PipelineConfig) -> AuditReport:
                     _writing(final, stream.write, record)
 
                 try:
-                    timings = _write_all(groups, write, free_list)
+                    timings = _write_all(groups, write)
                 except BaseException:
                     with contextlib.suppress(OSError):  # the error raised first is the run's
                         stream.close()
@@ -820,7 +807,7 @@ def run(config: PipelineConfig) -> AuditReport:
                     file = f"batch-{index:05d}.cabx"
                     _writing(final / file, write_batch_file, record, partial / file)
 
-                timings = _write_all(groups, write, free_list)
+                timings = _write_all(groups, write)
             _writing(final, os.replace, partial, final)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -863,7 +850,7 @@ def audit(config: PipelineConfig) -> AuditReport:
     """Dry run through the same engine as :func:`run`: identical planning,
     filtering and batch composition, with frame counts taken from the
     manifest and no feature I/O."""
-    return _drive(config, lambda epoch, groups, _: deque(groups, maxlen=0), load_features=False)
+    return _drive(config, lambda epoch, groups: deque(groups, maxlen=0), load_features=False)
 
 
 def iter_epoch_batches(config: PipelineConfig, epoch: int) -> Iterator[Batch]:
@@ -880,9 +867,8 @@ def iter_epoch_batches(config: PipelineConfig, epoch: int) -> Iterator[Batch]:
         contextlib.closing(_epoch(engine, epoch)) as groups,
     ):
         for built in groups:
-            batch = decode_batch(built.record.body)  # a copy: the buffer goes back
+            batch = decode_batch(built.record.body)  # a copy: a later build reuses the buffer
             batch.instance_ids = built.instance_ids
-            engine.free_list.give(built.record)
             built.record = None
             yield batch
 

@@ -2,10 +2,12 @@
 
 ``perfbench/tracer.py`` wraps functions and methods by name, so a run
 path that moves off those names zeroes its per-layer metrics without an
-error. A traced run in a subprocess (the wrapping stays there) checks
-that archive reads and batch writes are still seen; a traced audit
-checks the manifest metrics and the epoch boundary the benchmark's
-``child.py`` finds by patching ``pipeline.plan_epoch``.
+error. A traced run in a subprocess (the wrapping stays there), in each
+emit mode, checks that archive reads and batch writes are still seen:
+``write_batch_file`` carries ``cold``'s writes and ``StreamWriter.write``
+``warm``'s. A traced audit checks the manifest metrics and the epoch
+boundary the benchmark's ``child.py`` finds by patching
+``pipeline.plan_epoch``.
 """
 
 import json
@@ -13,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,12 +45,13 @@ with FeatureArchive("archive", mode="a", feature=FeatureConfig(n_mels=8)) as arc
 with open("train.tsv", "w", encoding="utf-8") as f:
     f.write("\\n".join(rows) + "\\n")
 config = pipeline.PipelineConfig(
-    manifest_path="train.tsv", out_dir="out", archive_dir="archive", emit="stream",
+    manifest_path="train.tsv", out_dir="out", archive_dir="archive", emit=EMIT,
     strategy=Strategy("speaker"), epochs=2, budget_frames=200,
     feature=FeatureConfig(n_mels=8), specaugment=MaskPolicy(freq_param=2, time_param=5),
 )
 report = pipeline.run(config)
-out_bytes = sum(p.stat().st_size for p in Path("out").glob("*.cabxs"))
+out_bytes = sum(p.stat().st_size for p in Path("out").glob("epoch-*/*.cabx"))
+out_bytes += sum(p.stat().st_size for p in Path("out").glob("epoch-*.cabxs"))
 metrics = layer_metrics(tracer.spans, report.to_dict(), out_bytes)
 metrics["write_spans"] = sum(1 for span in tracer.spans if span[3] in WRITE_SPANS)
 print(json.dumps(metrics))
@@ -114,8 +119,9 @@ def traced(script, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_traced_stream_run_sees_archive_reads_and_batch_writes(tmp_path):
-    metrics = traced(SCRIPT, tmp_path)
+@pytest.mark.parametrize("emit", ["files", "stream"])
+def test_traced_run_sees_archive_reads_and_batch_writes(tmp_path, emit):
+    metrics = traced(f"EMIT = {emit!r}\n" + SCRIPT, tmp_path)
     assert metrics["archive.read.calls"] > 0
     assert metrics["archive.read_mb"] > 0
     assert metrics["write_spans"] > 2

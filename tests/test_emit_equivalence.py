@@ -197,25 +197,25 @@ def test_run_writes_the_reference_bytes(corpus, overrides, feature_seed, workers
     st.data(),
 )
 def test_reused_buffers_write_the_reference_bytes(corpus, overrides, feature_seed, workers, data):
-    """Every record buffer the free list hands out is poisoned with 0xFF
-    bytes, so a byte a build leaves unwritten shows. Records of mixed
-    sizes share the buffers, and archive records with a flipped payload
-    byte fail their read inside a record, so its kept rows are laid out
-    again."""
+    """Every record buffer a build lays a record out in is poisoned with
+    0xFF bytes, so a byte a build leaves unwritten shows. Records of
+    mixed sizes share the buffers, and archive records with a flipped
+    payload byte fail their read inside a record, so its kept rows are
+    laid out again."""
     mode, rows, missing = corpus
     table = feature_table(rows, missing, feature_seed)
     corrupt = data.draw(st.sets(st.sampled_from(sorted(table))) if table else st.just(set()))
-    take = pipeline._FreeList.take
+    buffer = pipeline._buffer
 
-    def poisoned(self, size):
-        buffer = take(self, size)
-        buffer.fill(0xFF)
-        return buffer
+    def poisoned(buffers, place, size):
+        out = buffer(buffers, place, size)
+        out.fill(0xFF)
+        return out
 
     with (
         tempfile.TemporaryDirectory() as tmp,
         mock.patch.dict(os.environ, {WORKERS_ENV_VAR: str(workers)}),
-        mock.patch.object(pipeline._FreeList, "take", poisoned),
+        mock.patch.object(pipeline, "_buffer", poisoned),
     ):
         root = Path(tmp)
         config = archived_config(root, mode, rows, table, overrides)

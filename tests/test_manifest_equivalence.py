@@ -162,15 +162,24 @@ def test_parser_matches_the_row_loop(text, mode, chunk_rows):
 
 
 # Texts that are ASCII once the marks are gone take the path that skips
-# the per-text whitespace pass unless their spaces need collapsing.
+# the per-text whitespace pass unless their spaces need collapsing. A
+# punctuation-only text is an empty line between its neighbours there.
 NORMALIZE_TEXT = st.one_of(
     st.text(alphabet="aZ. —", max_size=6),
     st.text(alphabet="aZ.— \t\n\x0c\x1f", max_size=6),
     st.text(alphabet="aZΣ.—\u00ad\x85\u2028\x1c\n ", max_size=6),
+    st.text(alphabet="a?. \x01\x7f", max_size=6),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(NORMALIZE_TEXT, max_size=6))
+@example(["a b", "?!", "c d"])
+@example(["?", "a", "."])
+@example(["a\x01b", "c\x01 d"])
+@example([" a", "b"])
+@example(["a", "b "])
+@example(["a", " ", "b"])
+@example(["a b", "c\n d"])
 def test_normalize_targets_matches_one_at_a_time(texts):
     assert normalize_targets(texts) == [manifest_oracle.normalize_target(t) for t in texts]

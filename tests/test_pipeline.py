@@ -840,13 +840,8 @@ class TestWriter:
     def test_records_alive_are_bounded(self, store_corpus, tmp_path, monkeypatch, workers, emit):
         lock = threading.Lock()
         alive = peak = 0
-        free = []  # the free list's length after each hand-back
-        lay_out, give = pipeline._lay_out, pipeline._FreeList.give
-
-        def counted_give(self, record):
-            give(self, record)
-            with lock:
-                free.append(len(self._free))
+        buffers = {}  # id -> every distinct buffer a record was laid out in
+        lay_out = pipeline._lay_out
 
         def released():
             nonlocal alive
@@ -859,6 +854,7 @@ class TestWriter:
             with lock:
                 alive += 1
                 peak = max(peak, alive)
+                buffers.setdefault(id(record.buffer.base), record.buffer.base)
             weakref.finalize(record, released)
             return record
 
@@ -873,7 +869,6 @@ class TestWriter:
             return slowed
 
         monkeypatch.setattr(pipeline, "_lay_out", counted_lay_out)
-        monkeypatch.setattr(pipeline._FreeList, "give", counted_give)
         monkeypatch.setattr(pipeline, "write_batch_file", slow(write_batch_file))
         monkeypatch.setattr(StreamWriter, "write", slow(stream_write))
         monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
@@ -883,15 +878,13 @@ class TestWriter:
         assert report.totals["batches"] > 2 * (3 * workers - 1)
         assert peak <= workers + 1
         assert alive == 0
-        assert len(free) == report.totals["batches"]  # every written record's buffer
-        assert 0 < max(free) <= workers + 1
-
+        assert 0 < len(buffers) <= workers + 1
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_free_list_is_bounded_when_records_are_laid_out_again(
         self, store_corpus, tmp_path, monkeypatch, workers
     ):
         """A record laid out again after a failed read is laid out in its
-        own buffer, so the free list keeps at most ``workers + 1``."""
+        own buffer, so the run hands out at most ``workers + 1``."""
         archive = tmp_path / "arch"
         run(store_config(store_corpus, out_dir=tmp_path / "fill", archive_dir=archive))
         at = record_span(archive, "u000001")[1] + 8  # a payload byte: its reads fail
@@ -900,14 +893,8 @@ class TestWriter:
             byte = f.read(1)[0]
             f.seek(at)
             f.write(bytes([byte ^ 0x20]))
-        free = []  # the free list's length after each hand-back
         laid_out = {}  # thread -> the buffer of each record it laid out
-        give, write_batch_file = pipeline._FreeList.give, pipeline.write_batch_file
-        lay_out = pipeline._lay_out
-
-        def counted_give(self, record):
-            give(self, record)
-            free.append(len(self._free))
+        write_batch_file, lay_out = pipeline.write_batch_file, pipeline._lay_out
 
         def counted_lay_out(*args):
             record = lay_out(*args)
@@ -918,7 +905,6 @@ class TestWriter:
             time.sleep(0.005)
             write_batch_file(*args)
 
-        monkeypatch.setattr(pipeline._FreeList, "give", counted_give)
         monkeypatch.setattr(pipeline, "_lay_out", counted_lay_out)
         monkeypatch.setattr(pipeline, "write_batch_file", slow_write)
         monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
@@ -929,14 +915,14 @@ class TestWriter:
         again = sum(map(len, laid_out.values())) - report.totals["batches"]
         assert again > 0  # some records were laid out again, each in its first buffer
         assert sum(a is b for bs in laid_out.values() for a, b in zip(bs, bs[1:])) >= again
-        assert len(free) == report.totals["batches"]
-        assert max(free) <= workers + 1
+        buffers = {id(b) for bs in laid_out.values() for b in bs}
+        assert len(buffers) <= workers + 1
 
     def test_a_buffer_too_small_is_freed_before_its_replacement(self, monkeypatch):
-        free_list = pipeline._FreeList(2)
-        record = pipeline.Record(1, 1, [1], [[7]], 0, free_list.take)
+        buffers = [None, None]
+        record = pipeline.Record(1, 1, [1], [[7]], 0, lambda n: pipeline._buffer(buffers, 1, n))
         buffer = weakref.ref(record.buffer.base)
-        free_list.give(record)
+        assert pipeline._buffer(buffers, 1, 16) is buffer()  # a record that fits reuses it
         del record
         empty, alive = np.empty, []
 
@@ -945,15 +931,16 @@ class TestWriter:
             return empty(*args, **kwargs)
 
         monkeypatch.setattr(pipeline.np, "empty", recorded_empty)
-        assert len(free_list.take(1 << 20)) >= 1 << 20
+        assert len(pipeline._buffer(buffers, 1, 1 << 20)) >= 1 << 20
         assert alive == [False]
+        assert buffers[0] is None  # another place's buffer is not touched
 
     def test_shared_free_list_under_many_workers_and_thread_switches(
         self, store_corpus, tmp_path, monkeypatch
     ):
-        """Eight workers on fewer cores take and hand back buffers while
-        threads switch every 10 us: the bytes are the one-worker bytes,
-        so no buffer went to two records at once."""
+        """Eight workers on fewer cores lay records out in the run's nine
+        buffers while threads switch every 10 us: the bytes are the
+        one-worker bytes, so no buffer held two records at once."""
         def config(out):
             return store_config(store_corpus, out_dir=tmp_path / out, budget_frames=200)
 
