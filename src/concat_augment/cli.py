@@ -6,8 +6,8 @@
     concat-augment audit --manifest M --strategy speaker ...
 
 ``audit`` runs the same epoch engine as ``run`` but touches no audio
-and writes no batches. The worker pool size is taken from the
-CONCAT_AUGMENT_WORKERS environment variable.
+and writes no batches. The size of the worker pool that extracts
+features is taken from the CONCAT_AUGMENT_WORKERS environment variable.
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ dimensions is exposed in :class:`FeatureConfig` so alternates can be
 tested.
 
 All DSP runs in float64; storage (the feature archive) uses float32.
+An utterance's frames go through in blocks of :data:`BLOCK_FRAMES`, in
+scratch buffers that each thread keeps across calls and frees when it
+ends, so a thread that extracts many utterances allocates its buffers
+once, and the bytes are those of one whole-utterance pass.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import contextlib
 import ctypes
 import logging
 import threading
+import time
 import wave
 from dataclasses import dataclass
 from functools import lru_cache
@@ -220,11 +225,17 @@ def one_blas_thread():
 
 def _frame_signal(pcm: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """The ``frame_count`` frames of ``pcm``, a read-only (T, win) view of it."""
-    return np.lib.stride_tricks.sliding_window_view(pcm, cfg.win_samples)[:: cfg.hop_samples]
+    (step,) = pcm.strides
+    return np.lib.stride_tricks.as_strided(
+        pcm,
+        (frame_count(len(pcm), cfg), cfg.win_samples),
+        (cfg.hop_samples * step, step),
+        writeable=False,
+    )
 
 
 # Frames per block. At the default config a block's windowed frames,
-# spectrum and power take 1.2 MB (2.4 MB for a last block of 255 frames),
+# spectrum and power take 1.3 MB (2.6 MB for a last block of 255 frames),
 # whatever the utterance's length; 256 frames was slower on 30 s of audio.
 BLOCK_FRAMES = 128
 # OpenBLAS computes a product of at most this many multiply-adds
@@ -272,22 +283,52 @@ def _checked_pcm(pcm, cfg: FeatureConfig) -> np.ndarray:
     return pcm
 
 
+# Each thread's block buffers, kept across calls; a thread's are freed when it ends.
+_scratch = threading.local()
+
+
+def _scratch_array(name: str, shape: tuple[int, int], dtype) -> np.ndarray:
+    """This thread's scratch buffer ``name`` as an array of ``shape``, its
+    values stale. A buffer too small is freed, then replaced by one of
+    exactly the size asked for."""
+    size = shape[0] * shape[1]
+    buffer = getattr(_scratch, name, None)
+    if buffer is None or len(buffer) < size:
+        setattr(_scratch, name, None)  # freed before its replacement is allocated
+        buffer = np.empty(size, dtype)
+        setattr(_scratch, name, buffer)
+    return buffer[:size].reshape(shape)
+
+
 def _power_blocks(pcm: np.ndarray, cfg: FeatureConfig):
     """Yield ``(start, stop, power)`` for each block of the frames of
     ``pcm`` (checked), ``power`` being their (stop - start, n_fft//2+1)
-    power spectrum in a scratch buffer that the next block overwrites."""
+    power spectrum in a scratch buffer that the next block overwrites.
+
+    The scratch buffers are the calling thread's (:func:`_scratch_array`),
+    except for one filter: its one block is the whole utterance, so it
+    gets buffers of its own that the call frees. The windowed frames
+    are ``n_fft`` columns wide, with the columns past the window zeroed
+    on every call, so ``rfft`` pads nothing and no column left by a
+    config with a longer window is read."""
     window, _ = _analysis_arrays(cfg)
     frames = _frame_signal(pcm, cfg)
-    blocks = _blocks(len(frames), _block_frames(cfg))
+    rows = _block_frames(cfg)
+    blocks = _blocks(len(frames), rows)
     size = max(stop - start for start, stop in blocks)
     n_bins = cfg.n_fft // 2 + 1
-    windowed = np.empty((size, cfg.win_samples))
-    spectrum = np.empty((size, n_bins), dtype=np.complex128)
-    power = np.empty((size, n_bins))
+
+    def scratch(name, shape, dtype):
+        return np.empty(shape, dtype) if rows is None else _scratch_array(name, shape, dtype)
+
+    windowed = scratch("windowed", (size, cfg.n_fft), np.float64)
+    spectrum = scratch("spectrum", (size, n_bins), np.complex128)
+    power = scratch("power", (size, n_bins), np.float64)
+    windowed[:, cfg.win_samples :] = 0.0
     for start, stop in blocks:
         n = stop - start
-        np.multiply(frames[start:stop], window, out=windowed[:n])
-        np.fft.rfft(windowed[:n], n=cfg.n_fft, axis=1, out=spectrum[:n])
+        np.multiply(frames[start:stop], window, out=windowed[:n, : cfg.win_samples])
+        np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
         parts = spectrum[:n].view(np.float64)  # real, imaginary, real, ...
         np.square(parts, out=parts)
         np.add(parts[:, 0::2], parts[:, 1::2], out=power[:n])
@@ -374,18 +415,27 @@ def load_pcm(path: str | Path) -> np.ndarray:
     raise FeatureError(f"unsupported audio format {suffix!r}: {path}")
 
 
-def load_or_compute(utt: Utterance, cfg: FeatureConfig, audio_root=None) -> np.ndarray:
+def load_or_compute(
+    utt: Utterance, cfg: FeatureConfig, audio_root=None, seconds: list[float] | None = None
+) -> np.ndarray:
     """Compute the float32 feature matrix of ``utt.audio_ref``.
 
     A relative audio path is resolved against ``audio_root``. A manifest /
     computed frame-count mismatch logs a warning and returns the computed
-    matrix; the pipeline's feature store then drops the utterance.
+    matrix; the pipeline's feature store then drops the utterance. A
+    call that returns adds the seconds it spent loading the audio to
+    ``seconds[0]`` and computing the features to ``seconds[1]``.
     """
+    start = time.perf_counter()
     path = Path(utt.audio_ref)
     if audio_root is not None and not path.is_absolute():
         path = Path(audio_root) / path
     pcm = load_pcm(path)
+    loaded = time.perf_counter()
     feats = compute_logmel(pcm, cfg).astype(np.float32)
+    if seconds is not None:
+        seconds[0] += loaded - start
+        seconds[1] += time.perf_counter() - loaded
     if feats.shape[0] != utt.n_frames:
         logger.warning(
             "utterance %s: manifest says %d frames, computed %d",

@@ -18,12 +18,14 @@ archive straight into the row, the row is masked in place, with the
 mask draws of all the record's rows seeded at once
 (:func:`rng.keyed_draws`), its padding is zeroed and it is folded into
 the record's CRC while still in cache; the seal adds the rest. A
-configurable pool of worker threads computes the features and builds
-the records; the calling thread appends the features to the archive
-and writes the sealed records, one write each, in plan order, while the
-pool builds the next ones. The run keeps one record buffer for each
-place in the pool's window of ``workers + 1`` builds, and build ``i``
-lays its record out in buffer ``i % (workers + 1)``; the window submits
+configurable pool of worker threads computes the features, and the
+calling thread appends them to the archive. One pool thread builds the
+records, whatever the pool size: a build is Python under the GIL, so a
+second build thread would only contend with the first. The calling
+thread writes the sealed records, one write each, in plan order, while
+that thread builds the next one. The run keeps two record buffers, one
+for the record being written and one for the record building, and
+build ``i`` lays its record out in buffer ``i % 2``; the window submits
 it only once the sink has written (or decoded) and dropped the record
 that last used that buffer. Batches and archive records are never
 reordered, and their bytes do not depend on the pool size. An audit
@@ -71,9 +73,9 @@ from .rng import MASK_STREAM, keyed_draws
 from .specaugment import MaskPolicy, mask_in_place
 
 WORKERS_ENV_VAR = "CONCAT_AUGMENT_WORKERS"
-# The largest pool: it bounds the threads a run starts, its workers + 1
-# record buffers and the 3 * workers - 1 extracted feature matrices it
-# holds at once.
+# The largest pool: it bounds the threads that extract features and the
+# 3 * workers - 1 extracted feature matrices a run holds at once. Records
+# are built on one thread in two buffers, whatever the pool size.
 MAX_WORKERS = 256
 
 EMIT_MODES = ("files", "stream")
@@ -179,6 +181,12 @@ class AuditReport:
                 raise AssertionError(f"epoch {ep['epoch']}: emitted != survivors - failures")
 
 
+# An extraction's stages, as each epoch's timings_s names their seconds:
+# loading the audio and computing its log-Mel, summed over the pool
+# threads, and the calling thread's archive appends and frame checks.
+EXTRACT_STAGES = ("extract_load", "extract_logmel", "extract_append")
+
+
 class _FeatureStore:
     """Every utterance's features for one run, extracted at most once,
     by corpus position.
@@ -225,10 +233,13 @@ class _FeatureStore:
                 f"utterance {utt_id}: manifest says {expected} frames, features have {frames}"
             )
 
-    def extract(self, positions: np.ndarray, workers: int) -> None:
+    def extract(self, positions: np.ndarray, workers: int) -> dict[str, float]:
+        """Extract ``positions`` (see the class); return the seconds by
+        stage (:data:`EXTRACT_STAGES`)."""
         if self._archive is None:
             self._archive = self._open()
         archive, ids = self._archive, self._corpus.ids
+        start = time.perf_counter()
         new = positions[~self._checked[positions]]
         self._checked[new] = True
         missing = []
@@ -237,27 +248,38 @@ class _FeatureStore:
                 self._check_frames(pos)
             else:
                 missing.append(pos)
+        load_s = logmel_s = 0.0
+        append_s = time.perf_counter() - start
         with (
             one_blas_thread() if workers > 1 else contextlib.nullcontext(),
             contextlib.closing(
                 _ordered_pool_map(self._compute, missing, workers, 3 * workers - 1)
             ) as computed,
         ):
-            for pos, feats, error in computed:
+            for pos, feats, error, seconds in computed:
+                start = time.perf_counter()
                 if error is None:
                     archive.write(ids[pos], feats)
                     self._check_frames(pos)
                 else:
                     self._failed[pos] = error
+                load_s += seconds[0]
+                logmel_s += seconds[1]
+                append_s += time.perf_counter() - start
+        return dict(zip(EXTRACT_STAGES, (load_s, logmel_s, append_s)))
 
-    def _compute(self, pos: int) -> tuple[int, np.ndarray | None, str | None]:
+    def _compute(self, pos: int) -> tuple[int, np.ndarray | None, str | None, list[float]]:
+        seconds = [0.0, 0.0]  # loading the audio, computing its log-Mel
         try:
             feats = load_or_compute(
-                self._corpus[pos], self._config.feature, audio_root=self._config.audio_root
+                self._corpus[pos],
+                self._config.feature,
+                audio_root=self._config.audio_root,
+                seconds=seconds,
             )
         except Exception as exc:  # a failed utterance is dropped from every instance using it
-            return pos, None, str(exc)
-        return pos, feats, None
+            return pos, None, str(exc), seconds
+        return pos, feats, None, seconds
 
     def failed(self, pos: int) -> bool:
         return pos in self._failed
@@ -302,8 +324,8 @@ class _Group:
     timings: list[float] = field(default_factory=list)
 
 
-# A build's stages, as each epoch's timings_s names their seconds summed
-# over the pool threads: reading each row's constituents (with the
+# A build's stages, as each epoch's timings_s names their seconds on the
+# one build thread: reading each row's constituents (with the
 # archive's CRC check), drawing and applying its masks, and zeroing its
 # padding and folding it into the record's CRC, with the seal.
 BUILD_STAGES = ("build_read", "build_mask", "build_checksum")
@@ -460,14 +482,15 @@ def _ordered_pool_map(fn, items, workers: int, alive: int):
     one more each time the caller comes back for the next result, before
     waiting for it. So item ``i`` is submitted only after the caller has
     come back from result ``i - alive``, and a call may reuse what that
-    result held: a record build lays out in buffer ``i % alive`` of its
-    run's ``workers + 1``, one being written and one building per
-    worker. Feature extraction keeps ``3 * workers - 1`` alive, since
-    its results are small. A call submitted while a worker is free has
-    started before this goes on, so every call that has not started
-    when the generator is closed (a failed write, a caller that stops
-    iterating) is cancelled, not started late; closing then waits for
-    the running ones to end.
+    result held: record builds run on one thread with ``alive`` 2, and
+    build ``i`` lays out in buffer ``i % 2`` of its run's two, one
+    being written and one building. Feature extraction runs on the
+    whole pool and keeps ``3 * workers - 1`` alive, since its results
+    are small. A call submitted while a worker is free has started
+    before this goes on, so every call that has not started when the
+    generator is closed (a failed write, a caller that stops iterating)
+    is cancelled, not started late; closing then waits for the running
+    ones to end.
     """
     items = iter(items)
     pool = ThreadPoolExecutor(max_workers=workers)
@@ -530,14 +553,15 @@ def _pool_size() -> int:
 class _Run:
     """The epoch engine behind ``run``, ``audit`` and ``iter_epoch_batches``.
 
-    Opening a run resolves the pool size, checks the config, reads the
-    manifest and its speaker index once and records the ingestion in
-    ``report``; a bad setting is fatal before the manifest is read or any
-    output exists. When features are loaded, the run owns the feature
-    store, which it closes on exit, and ``buffers``: one record buffer
-    for each place in the build window (``workers + 1``, the records
-    alive at once: one being written and one building per worker),
-    allocated by the first build that needs it and kept for the run.
+    Opening a run resolves the pool size, which sizes feature extraction
+    only, checks the config, reads the manifest and its speaker index
+    once and records the ingestion in ``report``; a bad setting is fatal
+    before the manifest is read or any output exists. When features are
+    loaded, the run owns the feature store, which it closes on exit, and
+    ``buffers``: one record buffer for each place in the build window
+    (2, the records alive at once: one being written and one building on
+    the one build thread), allocated by the first build that needs it and
+    kept for the run.
     A sink drops each record it is done with (``record = None``) before
     it asks for the next, so the build that reuses its buffer starts
     after it. Callers close each epoch's groups (:func:`_epoch`) inside
@@ -560,7 +584,7 @@ class _Run:
         self.index = build_speaker_index(self.corpus)
         report.ingestion = ingestion_report(parse, self.index)
         self.store = _FeatureStore(config, self.corpus) if load_features else None
-        self.buffers: list[np.ndarray | None] = [None] * (self.workers + 1)
+        self.buffers: list[np.ndarray | None] = [None, None]
 
     def __enter__(self) -> _Run:
         return self
@@ -573,8 +597,8 @@ class _Run:
 def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
     """Plan, filter and compose one epoch on position arrays and extract
     the features its batches reference now; return the generator that
-    builds its groups, each from its survivors' ordinals on the worker
-    pool, and yields every non-empty one in plan order. Once exhausted,
+    builds its groups, each from its survivors' ordinals on one pool
+    thread, and yields every non-empty one in plan order. Once exhausted,
     it appends the epoch's entry to the report. Only the groups outlive
     this call, so the engine holds one epoch's arrays at a time. An
     audit sizes each group from frame counts, on the calling thread."""
@@ -599,6 +623,7 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
         config.accounting,
     )
     t_compose = time.perf_counter()
+    extract_s = {}
     if store is None:
         sizes = [survivors.frames[group] for group in groups]
         builds = (_sized_group(frames) for frames in sizes)
@@ -607,7 +632,7 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
         # archives) the utterances in first-use order.
         jobs = [group.tolist() for group in groups]
         ordinals = np.concatenate([np.zeros(0, np.int64), *groups])  # empty with no groups
-        store.extract(survivors.first_use(ordinals), engine.workers)
+        extract_s = store.extract(survivors.first_use(ordinals), engine.workers)
 
         buffers = engine.buffers
 
@@ -618,9 +643,11 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
                 ordinals, survivors, corpus.targets, config, epoch, store, buffers, place
             )
 
-        # One result alive per buffer: build i is submitted once the sink is
-        # done with result i - len(buffers), the last record in its buffer.
-        builds = _ordered_pool_map(build, enumerate(jobs), engine.workers, len(buffers))
+        # One thread builds, whatever the pool size: builds are Python under
+        # the GIL, so a second one only contends with it. One result alive
+        # per buffer: build i is submitted once the sink is done with
+        # result i - len(buffers), the last record in its buffer.
+        builds = _ordered_pool_map(build, enumerate(jobs), 1, len(buffers))
     t_extract = time.perf_counter()
 
     histogram: dict[str, int] = {}
@@ -668,6 +695,7 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
                     "plan_and_filter": t_plan - t0,
                     "compose": t_compose - t_plan,
                     "extract_features": t_extract - t_compose,
+                    **extract_s,
                     "materialize_and_emit": time.perf_counter() - t_extract,
                     **build_s,
                 },
@@ -769,7 +797,7 @@ def run(config: PipelineConfig) -> AuditReport:
     Emits batch artifacts in the configured binary format plus a JSON
     report. All emitted bytes are a pure function of (manifest, config,
     seed); only the report's ``timings_s`` fields vary between reruns.
-    The worker pool builds the records while the calling thread writes
+    One pool thread builds the records while the calling thread writes
     them. An output file that cannot be written is fatal: a
     :class:`ConfigurationError` naming it.
 

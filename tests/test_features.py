@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 import wave
+import weakref
 
 import numpy as np
 import pytest
@@ -297,6 +298,61 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= feats.nbytes + 4 * 2**20
+
+
+def on_a_new_thread(work):
+    """Run ``work`` on a thread of its own and return what it returns."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(work()))
+    thread.start()
+    thread.join()
+    assert result, "the thread raised"
+    return result[0]
+
+
+class TestBlockScratch:
+    """Each thread keeps its block buffers across calls."""
+
+    def test_alternating_configs_on_one_thread_match_uncached(self):
+        """25 ms and 20 ms windows share an FFT of 512, so a 20 ms call runs
+        in buffers whose columns past its window a 25 ms call wrote; one
+        filter makes the whole utterance one block. The frame counts give
+        one short block, 128-frame blocks and a 255-frame last block."""
+        configs = (FeatureConfig(), FeatureConfig(win_ms=20.0), FeatureConfig(n_mels=1))
+        assert configs[0].n_fft == configs[1].n_fft and configs[0].win_samples > 320
+        rows = features.BLOCK_FRAMES
+        counts = (40, 3 * rows, 3 * rows - 1)
+        assert features._blocks(counts[2], rows)[-1] == (rows, counts[2])
+
+        def work():
+            rng = np.random.default_rng(71)
+            same = []
+            for n_frames in counts + counts[::-1]:
+                for cfg in configs + configs[::-1]:
+                    pcm = pcm_of_frames(n_frames, cfg, rng)
+                    feats = compute_logmel(pcm, cfg)
+                    same.append(feats.tobytes() == uncached_logmel(pcm, cfg).tobytes())
+            return same
+
+        same = on_a_new_thread(work)
+        assert len(same) == 36 and all(same)
+
+    def test_a_thread_frees_its_buffers_when_it_ends(self):
+        """One filter's single block is allocated per call, so no thread
+        keeps a buffer the size of an utterance."""
+        rng = np.random.default_rng(73)
+        short, long = pcm_of_frames(300, CFG, rng), rng.uniform(-1, 1, 30 * CFG.sample_rate_hz)
+
+        def work():
+            compute_logmel(short, CFG)
+            kept = dict(vars(features._scratch))
+            compute_logmel(long, FeatureConfig(n_mels=1))
+            assert all(getattr(features._scratch, name) is b for name, b in kept.items())
+            return [weakref.ref(buffer) for buffer in kept.values()]
+
+        kept = on_a_new_thread(work)
+        assert len(kept) == 3
+        assert all(ref() is None for ref in kept)
 
 
 class TestOneBlasThread:

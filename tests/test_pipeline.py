@@ -736,6 +736,60 @@ class TestWriter:
         assert strip_timings(docs[0]) == strip_timings(docs[1])
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_timings_split_extraction(self, store_corpus, tmp_path, monkeypatch, workers):
+        """Audio load and log-Mel are summed over the pool threads, so each
+        is at most ``workers`` times the extraction's wall time; the
+        calling thread's appends and frame checks are within it."""
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
+        archive = tmp_path / "arch"
+        docs = []
+        for out in ("fill", "filled"):  # computed from audio, then read from the archive
+            report = run(store_config(store_corpus, out_dir=tmp_path / out, archive_dir=archive))
+            for ep in report.epochs:
+                seconds = ep["timings_s"]
+                load, logmel, append = (seconds[stage] for stage in pipeline.EXTRACT_STAGES)
+                assert load + logmel <= workers * seconds["extract_features"]
+                assert 0 <= append <= seconds["extract_features"]
+                if out == "fill" and ep["epoch"] == 0:
+                    assert load > 0 and logmel > 0 and append > 0
+                else:  # epoch 0 extracted every utterance
+                    assert load == logmel == 0
+            docs.append(json.loads((tmp_path / out / "report.json").read_text()))
+        assert docs[1]["epochs"][0]["timings_s"]["extract_append"] > 0  # its frame checks
+        assert strip_timings(docs[0]) == strip_timings(docs[1])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_records_are_built_on_one_thread_and_extracted_on_the_pool(
+        self, store_corpus, tmp_path, monkeypatch, workers
+    ):
+        """Builds are Python under the GIL, so one pool thread runs every
+        build of an epoch, whatever the pool size; extraction gets a pool
+        of ``workers``."""
+        builders = {}  # epoch -> the thread of each of its builds
+        pools = []
+        build, pool = pipeline._build_group, pipeline.ThreadPoolExecutor
+
+        def logged_build(*args):
+            builders.setdefault(args[4], []).append(threading.get_ident())
+            return build(*args)
+
+        class LoggedPool(pool):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(pipeline, "_build_group", logged_build)
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", LoggedPool)
+        monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
+        report = run(store_config(store_corpus, out_dir=tmp_path / "out", budget_frames=200))
+        assert pools == [workers, 1] * 2  # each epoch extracts, then builds
+        assert sorted(builders) == [0, 1]
+        for epoch, threads in builders.items():
+            assert len(threads) >= report.epochs[epoch]["batch_count"] > 2
+            assert len(set(threads)) == 1
+            assert threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_write_is_fatal_and_leaves_nothing_running(
         self, store_corpus, tmp_path, monkeypatch, capsys, workers
     ):
@@ -876,15 +930,17 @@ class TestWriter:
             store_corpus, out_dir=tmp_path / "out", emit=emit, budget_frames=200,
         ))
         assert report.totals["batches"] > 2 * (3 * workers - 1)
-        assert peak <= workers + 1
+        assert peak <= 2  # one being written, one building
         assert alive == 0
-        assert 0 < len(buffers) <= workers + 1
+        assert 0 < len(buffers) <= 2
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_free_list_is_bounded_when_records_are_laid_out_again(
         self, store_corpus, tmp_path, monkeypatch, workers
     ):
         """A record laid out again after a failed read is laid out in its
-        own buffer, so the run hands out at most ``workers + 1``."""
+        own buffer, so the run hands out at most 2, whatever the pool
+        size."""
         archive = tmp_path / "arch"
         run(store_config(store_corpus, out_dir=tmp_path / "fill", archive_dir=archive))
         at = record_span(archive, "u000001")[1] + 8  # a payload byte: its reads fail
@@ -916,7 +972,7 @@ class TestWriter:
         assert again > 0  # some records were laid out again, each in its first buffer
         assert sum(a is b for bs in laid_out.values() for a, b in zip(bs, bs[1:])) >= again
         buffers = {id(b) for bs in laid_out.values() for b in bs}
-        assert len(buffers) <= workers + 1
+        assert len(buffers) <= 2
 
     def test_a_buffer_too_small_is_freed_before_its_replacement(self, monkeypatch):
         buffers = [None, None]
@@ -938,9 +994,10 @@ class TestWriter:
     def test_shared_free_list_under_many_workers_and_thread_switches(
         self, store_corpus, tmp_path, monkeypatch
     ):
-        """Eight workers on fewer cores lay records out in the run's nine
-        buffers while threads switch every 10 us: the bytes are the
-        one-worker bytes, so no buffer held two records at once."""
+        """Eight workers on fewer cores extract, and the build thread lays
+        records out in the run's two buffers, while threads switch every
+        10 us: the bytes are the one-worker bytes, so no buffer held two
+        records at once."""
         def config(out):
             return store_config(store_corpus, out_dir=tmp_path / out, budget_frames=200)
 
