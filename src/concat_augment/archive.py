@@ -24,10 +24,13 @@ them, read mode ignores them.
 
 An archive holds its file open on one descriptor from open to
 :meth:`FeatureArchive.close`; the scan, every read (``preadv``) and
-every write go through it. One writer at a time: an append-mode archive
-holds an exclusive ``flock`` on that descriptor, and a second
-append-mode open fails before it changes a byte. Any number of readers,
-which take no lock.
+every write go through it. A read checks the record's length, CRC
+trailer and head against the id asked for; a reader that reads a record
+again can take its :class:`Slot` once (:meth:`FeatureArchive.slot`) and
+read by it, skipping the index lookup and the expected head's encoding.
+One writer at a time: an append-mode archive holds an exclusive
+``flock`` on that descriptor, and a second append-mode open fails
+before it changes a byte. Any number of readers, which take no lock.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import json
 import os
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +57,18 @@ _U32 = struct.Struct("<I")
 _DIMS = struct.Struct("<III")  # id_len, T, F
 _HEAD = struct.Struct("<IIII")  # the dims and their CRC
 _PEEK = 256  # bytes read per record head while scanning; a longer id takes a second read
+
+
+class Slot(NamedTuple):
+    """One archived record, as :meth:`FeatureArchive.read` reads it:
+    its offset in the file, its head as written (the bytes before the
+    payload) and that head's CRC, its payload's size in bytes and its id."""
+
+    offset: int
+    head: bytes
+    head_crc: int
+    nbytes: int
+    utt_id: str
 
 
 def _head(id_bytes: bytes, t: int, fdim: int) -> bytes:
@@ -240,27 +256,51 @@ class FeatureArchive:
         self._append(_encode_record(utt_id, feats))
         self._index[utt_id] = (offset, *feats.shape)
 
-    def read(self, utt_id: str, out: np.ndarray | None = None) -> np.ndarray:
-        """Return the stored float32 matrix; verifies the CRC trailer.
-
-        The payload is read straight into ``out`` when given, a writable
-        C-contiguous ``(T, F)`` float32 array such as a slice of a batch
-        record, and ``out`` is returned; otherwise into a new array.
-        """
+    def slot(self, utt_id: str) -> Slot:
+        """Where and how ``utt_id``'s record is stored, for a reader that
+        reads it again (:meth:`read`); ArchiveError if absent."""
         try:
             offset, t, fdim = self._index[utt_id]
         except KeyError:
             raise ArchiveError(f"id not in archive: {utt_id!r}") from None
-        if out is None:
-            out = np.empty((t, fdim), dtype="<f4")
-        elif out.shape != (t, fdim) or out.dtype != np.dtype("<f4") or not out.flags.c_contiguous:
-            raise ArchiveError(
-                f"cannot read {utt_id!r} ({t} x {fdim} float32) into a {out.dtype} "
-                f"array of shape {out.shape}"
-            )
-        expected = _head(utt_id.encode("utf-8"), t, fdim)
+        head = _head(utt_id.encode("utf-8"), t, fdim)
+        return Slot(offset, head, crc32(head), 4 * t * fdim, utt_id)
+
+    def read(self, key: str | Slot, out=None):
+        """Read a record's float32 payload, checking the record's length,
+        CRC trailer and head, and return what it was read into.
+
+        ``key`` is the record's id, or its :class:`Slot` (:meth:`slot`),
+        which saves a reader that reads the record again the index lookup
+        and the head's encoding. With an id, the payload is read straight
+        into ``out`` when given, a writable C-contiguous ``(T, F)``
+        float32 array such as a slice of a batch record, else into a new
+        array. With a slot, ``out`` is any writable buffer of the
+        payload's bytes, such as a memoryview of a batch record's row,
+        else a new uint8 array.
+        """
+        if isinstance(key, Slot):
+            slot = key
+            if out is None:
+                out = np.empty(slot.nbytes, dtype=np.uint8)
+            payload = out
+        else:
+            slot = self.slot(key)
+            t, fdim = self._index[key][1:]
+            if out is None:
+                out = np.empty((t, fdim), dtype="<f4")
+            elif (
+                out.shape != (t, fdim)
+                or out.dtype != np.dtype("<f4")
+                or not out.flags.c_contiguous
+            ):
+                raise ArchiveError(
+                    f"cannot read {key!r} ({t} x {fdim} float32) into a {out.dtype} "
+                    f"array of shape {out.shape}"
+                )
+            payload = memoryview(out.reshape(-1).view(np.uint8))
+        offset, expected, expected_crc, nbytes, utt_id = slot
         head = bytearray(len(expected))
-        payload = memoryview(out.reshape(-1).view(np.uint8))
         trailer = bytearray(_U32.size)
         fd = self._fd
         if fd is None:
@@ -268,12 +308,13 @@ class FeatureArchive:
         # One unbuffered read of the whole record: a run reads every
         # record once per use, into the buffer it is emitted from.
         got = os.preadv(fd, [head, payload, trailer], offset)
-        if got != len(head) + len(payload) + len(trailer):
+        if got != len(head) + nbytes + len(trailer):
             raise ArchiveError(f"truncated record for {utt_id!r} in {DATA_FILE}")
         (crc,) = _U32.unpack(trailer)
-        if crc32(payload, crc32(head)) != crc:
+        same_head = head == expected
+        if crc32(payload, expected_crc if same_head else crc32(head)) != crc:
             raise ArchiveError(f"checksum mismatch for {utt_id!r} in {DATA_FILE}")
-        if head != expected:
+        if not same_head:
             raise ArchiveError(f"record at {DATA_FILE}:{offset} is not {utt_id!r}")
         return out
 

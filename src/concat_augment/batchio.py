@@ -19,9 +19,10 @@ frame counts and targets, so the header, targets and lengths are
 written when it is laid out, and the features are filled through a
 ``B x T_max x F`` view of the buffer. The buffer is a new zeroed one,
 or one an earlier record used, whose bytes are stale: then
-:meth:`Record.finish_row` zeroes each filled row's padding, and, rows
-taken in order, folds the row into the CRC while it is still in cache,
-so :meth:`Record.seal` only adds the targets and lengths. A writer then
+:meth:`Record.finish_row` zeroes each filled row's padding. Once every
+byte is in, :meth:`Record.seal` writes the CRC trailer in one pass over
+the record; the pipeline seals on the thread that writes, while the
+next record builds, since the CRC runs without the GIL. A writer then
 only writes the buffer: all of it to a stream, all but the prefix to a
 batch file. :func:`decode_batch` reads a record back into a
 :class:`Batch`.
@@ -73,7 +74,7 @@ class Record:
     every feature is zero until filled. ``alloc(size)`` instead returns
     a uint8 array of at least ``size`` bytes, whose bytes may be stale:
     fill each row's frames and call :meth:`finish_row`, or write whole
-    rows. Call :meth:`seal` once the features are in.
+    rows. Call :meth:`seal` once every feature is in.
     """
 
     def __init__(
@@ -99,8 +100,7 @@ class Record:
         _HEADER.pack_into(self.buffer, _PREFIX, MAGIC, VERSION, b, t_max, n_bins)
         at = _PREFIX + _HEADER.size
         self.features = np.frombuffer(self.buffer, "<f4", cells, at).reshape(b, t_max, n_bins)
-        self._tail_at = at + 4 * cells
-        tail = np.frombuffer(self.buffer, "<u4", words, self._tail_at)
+        tail = np.frombuffer(self.buffer, "<u4", words, at + 4 * cells)
         tail[0] = target_pad_id
         pos = 1
         for row, tokens in enumerate(targets):
@@ -124,33 +124,16 @@ class Record:
             pos += 1 + len(tokens)
         tail[pos:] = feature_lengths
         self.feature_lengths = list(feature_lengths)
-        # The CRC over the header and rows 0 .. _rows_in_crc - 1.
-        self._crc = crc32(memoryview(self.buffer)[_PREFIX:at])
-        self._rows_in_crc = 0
 
     def finish_row(self, at: int) -> None:
-        """Zero row ``at``'s padding (its frames ``feature_lengths[at]``
-        to ``T_max``) once its frames are filled; it must not change
-        after. When every row before it is finished too, fold the row,
-        still in cache, into the CRC."""
-        row = self.features[at]
-        row[self.feature_lengths[at] :] = 0
-        if at == self._rows_in_crc:
-            start = _PREFIX + _HEADER.size + at * row.nbytes
-            self._crc = crc32(memoryview(self.buffer)[start : start + row.nbytes], self._crc)
-            self._rows_in_crc += 1
+        """Zero row ``at``'s padding, its frames ``feature_lengths[at]``
+        to ``T_max``."""
+        self.features[at, self.feature_lengths[at] :] = 0
 
     def seal(self) -> "Record":
-        """Write the CRC trailer over the record's other bytes: the tail
-        after the rows :meth:`finish_row` folded in, when it folded them
-        all, else every byte."""
+        """Write the CRC trailer over the record's other bytes."""
         crc_at = len(self.buffer) - _U32.size
-        body = memoryview(self.buffer)
-        if self._rows_in_crc == len(self.features):
-            crc = crc32(body[self._tail_at : crc_at], self._crc)
-        else:
-            crc = crc32(body[_PREFIX:crc_at])
-        _U32.pack_into(self.buffer, crc_at, crc)
+        _U32.pack_into(self.buffer, crc_at, crc32(memoryview(self.buffer)[_PREFIX:crc_at]))
         return self
 
     @property

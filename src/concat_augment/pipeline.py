@@ -10,20 +10,23 @@ resident in memory. When features are loaded, each utterance's log-Mel
 matrix is extracted once per run into a feature store (the run's
 archive) before the first epoch that references it, in the order the
 epoch's batches first use it (:meth:`augment.Survivors.first_use`).
-Each batch is then built as one CABX record in a single buffer
-(:class:`batchio.Record`), laid out from its survivors' frame counts
-and targets, read by corpus position (:class:`augment.Survivors`) once
-per row. Row by row, every constituent's features are read from the
-archive straight into the row, the row is masked in place, with the
-mask draws of all the record's rows seeded at once
-(:func:`rng.keyed_draws`), its padding is zeroed and it is folded into
-the record's CRC while still in cache; the seal adds the rest. A
-configurable pool of worker threads computes the features, and the
-calling thread appends them to the archive. One pool thread builds the
-records, whatever the pool size: a build is Python under the GIL, so a
-second build thread would only contend with the first. The calling
-thread writes the sealed records, one write each, in plan order, while
-that thread builds the next one. The run keeps two record buffers, one
+The extraction keeps each archived position's :class:`archive.Slot`
+(offset, expected head and its CRC, payload size), so a read is one
+``preadv`` and the record's checks. Every survivor's mask spans are
+drawn for the whole epoch at once, keyed by ordinal
+(:func:`specaugment.keyed_spans`). Each batch is then built as one CABX
+record in a single buffer (:class:`batchio.Record`), laid out from its
+survivors' frame counts and targets, read by corpus position
+(:class:`augment.Survivors`) once per row, a stage at a time over the
+record's rows: every constituent's features are read from the archive
+straight into its row, then each row's masks are applied in place,
+then each row's padding is zeroed. A configurable pool of worker
+threads computes the features, and the calling thread appends them to
+the archive. One pool thread builds the records, whatever the pool
+size: a build is Python under the GIL, so a second build thread would
+only contend with the first. The calling thread seals each record (one
+CRC pass, which runs without the GIL) and writes it, one write each, in
+plan order, while that thread builds the next one. The run keeps two record buffers, one
 for the record being written and one for the record building, and
 build ``i`` lays its record out in buffer ``i % 2``; the window submits
 it only once the sink has written (or decoded) and dropped the record
@@ -62,15 +65,14 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .archive import FeatureArchive
+from .archive import FeatureArchive, Slot
 from .augment import Strategy, Survivors, _join_targets, length_filter, plan_epoch
 from .batching import ACCOUNTING_MODES, Batch, compose_batches, target_codes
 from .batchio import Record, StreamWriter, decode_batch, write_batch_file
 from .errors import BatchingError, ConfigurationError, FeatureError, PipelineError
 from .features import FeatureConfig, load_or_compute, one_blas_thread
 from .manifest import Corpus, Target, build_speaker_index, ingestion_report, load_manifest
-from .rng import MASK_STREAM, keyed_draws
-from .specaugment import MaskPolicy, mask_in_place
+from .specaugment import MaskPolicy, apply_spans, keyed_spans
 
 WORKERS_ENV_VAR = "CONCAT_AUGMENT_WORKERS"
 # The largest pool: it bounds the threads that extract features and the
@@ -205,7 +207,8 @@ class _FeatureStore:
     lock. A position fails when its audio does not load or its features'
     frame count (the archive index's ``T``) is not its manifest
     ``n_frames``; it keeps its message, and every read of it raises
-    ``FeatureError(message)``.
+    ``FeatureError(message)``. Every other position an extraction saw
+    keeps its record's :class:`archive.Slot`, which :meth:`read` reads.
     """
 
     def __init__(self, config: PipelineConfig, corpus: Corpus):
@@ -215,6 +218,7 @@ class _FeatureStore:
         self._scratch: tempfile.TemporaryDirectory | None = None
         self._checked = np.zeros(len(corpus), dtype=bool)
         self._failed: dict[int, str] = {}
+        self._slots: list[Slot | None] = [None] * len(corpus)
 
     def _open(self) -> FeatureArchive:
         root = self._config.archive_dir
@@ -225,6 +229,8 @@ class _FeatureStore:
         return FeatureArchive(root, mode="a", feature=self._config.feature)
 
     def _check_frames(self, pos: int) -> None:
+        """Fail an archived position whose frame count is not its
+        manifest ``n_frames``; else keep its slot for :meth:`read`."""
         utt_id = self._corpus.ids[pos]
         frames = self._archive.shape(utt_id)[0]
         expected = int(self._corpus.n_frames[pos])
@@ -232,6 +238,8 @@ class _FeatureStore:
             self._failed[pos] = (
                 f"utterance {utt_id}: manifest says {expected} frames, features have {frames}"
             )
+        else:
+            self._slots[pos] = self._archive.slot(utt_id)
 
     def extract(self, positions: np.ndarray, workers: int) -> dict[str, float]:
         """Extract ``positions`` (see the class); return the seconds by
@@ -284,17 +292,19 @@ class _FeatureStore:
     def failed(self, pos: int) -> bool:
         return pos in self._failed
 
-    def read(self, positions: list[int], out: np.ndarray | None) -> None:
-        """Read a survivor's constituents, in order, into ``out`` (its row
-        of a record) at their frame offsets; with ``out`` None, read each
-        into a new array only to check it."""
+    def read(self, positions: list[int], out: memoryview | None) -> None:
+        """Read a survivor's constituents, in order, into ``out``, the
+        bytes of its row of a record, one after another; with ``out``
+        None, read each into a new buffer only to check it. Each read
+        goes to the slot the extraction kept."""
+        read, slots = self._archive.read, self._slots
         start = 0
         for pos in positions:
-            error = self._failed.get(pos)
-            if error is not None:
-                raise FeatureError(error)
-            end = start + int(self._corpus.n_frames[pos])
-            self._archive.read(self._corpus.ids[pos], out=None if out is None else out[start:end])
+            slot = slots[pos]
+            if slot is None:  # an extracted position without a slot has failed
+                raise FeatureError(self._failed[pos])
+            end = start + slot.nbytes
+            read(slot, None if out is None else out[start:end])
             start = end
 
     def close(self) -> None:
@@ -308,10 +318,10 @@ class _FeatureStore:
 
 @dataclass
 class _Group:
-    """One composed group's result: its sealed record (None in an audit,
-    or when every instance failed to load), its size, its frame mass,
-    the provenance of the instances it kept and its build's seconds by
-    stage (:data:`BUILD_STAGES`)."""
+    """One composed group's result: its record, which the sink seals
+    (None in an audit, or when every instance failed to load), its size,
+    its frame mass, the epoch's survivors and the ordinals of those it
+    kept, and its build's seconds by stage (:data:`BUILD_STAGES`)."""
 
     record: Record | None
     size: int
@@ -320,16 +330,17 @@ class _Group:
     failed_original: int = 0
     failed_augmented: int = 0
     diagnostics: list[str] = field(default_factory=list)
-    instance_ids: list[tuple[str, ...]] = field(default_factory=list)
+    survivors: Survivors | None = None
+    ordinals: list[int] = field(default_factory=list)
     timings: list[float] = field(default_factory=list)
 
 
 # A build's stages, as each epoch's timings_s names their seconds on the
-# one build thread: reading each row's constituents (with the
-# archive's CRC check), drawing and applying its masks, and zeroing its
-# padding and folding it into the record's CRC, with the seal.
-BUILD_STAGES = ("build_read", "build_mask", "build_checksum")
-_READ, _MASK, _CHECKSUM = range(len(BUILD_STAGES))
+# one build thread, each timed once per record: reading the rows'
+# constituents (with the archive's CRC and head checks), applying the
+# rows' masks, and zeroing the rows' padding.
+BUILD_STAGES = ("build_read", "build_mask", "build_pad")
+_READ, _MASK, _PAD = range(len(BUILD_STAGES))
 
 
 def _lap(seconds: list[float], stage: int, since: float) -> float:
@@ -372,22 +383,24 @@ def _build_group(
     config: PipelineConfig,
     epoch: int,
     store: _FeatureStore,
+    spans: np.ndarray | None,
     buffers: list[np.ndarray | None],
     place: int,
 ) -> _Group:
     """Build one batch's record in place, in ``buffers[place]``
-    (:func:`_buffer`): read each survivor's constituents, in order, into
-    its row at their frame offsets, mask the row's frames, finish the
-    row (zero its padding, add it to the CRC), seal. ``targets`` is the
-    corpus's, by position.
+    (:func:`_buffer`), a stage at a time over its rows: read each
+    survivor's constituents, in order, into its row at their frame
+    offsets, then apply each row's masks (``spans``, the epoch's
+    :func:`specaugment.keyed_spans` by ordinal, None without
+    SpecAugment), then zero each row's padding. ``targets`` is the
+    corpus's, by position. The sink seals the record.
 
     A survivor is dropped at its first constituent that fails in the
     store or on the archive read. One with a constituent the store has
     failed is left out of the layout; only the constituents before that
     one are read, to find which fails first. If a read into the record
     fails, the kept rows are laid out again over the same buffer (a
-    smaller record always fits), then read, masked and finished again;
-    their mask draws are keyed by ordinal, so their bytes do not change.
+    smaller record always fits) and read again.
     """
     positions = [survivors.positions(r) for r in ordinals]
     frames = survivors.frames[ordinals].tolist()
@@ -406,32 +419,24 @@ def _build_group(
     def alloc(size: int) -> np.ndarray:
         return _buffer(buffers, place, size)
 
-    policy = config.specaugment
     seconds = [0.0] * len(BUILD_STAGES)
     record = None
     while rows and record is None:
-        lengths = [frames[row] for row in rows]
-        record = _lay_out(lengths, [positions[row] for row in rows], targets, config, alloc)
+        record = _lay_out(
+            [frames[row] for row in rows], [positions[row] for row in rows], targets, config, alloc
+        )
         now = time.perf_counter()
-        if policy is not None:
-            draws = keyed_draws(config.seed, MASK_STREAM, epoch, [ordinals[row] for row in rows])
-            now = _lap(seconds, _MASK, now)
+        cells = memoryview(record.features.reshape(-1).view(np.uint8))
+        row_bytes = record.features[0].nbytes
         kept = []
         for at, row in enumerate(rows):
-            features = record.features[at]
             try:
-                store.read(positions[row], features)
+                store.read(positions[row], cells[at * row_bytes : (at + 1) * row_bytes])
             except (PipelineError, OSError) as exc:
                 failures[row] = str(exc)
                 continue
-            finally:
-                now = _lap(seconds, _READ, now)
-            if policy is not None:
-                mask_in_place(features[: frames[row]], policy, draws[at])
-                now = _lap(seconds, _MASK, now)
-            record.finish_row(at)
-            now = _lap(seconds, _CHECKSUM, now)
             kept.append(row)
+        now = _lap(seconds, _READ, now)
         if len(kept) < len(rows):
             rows, record = kept, None
 
@@ -450,20 +455,30 @@ def _build_group(
             f"failed to load features for {constituents}: {failures[row]}"
         )
     if record is None:
-        return _Group(None, 0, 0, 0, failed_original, failed_augmented, diagnostics, [], seconds)
-    start = time.perf_counter()
-    record.seal()
-    _lap(seconds, _CHECKSUM, start)
-    b, t_max, _ = record.features.shape
+        return _Group(
+            None, 0, 0, 0, failed_original, failed_augmented, diagnostics, timings=seconds
+        )
+    kept = [ordinals[row] for row in rows]
+    features, lengths = record.features, record.feature_lengths
+    if spans is not None:
+        policy = config.specaugment
+        for at, row_spans in enumerate(spans[kept].tolist()):
+            apply_spans(features[at, : lengths[at]], policy, row_spans)
+        now = _lap(seconds, _MASK, now)
+    for at in range(len(rows)):
+        record.finish_row(at)
+    _lap(seconds, _PAD, now)
+    b, t_max, _ = features.shape
     return _Group(
         record,
         b,
         b * t_max,
-        sum(record.feature_lengths),
+        sum(lengths),
         failed_original,
         failed_augmented,
         diagnostics,
-        [tuple(ids[p] for p in positions[row]) for row in rows],
+        survivors,
+        kept,
         seconds,
     )
 
@@ -595,13 +610,14 @@ class _Run:
 
 
 def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
-    """Plan, filter and compose one epoch on position arrays and extract
-    the features its batches reference now; return the generator that
-    builds its groups, each from its survivors' ordinals on one pool
-    thread, and yields every non-empty one in plan order. Once exhausted,
-    it appends the epoch's entry to the report. Only the groups outlive
-    this call, so the engine holds one epoch's arrays at a time. An
-    audit sizes each group from frame counts, on the calling thread."""
+    """Plan, filter and compose one epoch on position arrays, draw every
+    survivor's masks and extract the features its batches reference now;
+    return the generator that builds its groups, each from its
+    survivors' ordinals on one pool thread, and yields every non-empty
+    one in plan order. Once exhausted, it appends the epoch's entry to
+    the report. Only the groups outlive this call, so the engine holds
+    one epoch's arrays at a time. An audit sizes each group from frame
+    counts, on the calling thread."""
     config, corpus, report, store = engine.config, engine.corpus, engine.report, engine.store
     t0 = time.perf_counter()
     plan = plan_epoch(corpus, engine.index, config.strategy, config.seed, epoch)
@@ -623,11 +639,25 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
         config.accounting,
     )
     t_compose = time.perf_counter()
-    extract_s = {}
+    extract_s, draw_s = {}, {}
+    t_draw = t_compose
     if store is None:
         sizes = [survivors.frames[group] for group in groups]
         builds = (_sized_group(frames) for frames in sizes)
     else:
+        # Every survivor's masks, keyed by its ordinal, drawn at once.
+        spans = None
+        if config.specaugment is not None:
+            spans = keyed_spans(
+                config.specaugment,
+                survivors.frames,
+                config.feature.n_mels,
+                config.seed,
+                epoch,
+                np.arange(len(survivors)),
+            )
+        t_draw = time.perf_counter()
+        draw_s = {"draw_masks": t_draw - t_compose}
         # Groups then members then constituents: the store extracts (and
         # archives) the utterances in first-use order.
         jobs = [group.tolist() for group in groups]
@@ -640,7 +670,7 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
             index, ordinals = job
             place = index % len(buffers)
             return _build_group(
-                ordinals, survivors, corpus.targets, config, epoch, store, buffers, place
+                ordinals, survivors, corpus.targets, config, epoch, store, spans, buffers, place
             )
 
         # One thread builds, whatever the pool size: builds are Python under
@@ -694,7 +724,8 @@ def _epoch(engine: _Run, epoch: int) -> Iterator[_Group]:
                 "timings_s": {
                     "plan_and_filter": t_plan - t0,
                     "compose": t_compose - t_plan,
-                    "extract_features": t_extract - t_compose,
+                    **draw_s,
+                    "extract_features": t_extract - t_draw,
                     **extract_s,
                     "materialize_and_emit": time.perf_counter() - t_extract,
                     **build_s,
@@ -775,20 +806,25 @@ def _writing(path: Path, write: Callable, *args):
 
 
 def _write_all(groups: Iterator[_Group], write: Callable[[int, Record], object]) -> dict:
-    """Write each group's record, in order, on the calling thread, with
-    ``write(index, record)``, then drop it, so a build may reuse its
-    buffer. Return the seconds spent writing and the seconds spent
-    waiting for ``groups`` to yield the next one."""
-    write_s = wait_s = 0.0
+    """Seal and write each group's record, in order, on the calling
+    thread, with ``write(index, record)``, then drop it, so a build may
+    reuse its buffer. The seal's CRC runs without the GIL, beside the
+    next build. Return the seconds spent sealing, the seconds spent
+    writing and the seconds spent waiting for ``groups`` to yield the
+    next one."""
+    seal_s = write_s = wait_s = 0.0
     start = time.perf_counter()
     for index, built in enumerate(groups):
         ready = time.perf_counter()
         wait_s += ready - start
+        built.record.seal()
+        sealed = time.perf_counter()
+        seal_s += sealed - ready
         write(index, built.record)
         built.record = None  # not alive while the next ones are built
         start = time.perf_counter()
-        write_s += start - ready
-    return {"write": write_s, "writer_wait": wait_s}
+        write_s += start - sealed
+    return {"seal": seal_s, "write": write_s, "writer_wait": wait_s}
 
 
 def run(config: PipelineConfig) -> AuditReport:
@@ -895,8 +931,9 @@ def iter_epoch_batches(config: PipelineConfig, epoch: int) -> Iterator[Batch]:
         contextlib.closing(_epoch(engine, epoch)) as groups,
     ):
         for built in groups:
-            batch = decode_batch(built.record.body)  # a copy: a later build reuses the buffer
-            batch.instance_ids = built.instance_ids
+            # a copy: a later build reuses the buffer
+            batch = decode_batch(built.record.seal().body)
+            batch.instance_ids = [built.survivors.constituents(r) for r in built.ordinals]
             built.record = None
             yield batch
 

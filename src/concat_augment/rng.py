@@ -4,15 +4,19 @@ Every stochastic stage derives its own generator from (seed, stream tag,
 epoch, ...) so that reruns are bit-identical and stages never share or
 disturb each other's streams.
 
-:func:`keyed_draws` gives the draws of ``keyed_rng(seed, stream, epoch,
-ordinal)`` for all of a record's rows at once, without a ``Generator``
-per row. It replays numpy's algorithm: ``SeedSequence``'s uint32 hash,
-run as vector operations over the rows, ``PCG64``'s seeding and XSL-RR
-output step, and the int64 bounded draw of ``Generator.integers``
-(32-bit halves of each output, low half first, with Lemire's
-multiply-and-reject). So it pins that algorithm: a numpy that changed
-it would fail ``tests/test_rng.py``, which checks the replay against
-:func:`keyed_rng` draw for draw (numpy 2.4 here).
+The mask draws replay ``keyed_rng(seed, stream, epoch, ordinal)``
+without a ``Generator`` per row. They follow numpy's algorithm:
+``SeedSequence``'s uint32 hash, run as vector operations over the rows,
+``PCG64``'s seeding and XSL-RR output step, and the bounded draw of
+``Generator.integers`` on 32-bit halves of each output (low half first,
+Lemire's multiply-and-reject). :func:`keyed_halves` replays the first
+halves of many rows at once, with the 128-bit state as uint64 limbs, and
+:func:`bounded_draws` runs the draw on them elementwise;
+:func:`keyed_draws` gives one :class:`KeyedDraws` per row, a draw at a
+time, for the rare draw that may be rejected. So this module pins that
+algorithm: a numpy that changed it would fail ``tests/test_rng.py``,
+which checks the replays against :func:`keyed_rng` draw for draw (numpy
+2.4 here).
 """
 
 from __future__ import annotations
@@ -103,11 +107,34 @@ def _pcg_states(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8")
 
 
+def _seed_states(seed: int, stream: int, epoch: int, ordinals: np.ndarray) -> np.ndarray:
+    """The ``(rows, 4)`` uint64 ``PCG64`` seed words of
+    ``keyed_rng(seed, stream, epoch, ordinal)`` for each uint64 ordinal.
+    Rows are hashed together, one vector hash per count of entropy
+    words: an ordinal of 2**32 or more adds a word."""
+    prefix = _words(seed & _U64) + _words(stream & _U64) + _words(epoch & _U64)
+    states = np.empty((len(ordinals), 4), dtype=np.uint64)
+    wide = ordinals > _U32
+    for rows, n_words in ((~wide, 1), (wide, 2)):
+        keys = ordinals[rows]
+        if not len(keys):
+            continue
+        entropy = np.empty((len(keys), len(prefix) + n_words), dtype=np.uint32)
+        entropy[:, : len(prefix)] = prefix
+        entropy[:, len(prefix)] = keys & _U32
+        if n_words == 2:
+            entropy[:, -1] = keys >> 32
+        states[rows] = _pcg_states(entropy)
+    return states
+
+
 class KeyedDraws:
     """The bounded draws of one row's ``keyed_rng`` generator.
 
     ``integers(low, high)`` returns what the generator's
-    ``integers(low, high)`` returns, as an int, for every int64 range.
+    ``integers(low, high)`` returns, as an int, for an int64 range of at
+    most 2**32 values, the ranges masks draw from (a CABX record's u32
+    fields bound their extents); a wider range raises ``ValueError``.
     """
 
     __slots__ = ("_state", "_inc", "_half")
@@ -135,13 +162,12 @@ class KeyedDraws:
 
     def integers(self, low: int, high: int) -> int:
         span = high - low - 1  # numpy's inclusive range
-        if not (0 <= span and _I64_MIN <= low and high <= -_I64_MIN):
-            raise ValueError(f"no int64 draw in [{low}, {high})")
-        if span >= _U32:
-            # a range of exactly 2**32 values takes a 32-bit half as it is
-            return low + (self._next32() if span == _U32 else self._bounded64(span))
+        if not (0 <= span <= _U32 and _I64_MIN <= low and high <= -_I64_MIN):
+            raise ValueError(f"no draw of at most 2**32 int64 values in [{low}, {high})")
         if not span:
             return low
+        if span == _U32:
+            return low + self._next32()  # a range of exactly 2**32 values takes a half as it is
         # Lemire's multiply-and-reject, on 32-bit halves
         excl = span + 1
         m = self._next32() * excl
@@ -151,29 +177,75 @@ class KeyedDraws:
                 m = self._next32() * excl
         return low + (m >> 32)
 
-    def _bounded64(self, span: int) -> int:
-        excl = span + 1
-        m = self._next64() * excl
-        if m & _U64 < excl:
-            threshold = (_U64 - span) % excl
-            while m & _U64 < threshold:
-                m = self._next64() * excl
-        return m >> 64
-
 
 def keyed_draws(seed: int, stream: int, epoch: int, ordinals: Sequence[int]) -> list[KeyedDraws]:
     """One :class:`KeyedDraws` per ordinal, drawing what
-    ``keyed_rng(seed, stream, epoch, ordinal)`` draws.
+    ``keyed_rng(seed, stream, epoch, ordinal)`` draws."""
+    keys = np.array([ordinal & _U64 for ordinal in ordinals], dtype=np.uint64)
+    return [
+        KeyedDraws(w0 << 64 | w1, w2 << 64 | w3)
+        for w0, w1, w2, w3 in _seed_states(seed, stream, epoch, keys).tolist()
+    ]
 
-    Rows are seeded together, one vector hash per count of entropy
-    words: an ordinal of 2**32 or more adds a word.
-    """
-    prefix = _words(seed & _U64) + _words(stream & _U64) + _words(epoch & _U64)
-    keys = [_words(ordinal & _U64) for ordinal in ordinals]
-    draws: list[KeyedDraws | None] = [None] * len(keys)
-    for width in sorted({len(key) for key in keys}):
-        rows = [row for row, key in enumerate(keys) if len(key) == width]
-        entropy = np.array([prefix + keys[row] for row in rows], dtype=np.uint32)
-        for row, (w0, w1, w2, w3) in zip(rows, _pcg_states(entropy).tolist()):
-            draws[row] = KeyedDraws(w0 << 64 | w1, w2 << 64 | w3)
-    return draws
+
+_M32 = np.uint64(_U32)
+_MULT_HI = np.uint64(_PCG_MULT >> 64)
+_MULT_LO = np.uint64(_PCG_MULT & _U64)
+
+
+def _mul_wide(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit products ``a * b`` of uint64s, as (high, low) limbs."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = b & _M32, b >> np.uint64(32)
+    low = a0 * b0
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = (low >> 32) + (cross0 & _M32) + (cross1 & _M32)
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32), mid << 32 | low & _M32
+
+
+def _add_wide(hi, lo, add_hi, add_lo) -> tuple[np.ndarray, np.ndarray]:
+    total = lo + add_lo
+    return hi + add_hi + (total < lo), total
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """One step of PCG64's 128-bit LCG, ``state * mult + inc``, on limbs."""
+    prod_hi, prod_lo = _mul_wide(lo, _MULT_LO)
+    return _add_wide(prod_hi + lo * _MULT_HI + hi * _MULT_LO, prod_lo, inc_hi, inc_lo)
+
+
+def keyed_halves(
+    seed: int, stream: int, epoch: int, ordinals: np.ndarray, count: int
+) -> np.ndarray:
+    """The first ``count`` 32-bit halves that each ordinal's
+    ``keyed_rng(seed, stream, epoch, ordinal)`` hands a bounded draw, as
+    a ``(rows, count)`` uint64 array: its ``PCG64`` outputs, low half
+    first. ``ordinals`` holds uint64 values."""
+    states = _seed_states(seed, stream, epoch, np.asarray(ordinals, dtype=np.uint64))
+    initstate_hi, initstate_lo, initseq_hi, initseq_lo = states.T
+    # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1, then one step from initstate + inc
+    inc_hi = initseq_hi << 1 | initseq_lo >> 63
+    inc_lo = initseq_lo << 1 | 1
+    hi, lo = _pcg_step(*_add_wide(initstate_hi, initstate_lo, inc_hi, inc_lo), inc_hi, inc_lo)
+    halves = np.empty((len(states), count + count % 2), dtype=np.uint64)
+    for at in range(0, count, 2):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR: the xor of the halves, rotated right by the top 6 bits
+        value, rot = hi ^ lo, hi >> 58
+        value = value >> rot | value << (-rot & 63)
+        halves[:, at] = value & _M32
+        halves[:, at + 1] = value >> 32
+    return halves[:, :count]
+
+
+def bounded_draws(halves: np.ndarray, excl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's draw of ``integers(0, excl)`` from one uint64 32-bit half
+    each, elementwise: the draws, and where a draw may not stand. There
+    the low word of the product is below ``excl`` (numpy then rejects it
+    when it is below ``(2**32 - excl) % excl``), or ``excl`` is over
+    ``2**32 - 1``; the caller draws those again through
+    :class:`KeyedDraws`."""
+    excl = np.asarray(excl, dtype=np.int64)
+    bound = np.minimum(excl, _U32).astype(np.uint64)  # a product that fits in 64 bits
+    product = halves * bound
+    return product >> 32, ((product & _M32) < bound) | (excl > _U32)

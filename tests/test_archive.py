@@ -196,6 +196,60 @@ class TestArchive:
                 with pytest.raises(ArchiveError, match="truncated"):
                     reader.read("u1")
 
+    @pytest.mark.parametrize("fault", ["payload byte", "head byte", "another record", "cut"])
+    def test_a_slot_read_raises_what_an_id_read_raises(self, tmp_path, fault):
+        """A read by a slot taken before the damage fails as a read by id
+        does, with the same message: a flipped payload or id byte fails
+        the CRC, another id's whole record at the offset fails the head
+        check, and a file cut after the open is a truncated record."""
+        rng = np.random.default_rng(16)
+        root = tmp_path / "arch"
+        with appender(root) as arch:
+            for utt_id in ("u1", "u2", "u3"):
+                arch.write(utt_id, random_matrix(rng, t=5))
+        path = root / DATA_FILE
+        blob = bytearray(path.read_bytes())
+        start, payload, end = record_span(root, "u1")
+        other, _, other_end = record_span(root, "u2")
+        utt_id, message = "u1", f"checksum mismatch for 'u1' in {DATA_FILE}"
+        with FeatureArchive(root, mode="r") as reader:
+            slots = {key: reader.slot(key) for key in ("u1", "u3")}
+            if fault == "payload byte":
+                blob[payload + 3] ^= 0x10
+            elif fault == "head byte":
+                blob[payload - 1] ^= 0x01  # the last byte of the id
+            elif fault == "another record":
+                blob[start:end] = blob[other:other_end]
+                message = f"record at {DATA_FILE}:{start} is not 'u1'"
+            else:
+                del blob[-4:]
+                utt_id, message = "u3", f"truncated record for 'u3' in {DATA_FILE}"
+            path.write_bytes(blob)
+            row = np.zeros((5, 8), dtype=np.float32)
+            for key, out in (
+                (utt_id, None),
+                (utt_id, row),
+                (slots[utt_id], None),
+                (slots[utt_id], memoryview(row.reshape(-1).view(np.uint8))),
+            ):
+                with pytest.raises(ArchiveError) as raised:
+                    reader.read(key, out)
+                assert str(raised.value) == message
+
+    def test_a_slot_read_is_an_id_read(self, tmp_path):
+        rng = np.random.default_rng(17)
+        feats = random_matrix(rng, t=9)
+        with appender(tmp_path / "arch") as arch:
+            arch.write("u1", feats)
+            slot = arch.slot("u1")
+            assert slot.nbytes == feats.nbytes
+            assert bytes(arch.read(slot)) == feats.tobytes()
+            row = np.zeros(feats.shape, dtype=np.float32)
+            arch.read(slot, memoryview(row.reshape(-1).view(np.uint8)))
+            assert row.tobytes() == feats.tobytes()
+            with pytest.raises(ArchiveError, match="id not in archive: 'u2'"):
+                arch.slot("u2")
+
     def test_layout_is_one_file_across_reopens(self, tmp_path):
         # Digest of the directory written in three appending opens, each
         # of which reads every record as soon as it is written (as the

@@ -131,11 +131,10 @@ def poisoned(size):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_row_chained_seal_equals_a_whole_record_seal(n_bins, lengths, seed):
-    """A record in a stale buffer, each row finished in order (padding
-    zeroed, row folded into the CRC), seals to the bytes of a zeroed
-    record sealed over all its bytes. Rows of 1 x 40 x 1 to 40 x 80
-    floats fall on both sides of ``checksum._SMALL``, where the CRC
-    moves from zlib to libdeflate."""
+    """A record in a stale buffer, each row finished in order (its
+    padding zeroed), seals to the bytes of a zeroed record. Records of
+    1 x 1 x 1 to 6 x 40 x 80 floats fall on both sides of
+    ``checksum._SMALL``, where the CRC moves from zlib to libdeflate."""
     rng = np.random.default_rng(seed)
     t_max = max(lengths)
     targets = [tuple(rng.integers(0, 2**32, size=int(rng.integers(0, 4)))) for _ in lengths]
@@ -154,14 +153,14 @@ def test_rows_finished_out_of_order_seal_over_every_byte():
     lengths = [3, 1, 2]
     whole = Record(3, 2, lengths, [(1,), (2,), (3,)], target_pad_id=0)
     record = Record(3, 2, lengths, [(1,), (2,), (3,)], target_pad_id=0, alloc=poisoned)
-    for at in (1, 0, 2):  # row 1 first: it is not folded in, so neither are the rest
+    for at in (1, 0, 2):
         whole.features[at, : lengths[at]] = at + 1
         record.features[at, : lengths[at]] = at + 1
         record.finish_row(at)
     assert bytes(record.seal().buffer) == bytes(whole.seal().buffer)
 
 
-def test_a_row_chained_seal_hands_libdeflate_only_the_rows_and_the_tail(monkeypatch):
+def test_a_seal_hands_libdeflate_the_record_in_one_pass(monkeypatch):
     if checksum._libdeflate_crc32 is None:
         pytest.skip("libdeflate.so.0 does not load here")
     fn, sizes = checksum._libdeflate_crc32, []
@@ -175,9 +174,9 @@ def test_a_row_chained_seal_hands_libdeflate_only_the_rows_and_the_tail(monkeypa
     record.features[:] = 1.0
     record.finish_row(0)
     record.finish_row(1)
+    assert sizes == []  # finishing a row only zeroes its padding
     record.seal()
-    tail = 4 * (1 + 2 + 1101 + 2)
-    assert sizes == [40 * 32 * 4, 40 * 32 * 4, tail]
+    assert sizes == [len(record.body) - 4]
     decode_batch(bytes(record.body))
 
 

@@ -10,6 +10,7 @@ import time
 import warnings
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -730,10 +731,18 @@ class TestWriter:
             for ep in report.epochs:
                 assert ep["timings_s"]["write"] >= 0
                 assert ep["timings_s"]["writer_wait"] >= 0
-                for stage in pipeline.BUILD_STAGES:  # build_read, build_mask, build_checksum
+                for stage in pipeline.BUILD_STAGES:  # build_read, build_mask, build_pad
                     assert ep["timings_s"][stage] > 0
             docs.append(json.loads((tmp_path / out / "report.json").read_text()))
         assert strip_timings(docs[0]) == strip_timings(docs[1])
+
+    def test_every_epoch_timing_is_named_in_the_readme(self, store_corpus, tmp_path):
+        """A stage renamed in the code fails here, not in a stale README."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        report = run(store_config(store_corpus, out_dir=tmp_path / "out", emit="stream"))
+        keys = {key for ep in report.epochs for key in ep["timings_s"]}
+        assert keys >= {"seal", "write", "writer_wait", *pipeline.BUILD_STAGES}
+        assert sorted(key for key in keys if f"`{key}`" not in readme) == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_timings_split_extraction(self, store_corpus, tmp_path, monkeypatch, workers):
