@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import logging
+import math
 import threading
 import time
 import wave
@@ -47,13 +48,15 @@ class FeatureConfig:
     n_mels : int
         Number of Mel filters (feature dimension).
     win_ms, hop_ms : float
-        Analysis window length and frame shift in milliseconds.
+        Analysis window length and frame shift in milliseconds, finite,
+        each at least one sample long at ``sample_rate_hz``.
         ``hop_ms <= win_ms`` is required.
     fft_size : int or None
         FFT length. ``None`` selects the smallest power of two that is
         >= the window length in samples (512 for 25 ms at 16 kHz).
     log_floor : float
-        Added to filterbank energies before the natural log.
+        Added to filterbank energies before the natural log; finite and
+        positive.
     mean_var_norm : bool
         Per-utterance mean/variance normalization over time, per bin.
         Off by default: temporal concatenation is cleaner without it.
@@ -68,14 +71,20 @@ class FeatureConfig:
     mean_var_norm: bool = False
 
     def __post_init__(self) -> None:
-        if self.sample_rate_hz <= 0 or self.n_mels <= 0:
-            raise FeatureError("sample_rate_hz and n_mels must be positive")
-        if self.win_ms <= 0 or self.hop_ms <= 0:
-            raise FeatureError("win_ms and hop_ms must be positive")
+        if self.n_mels <= 0:
+            raise FeatureError(f"n_mels must be positive, got {self.n_mels!r}")
+        for name in ("sample_rate_hz", "win_ms", "hop_ms", "log_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise FeatureError(f"{name} must be finite and positive, got {value!r}")
+        for name, samples in (("win_ms", self.win_samples), ("hop_ms", self.hop_samples)):
+            if samples < 1:
+                raise FeatureError(
+                    f"{name} {getattr(self, name)!r} is under one sample "
+                    f"at {self.sample_rate_hz} Hz"
+                )
         if self.hop_ms > self.win_ms:
             raise FeatureError(f"hop_ms {self.hop_ms} exceeds win_ms {self.win_ms}")
-        if self.log_floor <= 0:
-            raise FeatureError("log_floor must be positive")
         if self.fft_size is not None and self.fft_size < self.win_samples:
             raise FeatureError(
                 f"fft_size {self.fft_size} is smaller than the window "
@@ -333,28 +342,6 @@ def _power_blocks(pcm: np.ndarray, cfg: FeatureConfig):
         np.square(parts, out=parts)
         np.add(parts[:, 0::2], parts[:, 1::2], out=power[:n])
         yield start, stop, power[:n]
-
-
-def power_spectrogram(pcm, cfg: FeatureConfig) -> np.ndarray:
-    """Windowed power spectrum |X(k)|^2 per frame, shape (T, n_fft//2+1).
-
-    Parameters
-    ----------
-    pcm : array-like of float
-        Samples in [-1, 1], at least one window long, all finite.
-    cfg : FeatureConfig
-
-    Raises
-    ------
-    FeatureError
-        If the input is shorter than one window or contains non-finite
-        samples.
-    """
-    pcm = _checked_pcm(pcm, cfg)
-    out = np.empty((frame_count(len(pcm), cfg), cfg.n_fft // 2 + 1))
-    for start, stop, power in _power_blocks(pcm, cfg):
-        out[start:stop] = power
-    return out
 
 
 def compute_logmel(pcm, cfg: FeatureConfig | None = None) -> np.ndarray:

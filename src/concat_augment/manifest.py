@@ -51,7 +51,6 @@ from .errors import ManifestError
 CORPUS_MODES = ("tokens", "asr-normalized")
 
 REQUIRED_COLUMNS = ("id", "audio", "n_frames", "tgt_text")
-OPTIONAL_COLUMNS = ("speaker", "src_text")
 
 Target = Union[tuple[int, ...], str]
 

@@ -11,24 +11,19 @@ without a ``Generator`` per row. They follow numpy's algorithm:
 ``Generator.integers`` on 32-bit halves of each output (low half first,
 Lemire's multiply-and-reject). :func:`keyed_halves` replays the first
 halves of many rows at once, with the 128-bit state as uint64 limbs, and
-:func:`bounded_draws` runs the draw on them elementwise;
-:func:`keyed_draws` gives one :class:`KeyedDraws` per row, a draw at a
-time, for the rare draw that may be rejected. So this module pins that
-algorithm: a numpy that changed it would fail ``tests/test_rng.py``,
-which checks the replays against :func:`keyed_rng` draw for draw (numpy
-2.4 here).
+:func:`bounded_draws` runs the draw on them elementwise. The rare row
+whose draw may be rejected is drawn again from its own
+:func:`keyed_rng`. So this module pins that algorithm: a numpy that
+changed it would fail ``tests/test_rng.py``, which checks the replay
+against :func:`keyed_rng` draw for draw (numpy 2.4 here).
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 _U32 = (1 << 32) - 1
 _U64 = (1 << 64) - 1
-_U128 = (1 << 128) - 1
-_I64_MIN = -(1 << 63)
 
 # Stream tags. Distinct per stage so plans, shuffles and masks are
 # independent even when keyed by the same (seed, epoch).
@@ -128,66 +123,6 @@ def _seed_states(seed: int, stream: int, epoch: int, ordinals: np.ndarray) -> np
     return states
 
 
-class KeyedDraws:
-    """The bounded draws of one row's ``keyed_rng`` generator.
-
-    ``integers(low, high)`` returns what the generator's
-    ``integers(low, high)`` returns, as an int, for an int64 range of at
-    most 2**32 values, the ranges masks draw from (a CABX record's u32
-    fields bound their extents); a wider range raises ``ValueError``.
-    """
-
-    __slots__ = ("_state", "_inc", "_half")
-
-    def __init__(self, initstate: int, initseq: int):
-        # pcg_setseq_128_srandom_r
-        self._inc = (initseq << 1 | 1) & _U128
-        self._state = ((self._inc + initstate) * _PCG_MULT + self._inc) & _U128
-        self._half = None  # the high half of the last output, not drawn yet
-
-    def _next64(self) -> int:
-        self._state = state = (self._state * _PCG_MULT + self._inc) & _U128
-        rot = state >> 122
-        value = ((state >> 64) ^ state) & _U64
-        return (value >> rot | value << (64 - rot)) & _U64
-
-    def _next32(self) -> int:
-        half = self._half
-        if half is None:
-            value = self._next64()
-            self._half = value >> 32
-            return value & _U32
-        self._half = None
-        return half
-
-    def integers(self, low: int, high: int) -> int:
-        span = high - low - 1  # numpy's inclusive range
-        if not (0 <= span <= _U32 and _I64_MIN <= low and high <= -_I64_MIN):
-            raise ValueError(f"no draw of at most 2**32 int64 values in [{low}, {high})")
-        if not span:
-            return low
-        if span == _U32:
-            return low + self._next32()  # a range of exactly 2**32 values takes a half as it is
-        # Lemire's multiply-and-reject, on 32-bit halves
-        excl = span + 1
-        m = self._next32() * excl
-        if m & _U32 < excl:
-            threshold = (_U32 - span) % excl
-            while m & _U32 < threshold:
-                m = self._next32() * excl
-        return low + (m >> 32)
-
-
-def keyed_draws(seed: int, stream: int, epoch: int, ordinals: Sequence[int]) -> list[KeyedDraws]:
-    """One :class:`KeyedDraws` per ordinal, drawing what
-    ``keyed_rng(seed, stream, epoch, ordinal)`` draws."""
-    keys = np.array([ordinal & _U64 for ordinal in ordinals], dtype=np.uint64)
-    return [
-        KeyedDraws(w0 << 64 | w1, w2 << 64 | w3)
-        for w0, w1, w2, w3 in _seed_states(seed, stream, epoch, keys).tolist()
-    ]
-
-
 _M32 = np.uint64(_U32)
 _MULT_HI = np.uint64(_PCG_MULT >> 64)
 _MULT_LO = np.uint64(_PCG_MULT & _U64)
@@ -243,8 +178,8 @@ def bounded_draws(halves: np.ndarray, excl: np.ndarray) -> tuple[np.ndarray, np.
     each, elementwise: the draws, and where a draw may not stand. There
     the low word of the product is below ``excl`` (numpy then rejects it
     when it is below ``(2**32 - excl) % excl``), or ``excl`` is over
-    ``2**32 - 1``; the caller draws those again through
-    :class:`KeyedDraws`."""
+    ``2**32 - 1``; the caller draws those again from their own
+    :func:`keyed_rng`."""
     excl = np.asarray(excl, dtype=np.int64)
     bound = np.minimum(excl, _U32).astype(np.uint64)  # a product that fits in 64 bits
     product = halves * bound

@@ -4,9 +4,10 @@ The pipeline masks each instance in place, on its frames in its row of
 the batch record (the row's first ``n_frames``), so padding stays zero.
 It draws an epoch's masks for every instance at once
 (:func:`keyed_spans`), keyed by the instance's ordinal, and applies each
-row's with :func:`apply_spans`; :func:`mask_in_place` draws and applies
-one matrix's masks from a generator, and is the reference those draws
-are tested against.
+row's with :func:`apply_spans`. A row whose draw may be rejected is drawn
+again with :func:`draw_spans` from its own generator;
+:func:`mask_in_place` draws and applies one matrix's masks from a
+generator, and is the reference those draws are tested against.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .rng import MASK_STREAM, bounded_draws, keyed_draws, keyed_halves
+from .rng import MASK_STREAM, bounded_draws, keyed_halves, keyed_rng
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,7 @@ def draw_spans(policy: MaskPolicy, n_frames: int, n_bins: int, rng) -> list[tupl
     For each frequency mask, width f ~ Uniform{0..min(freq_param,
     n_bins)} and start ~ Uniform{0..n_bins-f}; time masks work the same
     on frames, with time_param and n_frames. ``rng`` is only asked for
-    ``integers(0, high)``, so a :class:`rng.KeyedDraws` replaying a
-    generator draws the same masks.
+    ``integers(0, high)``.
     """
     spans = []
     for n_masks, param, extent in (
@@ -127,8 +127,8 @@ def keyed_spans(
     ``ordinals`` holds uint64 values.
 
     The rows' halves are replayed and drawn from a block of rows at a
-    time; a row whose draw may have been rejected is drawn again, a draw
-    at a time, through :func:`rng.keyed_draws`.
+    time; a row whose draw may have been rejected is drawn again with
+    :func:`draw_spans` from its own :func:`rng.keyed_rng`.
     """
     n_frames = np.asarray(n_frames, dtype=np.int64)
     ordinals = np.asarray(ordinals, dtype=np.uint64)
@@ -139,8 +139,7 @@ def keyed_spans(
         block = slice(start, start + _BLOCK_ROWS)
         halves = keyed_halves(seed, MASK_STREAM, epoch, ordinals[block], draws)
         spans[block], replay[block] = _spans_from_halves(halves, policy, n_frames[block], n_bins)
-    rows = np.flatnonzero(replay)
-    rngs = keyed_draws(seed, MASK_STREAM, epoch, ordinals[rows].tolist())
-    for row, rng in zip(rows.tolist(), rngs):
+    for row in np.flatnonzero(replay).tolist():
+        rng = keyed_rng(seed, MASK_STREAM, epoch, int(ordinals[row]))
         spans[row] = draw_spans(policy, int(n_frames[row]), n_bins, rng)
     return spans

@@ -22,7 +22,6 @@ from concat_augment.features import (
     load_pcm,
     mel_filterbank,
     mel_to_hz,
-    power_spectrogram,
 )
 from concat_augment.manifest import Utterance
 
@@ -35,6 +34,16 @@ def filter_center_freqs(cfg: FeatureConfig) -> np.ndarray:
     """Center frequency in Hz of each Mel filter."""
     mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(cfg.sample_rate_hz / 2.0), cfg.n_mels + 2)
     return mel_to_hz(mel_points)[1:-1]
+
+
+def power_spectrogram(pcm, cfg: FeatureConfig) -> np.ndarray:
+    """Windowed power spectrum |X(k)|^2 per frame, shape (T, n_fft//2+1),
+    from the blocks compute_logmel filters."""
+    pcm = features._checked_pcm(pcm, cfg)
+    out = np.empty((frame_count(len(pcm), cfg), cfg.n_fft // 2 + 1))
+    for start, stop, power in features._power_blocks(pcm, cfg):
+        out[start:stop] = power
+    return out
 
 
 def brute_force_frame_count(n_samples, win, hop):
@@ -83,6 +92,27 @@ class TestConfig:
     def test_fft_smaller_than_window_rejected(self):
         with pytest.raises(FeatureError):
             FeatureConfig(fft_size=256)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(hop_ms=0.02),  # a hop of 0 samples at 16 kHz
+            dict(win_ms=0.01, hop_ms=0.01),  # a window of 0 samples
+            dict(log_floor=float("nan")),
+            dict(log_floor=float("inf")),
+            dict(win_ms=float("nan")),
+            dict(win_ms=float("inf")),
+            dict(hop_ms=float("nan")),
+            dict(hop_ms=float("inf")),
+            dict(sample_rate_hz=float("inf")),
+        ],
+        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_settings_that_cannot_extract_name_the_field(self, kwargs):
+        name, value = next(iter(kwargs.items()))
+        with pytest.raises(FeatureError, match=name) as raised:
+            FeatureConfig(**kwargs)
+        assert repr(value) in str(raised.value)
 
 
 class TestComputeLogmel:

@@ -3,6 +3,9 @@ import gc
 import json
 import os
 import re
+import shutil
+import signal
+import subprocess
 import sys
 import tempfile
 import threading
@@ -34,6 +37,8 @@ from concat_augment.specaugment import MaskPolicy
 
 from archive_records import record_span
 from conftest import manifest_text, pcm_samples_for_frames, write_audio_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def strip_timings(doc):
@@ -1086,6 +1091,74 @@ class TestWriter:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [".epoch-1.tmp", "report.json"] + [f"epoch-{e:03d}.cabxs" for e in range(2)]
         )
+
+
+# A `run` that a SIGKILL stops halfway through writing its k-th archive
+# record (argv: k, then the CLI arguments). No `finally` runs, and the
+# kernel drops the archive's lock.
+KILLED_IN_AN_APPEND = """
+import itertools, os, signal, sys
+from concat_augment import cli
+from concat_augment.archive import FeatureArchive
+
+k, argv = int(sys.argv[1]), sys.argv[2:]
+append, calls = FeatureArchive._append, itertools.count()
+
+def torn_append(self, data):
+    if next(calls) == k:  # call 0 writes the archive's header
+        view = memoryview(data)
+        os.pwrite(self._fd, view[: len(view) // 2], self._end)
+        os.kill(os.getpid(), signal.SIGKILL)
+    append(self, data)
+
+FeatureArchive._append = torn_append
+sys.exit(cli.main(argv))
+"""
+
+
+class TestKills:
+    def test_a_run_killed_inside_an_archive_append(self, tmp_path, monkeypatch):
+        manifest = write_audio_corpus(tmp_path / "c", 8, np.random.default_rng(51), n_speakers=2)
+
+        def run_args(out, archive):
+            return [
+                "run", "--manifest", str(manifest), "--audio-root", str(manifest.parent),
+                "--out", str(out), "--archive", str(archive), "--seed", "5", "--epochs", "2",
+                "--budget", "300", "--specaugment", "on",
+            ]
+
+        monkeypatch.delenv(pipeline.WORKERS_ENV_VAR, raising=False)
+        assert cli_main(run_args(tmp_path / "ref", tmp_path / "ref-arch")) == 0
+        expected = read_tree(tmp_path / "ref")
+        expected_report = strip_timings(json.loads((tmp_path / "ref" / "report.json").read_text()))
+        expected_archive = (tmp_path / "ref-arch" / DATA_FILE).read_bytes()
+        with FeatureArchive(tmp_path / "ref-arch", mode="r") as reference:
+            appended = reference.ids()
+
+        k = 3
+        out, archive = tmp_path / "out", tmp_path / "arch"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        child = subprocess.run(
+            [sys.executable, "-c", KILLED_IN_AN_APPEND, str(k), *run_args(out, archive)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr.decode(errors="replace")
+        assert [p.name for p in out.iterdir() if not p.name.startswith(".")] == []
+        torn = (archive / DATA_FILE).read_bytes()
+        assert expected_archive.startswith(torn)  # k - 1 records and half of the k-th
+        with FeatureArchive(archive, mode="r") as reader:
+            assert reader.ids() == appended[: k - 1]
+
+        for workers in (1, 2):
+            rerun = tmp_path / f"rerun{workers}"
+            shutil.copytree(archive, rerun / "arch")
+            monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
+            assert cli_main(run_args(rerun / "out", rerun / "arch")) == 0
+            assert read_tree(rerun / "out") == expected
+            report = json.loads((rerun / "out" / "report.json").read_text())
+            assert strip_timings(report) == expected_report
+            assert (rerun / "arch" / DATA_FILE).read_bytes() == expected_archive
 
 
 class TestAudit:
