@@ -14,23 +14,27 @@ follow, each self-describing:
 
 The trailing CRC covers everything in the record before it. Opening
 reads the header and every record's head, skipping payloads, into the
-index id -> (offset, T, F); the first record of an id wins. A head is
-checked before any length in it is trusted, so a head that fails its
-CRC is an error naming the file and byte offset in both modes, never a
-reason to cut. Only bytes after the last complete record that are
-shorter than a head, or shorter than the one record a valid head
-describes, are a torn tail from a killed writer: append mode truncates
-them, read mode ignores them.
+index, the archive's one table of its records: id -> :class:`Slot`
+(offset, head and its CRC, payload size), built from the head bytes the
+scan read, for an id's first record only (the first record of an id
+wins); :meth:`FeatureArchive.write` adds the slot of the head it
+encoded. A head is checked before any length in it is trusted, so a
+head that fails its CRC is an error naming the file and byte offset in
+both modes, never a reason to cut. Only bytes after the last complete
+record that are shorter than a head, or shorter than the one record a
+valid head describes, are a torn tail from a killed writer: append mode
+truncates them, read mode ignores them.
 
 An archive holds its file open on one descriptor from open to
 :meth:`FeatureArchive.close`; the scan, every read (``preadv``) and
-every write go through it. A read checks the record's length, CRC
-trailer and head against the id asked for; a reader that reads a record
-again can take its :class:`Slot` once (:meth:`FeatureArchive.slot`) and
-read by it, skipping the index lookup and the expected head's encoding.
-One writer at a time: an append-mode archive holds an exclusive
-``flock`` on that descriptor, and a second append-mode open fails
-before it changes a byte. Any number of readers, which take no lock.
+every write go through it, so the file may be unlinked once it is open
+(a scratch archive is). A read checks the record's length, CRC trailer
+and head against its slot; a reader that reads a record again can keep
+the index's own slot (:meth:`FeatureArchive.slot`) and read by it,
+skipping the index lookup. One writer at a time: an append-mode archive
+holds an exclusive ``flock`` on that descriptor, and a second
+append-mode open fails before it changes a byte. Any number of readers,
+which take no lock.
 """
 
 from __future__ import annotations
@@ -60,9 +64,10 @@ _PEEK = 256  # bytes read per record head while scanning; a longer id takes a se
 
 
 class Slot(NamedTuple):
-    """One archived record, as :meth:`FeatureArchive.read` reads it:
-    its offset in the file, its head as written (the bytes before the
-    payload) and that head's CRC, its payload's size in bytes and its id."""
+    """One archived record, as the index holds it and
+    :meth:`FeatureArchive.read` reads it: its offset in the file, its
+    head as written (the bytes before the payload) and that head's CRC,
+    its payload's size in bytes and its id."""
 
     offset: int
     head: bytes
@@ -71,14 +76,10 @@ class Slot(NamedTuple):
     utt_id: str
 
 
-def _head(id_bytes: bytes, t: int, fdim: int) -> bytes:
-    """A record's bytes before its payload."""
-    dims = _DIMS.pack(len(id_bytes), t, fdim)
-    return dims + _U32.pack(crc32(dims)) + id_bytes
-
-
 def _encode_record(utt_id: str, feats: np.ndarray) -> bytes:
-    body = _head(utt_id.encode("utf-8"), *feats.shape)
+    id_bytes = utt_id.encode("utf-8")
+    dims = _DIMS.pack(len(id_bytes), *feats.shape)
+    body = dims + _U32.pack(crc32(dims)) + id_bytes
     body += np.ascontiguousarray(feats, dtype="<f4").tobytes()
     return body + _U32.pack(crc32(body))
 
@@ -110,7 +111,7 @@ class FeatureArchive:
         self.path = self.root / DATA_FILE
         self.mode = mode
         self.feature: dict = {}
-        self._index: dict[str, tuple[int, int, int]] = {}
+        self._index: dict[str, Slot] = {}
         self._fd: int | None = None
         self._end = 0  # where the next record goes
         try:
@@ -190,13 +191,15 @@ class FeatureArchive:
             id_len, t, fdim, crc = _HEAD.unpack_from(head)
             if crc32(head[: _DIMS.size]) != crc:
                 raise ArchiveError(f"{self.path}: corrupt record head at byte {offset}")
-            end = offset + _HEAD.size + id_len + 4 * t * fdim + _U32.size
+            nbytes = 4 * t * fdim
+            end = offset + _HEAD.size + id_len + nbytes + _U32.size
             if end > size:
                 break
             if _HEAD.size + id_len > len(head):
                 head = os.pread(self._fd, _HEAD.size + id_len, offset)
+            head = head[: _HEAD.size + id_len]
             try:
-                utt_id = head[_HEAD.size : _HEAD.size + id_len].decode("utf-8")
+                utt_id = head[_HEAD.size :].decode("utf-8")
             except UnicodeDecodeError:
                 raise ArchiveError(f"{self.path}: unreadable record id at byte {offset}") from None
             if fdim != n_mels:
@@ -204,7 +207,8 @@ class FeatureArchive:
                     f"{self.path}: the record at byte {offset} holds {fdim}-bin features for "
                     f"{utt_id!r}; the archive's config has {n_mels} mels"
                 )
-            self._index.setdefault(utt_id, (offset, t, fdim))
+            if utt_id not in self._index:
+                self._index[utt_id] = Slot(offset, head, crc32(head), nbytes, utt_id)
             offset = end
         return offset
 
@@ -235,7 +239,7 @@ class FeatureArchive:
 
     def shape(self, utt_id: str) -> tuple[int, int]:
         """The stored matrix's (T, F), from the index; KeyError if absent."""
-        return self._index[utt_id][1:]
+        return _DIMS.unpack_from(self._index[utt_id].head)[1:]
 
     def write(self, utt_id: str, feats: np.ndarray) -> None:
         if self.mode != "a":
@@ -252,54 +256,50 @@ class FeatureArchive:
             raise ArchiveError(f"id already archived: {utt_id!r}")
         if self._fd is None:
             raise ArchiveError(f"archive {self.root} is closed")
-        offset = self._end
-        self._append(_encode_record(utt_id, feats))
-        self._index[utt_id] = (offset, *feats.shape)
+        offset, nbytes = self._end, 4 * feats.size
+        record = _encode_record(utt_id, feats)
+        self._append(record)
+        head = record[: len(record) - nbytes - _U32.size]
+        self._index[utt_id] = Slot(offset, head, crc32(head), nbytes, utt_id)
 
     def slot(self, utt_id: str) -> Slot:
-        """Where and how ``utt_id``'s record is stored, for a reader that
+        """The index's slot of ``utt_id``'s record, for a reader that
         reads it again (:meth:`read`); ArchiveError if absent."""
         try:
-            offset, t, fdim = self._index[utt_id]
+            return self._index[utt_id]
         except KeyError:
             raise ArchiveError(f"id not in archive: {utt_id!r}") from None
-        head = _head(utt_id.encode("utf-8"), t, fdim)
-        return Slot(offset, head, crc32(head), 4 * t * fdim, utt_id)
 
     def read(self, key: str | Slot, out=None):
         """Read a record's float32 payload, checking the record's length,
         CRC trailer and head, and return what it was read into.
 
         ``key`` is the record's id, or its :class:`Slot` (:meth:`slot`),
-        which saves a reader that reads the record again the index lookup
-        and the head's encoding. With an id, the payload is read straight
-        into ``out`` when given, a writable C-contiguous ``(T, F)``
-        float32 array such as a slice of a batch record, else into a new
-        array. With a slot, ``out`` is any writable buffer of the
-        payload's bytes, such as a memoryview of a batch record's row,
-        else a new uint8 array.
+        which saves a reader that reads the record again the index
+        lookup. The payload is read into a new ``(T, F)`` float32 array
+        when ``out`` is None; into ``out`` when it is a writable
+        C-contiguous ``(T, F)`` float32 array, such as a slice of a batch
+        record; else ``out`` is any writable buffer of the payload's
+        bytes, such as a memoryview of a batch record's row.
         """
-        if isinstance(key, Slot):
-            slot = key
+        slot = key if isinstance(key, Slot) else self.slot(key)
+        offset, expected, expected_crc, nbytes, utt_id = slot
+        if out is None or isinstance(out, np.ndarray):
+            shape = _DIMS.unpack_from(expected)[1:]
             if out is None:
-                out = np.empty(slot.nbytes, dtype=np.uint8)
-            payload = out
-        else:
-            slot = self.slot(key)
-            t, fdim = self._index[key][1:]
-            if out is None:
-                out = np.empty((t, fdim), dtype="<f4")
+                out = np.empty(shape, dtype="<f4")
             elif (
-                out.shape != (t, fdim)
+                out.shape != shape
                 or out.dtype != np.dtype("<f4")
                 or not out.flags.c_contiguous
             ):
                 raise ArchiveError(
-                    f"cannot read {key!r} ({t} x {fdim} float32) into a {out.dtype} "
-                    f"array of shape {out.shape}"
+                    f"cannot read {utt_id!r} ({shape[0]} x {shape[1]} float32) into a "
+                    f"{out.dtype} array of shape {out.shape}"
                 )
             payload = memoryview(out.reshape(-1).view(np.uint8))
-        offset, expected, expected_crc, nbytes, utt_id = slot
+        else:
+            payload = out
         head = bytearray(len(expected))
         trailer = bytearray(_U32.size)
         fd = self._fd

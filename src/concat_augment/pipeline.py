@@ -10,10 +10,13 @@ resident in memory. When features are loaded, each utterance's log-Mel
 matrix is extracted once per run into a feature store (the run's
 archive) before the first epoch that references it, in the order the
 epoch's batches first use it (:meth:`augment.Survivors.first_use`).
-The extraction keeps each archived position's :class:`archive.Slot`
-(offset, expected head and its CRC, payload size), so a read is one
-``preadv`` and the record's checks. Every survivor's mask spans are
-drawn for the whole epoch at once, keyed by ordinal
+The extraction keeps, for each archived position, the archive index's
+own :class:`archive.Slot` of its record (offset, expected head and its
+CRC, payload size), so a read is one ``preadv`` and the record's
+checks. Without an ``archive_dir`` the archive is a scratch one that
+leaves the file system as soon as it is open, so a run that is killed
+leaves nothing of it behind. Every survivor's mask spans are drawn for
+the whole epoch at once, keyed by ordinal
 (:func:`specaugment.keyed_spans`). Each batch is then built as one CABX
 record in a single buffer (:class:`batchio.Record`), laid out from its
 survivors' frame counts and targets, read by corpus position
@@ -58,7 +61,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator
@@ -115,15 +118,7 @@ class PipelineConfig:
             "max_frames": self.max_frames,
             "budget_frames": self.budget_frames,
             "include_original": self.include_original,
-            "specaugment": None
-            if self.specaugment is None
-            else {
-                "freq_param": self.specaugment.freq_param,
-                "time_param": self.specaugment.time_param,
-                "n_freq_masks": self.specaugment.n_freq_masks,
-                "n_time_masks": self.specaugment.n_time_masks,
-                "mask_value": self.specaugment.mask_value,
-            },
+            "specaugment": None if self.specaugment is None else asdict(self.specaugment),
             "feature": self.feature.summary(),
             "bucketing": self.bucketing,
             "accounting": self.accounting,
@@ -200,46 +195,52 @@ class _FeatureStore:
     appends them to a :class:`FeatureArchive` in that order, so the
     archive's bytes do not depend on the pool size. Only a position
     computed from audio is read as an :class:`Utterance`. The archive is
-    the user's ``archive_dir``, or a scratch one in a temporary
-    directory; it is opened at the first extraction and :meth:`close`
-    removes the scratch directory. After an
-    extraction :meth:`read` reads a survivor's constituents without a
-    lock. A position fails when its audio does not load or its features'
-    frame count (the archive index's ``T``) is not its manifest
-    ``n_frames``; it keeps its message, and every read of it raises
+    the user's ``archive_dir``, or a scratch one; it is opened at the
+    first extraction. A scratch archive's temporary directory is removed
+    as soon as the archive is open: its file lives on the archive's
+    descriptor until :meth:`close`, or until the process ends however it
+    ends, and then nothing of it is left on disk. After an extraction
+    :meth:`read` reads a survivor's constituents without a lock. A
+    position fails when its audio does not load or its features' frame
+    count (the archive index's ``T``) is not its manifest ``n_frames``;
+    it keeps its message, and every read of it raises
     ``FeatureError(message)``. Every other position an extraction saw
-    keeps its record's :class:`archive.Slot`, which :meth:`read` reads.
+    keeps the archive index's own :class:`archive.Slot` of its record,
+    which :meth:`read` reads.
     """
 
     def __init__(self, config: PipelineConfig, corpus: Corpus):
         self._config = config
         self._corpus = corpus
         self._archive: FeatureArchive | None = None
-        self._scratch: tempfile.TemporaryDirectory | None = None
         self._checked = np.zeros(len(corpus), dtype=bool)
         self._failed: dict[int, str] = {}
         self._slots: list[Slot | None] = [None] * len(corpus)
 
     def _open(self) -> FeatureArchive:
-        root = self._config.archive_dir
-        if root is None:
-            self._scratch = tempfile.TemporaryDirectory(prefix="concat-augment-")
-            root = self._scratch.name
         # The open checks that the archive was extracted with this feature config.
-        return FeatureArchive(root, mode="a", feature=self._config.feature)
+        root, feature = self._config.archive_dir, self._config.feature
+        if root is not None:
+            return FeatureArchive(root, mode="a", feature=feature)
+        # The archive does all its I/O through the descriptor it opened, so
+        # its file outlives the directory until close() or the process ends.
+        with tempfile.TemporaryDirectory(prefix="concat-augment-") as root:
+            return FeatureArchive(root, mode="a", feature=feature)
 
     def _check_frames(self, pos: int) -> None:
         """Fail an archived position whose frame count is not its
-        manifest ``n_frames``; else keep its slot for :meth:`read`."""
+        manifest ``n_frames``; else keep the index's slot for :meth:`read`."""
         utt_id = self._corpus.ids[pos]
-        frames = self._archive.shape(utt_id)[0]
+        slot = self._archive.slot(utt_id)
+        # float32 rows of n_mels bins: the archive holds no other width
+        frames = slot.nbytes // (4 * self._config.feature.n_mels)
         expected = int(self._corpus.n_frames[pos])
         if frames != expected:
             self._failed[pos] = (
                 f"utterance {utt_id}: manifest says {expected} frames, features have {frames}"
             )
         else:
-            self._slots[pos] = self._archive.slot(utt_id)
+            self._slots[pos] = slot
 
     def extract(self, positions: np.ndarray, workers: int) -> dict[str, float]:
         """Extract ``positions`` (see the class); return the seconds by
@@ -308,12 +309,8 @@ class _FeatureStore:
             start = end
 
     def close(self) -> None:
-        try:
-            if self._archive is not None:
-                self._archive.close()
-        finally:
-            if self._scratch is not None:
-                self._scratch.cleanup()
+        if self._archive is not None:
+            self._archive.close()
 
 
 @dataclass

@@ -242,13 +242,25 @@ class TestArchive:
         with appender(tmp_path / "arch") as arch:
             arch.write("u1", feats)
             slot = arch.slot("u1")
+            assert arch.slot("u1") is slot  # the index's own slot, not a copy
             assert slot.nbytes == feats.nbytes
-            assert bytes(arch.read(slot)) == feats.tobytes()
+            for key in ("u1", slot):
+                got = arch.read(key)
+                assert (got.dtype, got.shape) == (np.dtype("<f4"), feats.shape)
+                assert got.tobytes() == feats.tobytes()
+                row = np.zeros(feats.shape, dtype=np.float32)
+                assert arch.read(key, row) is row
+                assert row.tobytes() == feats.tobytes()
+                with pytest.raises(ArchiveError, match=r"cannot read 'u1' \(9 x 8 float32\)"):
+                    arch.read(key, np.zeros((9, 4), dtype=np.float32))
             row = np.zeros(feats.shape, dtype=np.float32)
             arch.read(slot, memoryview(row.reshape(-1).view(np.uint8)))
             assert row.tobytes() == feats.tobytes()
             with pytest.raises(ArchiveError, match="id not in archive: 'u2'"):
                 arch.slot("u2")
+        with FeatureArchive(tmp_path / "arch") as reader:
+            assert reader.slot("u1") == slot  # the scan's slot is the write's
+            assert reader.slot("u1") is reader.slot("u1")
 
     def test_layout_is_one_file_across_reopens(self, tmp_path):
         # Digest of the directory written in three appending opens, each

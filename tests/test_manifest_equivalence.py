@@ -3,6 +3,7 @@ the row-at-a-time reference in ``manifest_oracle``, over drawn manifests
 given as text, as a file and as a list of lines."""
 
 import ast
+import io
 import re
 import tempfile
 from pathlib import Path
@@ -33,7 +34,7 @@ TOKENS = st.lists(TOKEN, max_size=4).flatmap(
     lambda toks: st.sampled_from([" ", "  ", "\x1c", "\u2028"]).map(lambda sep: sep.join(toks))
 )
 # Counts of 2**63 and above are skipped rows; the reference accepts them,
-# so it is given them marked unparseable (see ``oracle_outcome``).
+# so it is given them marked unparseable (see ``mark_big_counts``).
 N_FRAMES = st.sampled_from(
     ["1", "12", "0", "-3", "x", "", " 5", "+4", "1_0", "٣", "4" * 18, str(2**63 - 1)]
     + [str(2**63), "+" + str(2**63), str(2**64 + 5)]
@@ -88,34 +89,51 @@ def outcome(parse, source, mode):
     return list(result.utterances), result.skipped
 
 
-# A frame count that needs 19 digits or more; no other drawn field has a
-# run of digits that long.
-_LONG_COUNT = re.compile(r"(?<![\d-])\+?\d{19,}")
-_MARKED = re.compile(r"unparseable n_frames ('.*#.*')")
+_MARKED = re.compile(r"unparseable n_frames ('#.*')")
 
 
-def mark_big_counts(text):
-    """``text`` with a '#' before each frame count of 2**63 or more."""
-    return _LONG_COUNT.sub(lambda m: "#" * (int(m[0]) >= 2**63) + m[0], text)
+def _too_big(count):
+    """Whether ``int``, as the reference reads a count, reads 2**63 or more."""
+    try:
+        return int(count) >= 2**63
+    except ValueError:
+        return False
+
+
+def mark_big_counts(lines):
+    """``lines``, a source's lines as it yields them, with a '#' before
+    each ``n_frames`` field that the reference reads as a count of 2**63
+    or more, so the reference skips that row as unparseable. Fields
+    are found as the reference finds them: the header line names the
+    columns, and a row is its line without its ending, split at tabs.
+    Where a source ends a line decides which field a count lands in (a
+    ``\\x1c`` ends a line only in a list of ``splitlines`` lines), so a
+    digit run in any other field is left as it is."""
+    columns = lines[0].rstrip("\r\n").split("\t")
+    at = {name: i for i, name in enumerate(columns)}.get("n_frames")
+    if at is None:  # the reference rejects the header
+        return lines
+    marked = lines[:1]
+    for line in lines[1:]:
+        row = line.rstrip("\r\n")
+        fields = row.split("\t")
+        if len(fields) == len(columns) and _too_big(fields[at]):
+            fields[at] = "#" + fields[at]
+        marked.append("\t".join(fields) + line[len(row) :])
+    return marked
 
 
 def oracle_outcome(parse, source, mode):
     """The reference's outcome on a source whose big counts are marked,
-    with each marked count's skip read as the parser words it. A marked
-    field that is not a number (a ``\\r`` that ends no line joined the
-    count to the next row's text) is read as unparseable, mark removed."""
+    with each marked count's skip read as the parser words it."""
     result = outcome(parse, source, mode)
     if result[0] == "error":
         return result
     utterances, skipped = result
     for i, (line, message) in enumerate(skipped):
         if marked := _MARKED.fullmatch(message):
-            field = ast.literal_eval(marked[1]).replace("#", "")
-            try:
-                message = f"n_frames {int(field)} does not fit in 64 bits"
-            except ValueError:
-                message = f"unparseable n_frames {field!r}"
-            skipped[i] = line, message
+            count = int(ast.literal_eval(marked[1])[1:])
+            skipped[i] = line, f"n_frames {count} does not fit in 64 bits"
     return utterances, skipped
 
 
@@ -139,22 +157,30 @@ H = "id\taudio\tn_frames\ttgt_text\tspeaker\n"
 # u32 bounds; a target that normalizes to empty
 @example(H + f"u1\ta\t3\t{2**32 - 1}\ts\nu2\ta\t3\t{2**32}\ts\n", "tokens", 8192)
 @example(H + "u1\ta\t3\t?! —\ts\nu2\ta\t3\tAΣ\u00ad.\ts\n", "asr-normalized", 8192)
+# a "\x1c" ends a line only in the list of lines, which moves a big
+# count out of n_frames into the audio field of an accepted row
+@example(
+    "id\tsrc_text\taudio\tn_frames\ttgt_text\nu0\t\tu0.wav\t1\t\nu0\t\tu0.wav\t1\t\n\n"
+    "u0\t\tu0.wav\t1\t\nu3\t\x1c\tu3.wav\t9223372036854775808\t7\tz\n",
+    "asr-normalized",
+    1,
+)
 def test_parser_matches_the_row_loop(text, mode, chunk_rows):
-    marked = mark_big_counts(text)
+    # each source's lines: a string and a file as the parser reads them
+    # (only "\n" ends a string's line; open() also ends one at "\r"), and
+    # the list of lines as given
+    lines = text.splitlines(keepends=True)
+    marked = "".join(mark_big_counts(list(io.StringIO(text))))
+    marked_file = "".join(mark_big_counts(list(io.StringIO(text, newline=""))))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         manifest, "_CHUNK_ROWS", chunk_rows
     ):
         path, marked_path = Path(tmp) / "train.tsv", Path(tmp) / "marked.tsv"
         path.write_bytes(text.encode("utf-8"))
-        marked_path.write_bytes(marked.encode("utf-8"))
+        marked_path.write_bytes(marked_file.encode("utf-8"))
         for parse, oracle, source, oracle_source in [
             (parse_manifest, manifest_oracle.parse_manifest, text, marked),
-            (
-                parse_manifest,
-                manifest_oracle.parse_manifest,
-                text.splitlines(keepends=True),
-                marked.splitlines(keepends=True),
-            ),
+            (parse_manifest, manifest_oracle.parse_manifest, lines, mark_big_counts(lines)),
             (load_manifest, manifest_oracle.load_manifest, path, marked_path),
         ]:
             expected = oracle_outcome(oracle, oracle_source, mode)

@@ -550,17 +550,19 @@ class TestFeatureStore:
     def test_scratch_archive_removed_after_failure(
         self, store_corpus, tmp_path, monkeypatch, scratch_root
     ):
+        """The scratch archive leaves the file system once it is open, so
+        nothing of it is there mid-epoch, and a kill would leave nothing."""
         held = []
 
         def fail_second(record, path):
             if held:
                 raise RuntimeError("disk full")
-            held.extend(scratch_root.iterdir())
+            held.append(list(scratch_root.iterdir()))
 
         monkeypatch.setattr(pipeline, "write_batch_file", fail_second)
         with pytest.raises(RuntimeError, match="disk full"):
             run(store_config(store_corpus, out_dir=tmp_path / "out"))
-        assert held  # the scratch archive existed mid-epoch
+        assert held == [[]]  # gone mid-epoch, while the run read from it
         assert list(scratch_root.iterdir()) == []
 
     def test_archive_of_other_width_is_fatal_before_batches(self, store_corpus, tmp_path):
@@ -644,14 +646,14 @@ class TestFeatureStore:
         with FeatureArchive(tmp_path / "arch", "r") as archive:
             assert len(archive) == 12
             assert archive.shape("u000000")[0] == 300
-        looked_up = []
-        shape = FeatureArchive.shape
+        looked_up = []  # the store checks an id's frame count from its slot
+        slot = FeatureArchive.slot
 
-        def spied_shape(self, utt_id):
+        def spied_slot(self, utt_id):
             looked_up.append(utt_id)
-            return shape(self, utt_id)
+            return slot(self, utt_id)
 
-        monkeypatch.setattr(FeatureArchive, "shape", spied_shape)
+        monkeypatch.setattr(FeatureArchive, "slot", spied_slot)
 
         def one_run(out, archive_dir):
             return run(store_config(
@@ -949,7 +951,7 @@ class TestWriter:
         assert 0 < len(buffers) <= 2
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_free_list_is_bounded_when_records_are_laid_out_again(
+    def test_two_record_buffers_when_records_are_laid_out_again(
         self, store_corpus, tmp_path, monkeypatch, workers
     ):
         """A record laid out again after a failed read is laid out in its
@@ -1005,7 +1007,7 @@ class TestWriter:
         assert alive == [False]
         assert buffers[0] is None  # another place's buffer is not touched
 
-    def test_shared_free_list_under_many_workers_and_thread_switches(
+    def test_two_record_buffers_under_many_workers_and_thread_switches(
         self, store_corpus, tmp_path, monkeypatch
     ):
         """Eight workers on fewer cores extract, and the build thread lays
@@ -1093,39 +1095,124 @@ class TestWriter:
         )
 
 
-# A `run` that a SIGKILL stops halfway through writing its k-th archive
-# record (argv: k, then the CLI arguments). No `finally` runs, and the
-# kernel drops the archive's lock.
-KILLED_IN_AN_APPEND = """
-import itertools, os, signal, sys
+# A `run` that a SIGKILL stops at the k-th call, counted from 0, of a
+# function (argv: the function as "module:attribute.path", k, then the
+# CLI arguments). No `finally` runs, no buffer is flushed and the kernel
+# drops the archive's lock. A kill in `os.pwrite`, which only the archive
+# calls (call 0 writes its header), first writes half of that call's
+# bytes, as a writer killed halfway through a record would.
+KILLED_AT_A_CALL = """
+import importlib, itertools, os, signal, sys
 from concat_augment import cli
-from concat_augment.archive import FeatureArchive
 
-k, argv = int(sys.argv[1]), sys.argv[2:]
-append, calls = FeatureArchive._append, itertools.count()
+target, k, argv = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+module, _, path = target.partition(":")
+*outer, name = path.split(".")
+owner = importlib.import_module(module)
+for attribute in outer:
+    owner = getattr(owner, attribute)
+function, calls = getattr(owner, name), itertools.count()
+torn = function is os.pwrite
 
-def torn_append(self, data):
-    if next(calls) == k:  # call 0 writes the archive's header
-        view = memoryview(data)
-        os.pwrite(self._fd, view[: len(view) // 2], self._end)
+def killing(*args, **kwargs):
+    if next(calls) == k:
+        if torn:
+            fd, data, at = args
+            function(fd, memoryview(data)[: len(data) // 2], at)
         os.kill(os.getpid(), signal.SIGKILL)
-    append(self, data)
+    return function(*args, **kwargs)
 
-FeatureArchive._append = torn_append
+setattr(owner, name, killing)
 sys.exit(cli.main(argv))
 """
 
 
+def killed_run(target, k, args, env=None):
+    """Run the CLI with ``args`` in a child that a SIGKILL stops at the
+    k-th call of ``target`` (see ``KILLED_AT_A_CALL``)."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-c", KILLED_AT_A_CALL, target, str(k), *map(str, args)],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert child.returncode == -signal.SIGKILL, child.stderr.decode(errors="replace")
+
+
+@pytest.fixture(scope="class")
+def kill_corpus(tmp_path_factory):
+    """8 utterances, and the out_dir of a finished 2-epoch run over them
+    in each emit mode."""
+    root = tmp_path_factory.mktemp("kills")
+    manifest = write_audio_corpus(root / "c", 8, np.random.default_rng(51), n_speakers=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(pipeline.WORKERS_ENV_VAR, raising=False)
+        for emit in pipeline.EMIT_MODES:
+            assert cli_main(kill_args(manifest, root / emit, "--emit", emit)) == 0
+    return manifest, root
+
+
+def kill_args(manifest, out, *more):
+    return [
+        "run", "--manifest", str(manifest), "--audio-root", str(manifest.parent),
+        "--out", str(out), "--seed", "5", "--epochs", "2", "--budget", "300",
+        "--specaugment", "on", *more,
+    ]
+
+
 class TestKills:
+    # Each case kills a 2-worker run without --archive, whose scratch
+    # archive goes to TMPDIR, and names the epochs it has finished.
+    @pytest.mark.parametrize(
+        "emit, target, k, done",
+        [
+            ("files", "concat_augment.pipeline:write_batch_file", "epoch 1", ["epoch-000"]),
+            ("stream", "concat_augment.batchio:StreamWriter.write", "epoch 1", ["epoch-000.cabxs"]),
+            ("files", "os:replace", 1, ["epoch-000"]),  # the rename of epoch 1
+            # in AuditReport.write, before its rename
+            ("stream", "os:replace", 2, ["epoch-000.cabxs", "epoch-001.cabxs"]),
+            ("files", "os:pwrite", 3, []),  # in the scratch archive's third record
+        ],
+    )
+    def test_a_killed_run_leaves_no_partial_output(
+        self, kill_corpus, tmp_path, monkeypatch, emit, target, k, done
+    ):
+        """No final name holds a partial epoch, no report.json exists,
+        nothing of the scratch archive is left in TMPDIR, and a rerun into
+        the out_dir the kill left, at 1 or 2 workers, gives the finished
+        run's bytes and report."""
+        manifest, root = kill_corpus
+        reference = root / emit
+        expected = read_tree(reference)
+        expected_report = strip_timings(json.loads((reference / "report.json").read_text()))
+        if k == "epoch 1":  # the second batch of epoch 1
+            k = expected_report["epochs"][0]["batch_count"] + 1
+        out, tmp = tmp_path / "out", tmp_path / "tmp"
+        tmp.mkdir()
+        env = dict(os.environ, TMPDIR=str(tmp))
+        env[pipeline.WORKERS_ENV_VAR] = "2"
+        killed_run(target, k, kill_args(manifest, out, "--emit", emit), env)
+
+        assert list(tmp.iterdir()) == []
+        assert sorted(p.name for p in out.iterdir() if not p.name.startswith(".")) == done
+        held = {name: data for name, data in read_tree(out).items() if not name.startswith(".")}
+        assert held == {  # each epoch under its final name is whole
+            name: data for name, data in expected.items() if name.split("/")[0] in done
+        }
+        for workers in (1, 2):
+            rerun = tmp_path / f"rerun{workers}"
+            shutil.copytree(out, rerun)
+            monkeypatch.setenv(pipeline.WORKERS_ENV_VAR, str(workers))
+            assert cli_main(kill_args(manifest, rerun, "--emit", emit)) == 0
+            assert read_tree(rerun) == expected
+            report = json.loads((rerun / "report.json").read_text())
+            assert strip_timings(report) == expected_report
+
     def test_a_run_killed_inside_an_archive_append(self, tmp_path, monkeypatch):
         manifest = write_audio_corpus(tmp_path / "c", 8, np.random.default_rng(51), n_speakers=2)
 
         def run_args(out, archive):
-            return [
-                "run", "--manifest", str(manifest), "--audio-root", str(manifest.parent),
-                "--out", str(out), "--archive", str(archive), "--seed", "5", "--epochs", "2",
-                "--budget", "300", "--specaugment", "on",
-            ]
+            return kill_args(manifest, out, "--archive", str(archive))
 
         monkeypatch.delenv(pipeline.WORKERS_ENV_VAR, raising=False)
         assert cli_main(run_args(tmp_path / "ref", tmp_path / "ref-arch")) == 0
@@ -1137,13 +1224,7 @@ class TestKills:
 
         k = 3
         out, archive = tmp_path / "out", tmp_path / "arch"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-        child = subprocess.run(
-            [sys.executable, "-c", KILLED_IN_AN_APPEND, str(k), *run_args(out, archive)],
-            env=env, capture_output=True, timeout=60,
-        )
-        assert child.returncode == -signal.SIGKILL, child.stderr.decode(errors="replace")
+        killed_run("os:pwrite", k, run_args(out, archive))
         assert [p.name for p in out.iterdir() if not p.name.startswith(".")] == []
         torn = (archive / DATA_FILE).read_bytes()
         assert expected_archive.startswith(torn)  # k - 1 records and half of the k-th
