@@ -14,23 +14,32 @@ follow, each self-describing:
 
 The trailing CRC covers everything in the record before it. Opening
 reads the header and every record's head, skipping payloads, into the
-index, the archive's one table of its records: id -> :class:`Slot`
-(offset, head and its CRC, payload size), built from the head bytes the
-scan read, for an id's first record only (the first record of an id
-wins); :meth:`FeatureArchive.write` adds the slot of the head it
-encoded. A head is checked before any length in it is trusted, so a
-head that fails its CRC is an error naming the file and byte offset in
-both modes, never a reason to cut. Only bytes after the last complete
-record that are shorter than a head, or shorter than the one record a
-valid head describes, are a torn tail from a killed writer: append mode
-truncates them, read mode ignores them.
+index, the archive's one table of its records. It maps an id to its
+record's entry, the exact tuple
+
+    (offset, head, head_crc, nbytes, utt_id)
+
+of the record's offset in the file, its head as written (the bytes
+before the payload) and that head's CRC, its payload's size in bytes
+and its id. CPython's garbage collector stops tracking an exact tuple
+of atomic values once a collection has seen it (never a named tuple),
+so the index adds nothing for later collections to walk. The scan
+builds an entry from the head bytes it read, for an id's first record
+only (the first record of an id wins); :meth:`FeatureArchive.write`
+adds the entry of the head it encoded. A head is checked before any
+length in it is trusted, so a head that fails its CRC is an error
+naming the file and byte offset in both modes, never a reason to cut.
+Only bytes after the last complete record that are shorter than a head,
+or shorter than the one record a valid head describes, are a torn tail
+from a killed writer: append mode truncates them, read mode ignores
+them.
 
 An archive holds its file open on one descriptor from open to
 :meth:`FeatureArchive.close`; the scan, every read (``preadv``) and
 every write go through it, so the file may be unlinked once it is open
 (a scratch archive is). A read checks the record's length, CRC trailer
-and head against its slot; a reader that reads a record again can keep
-the index's own slot (:meth:`FeatureArchive.slot`) and read by it,
+and head against its entry; a reader that reads a record again can keep
+the index's own entry (:meth:`FeatureArchive.slot`) and read by it,
 skipping the index lookup. One writer at a time: an append-mode archive
 holds an exclusive ``flock`` on that descriptor, and a second
 append-mode open fails before it changes a byte. Any number of readers,
@@ -45,7 +54,6 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,19 +69,6 @@ _U32 = struct.Struct("<I")
 _DIMS = struct.Struct("<III")  # id_len, T, F
 _HEAD = struct.Struct("<IIII")  # the dims and their CRC
 _PEEK = 256  # bytes read per record head while scanning; a longer id takes a second read
-
-
-class Slot(NamedTuple):
-    """One archived record, as the index holds it and
-    :meth:`FeatureArchive.read` reads it: its offset in the file, its
-    head as written (the bytes before the payload) and that head's CRC,
-    its payload's size in bytes and its id."""
-
-    offset: int
-    head: bytes
-    head_crc: int
-    nbytes: int
-    utt_id: str
 
 
 def _encode_record(utt_id: str, feats: np.ndarray) -> bytes:
@@ -111,7 +106,7 @@ class FeatureArchive:
         self.path = self.root / DATA_FILE
         self.mode = mode
         self.feature: dict = {}
-        self._index: dict[str, Slot] = {}
+        self._index: dict[str, tuple] = {}
         self._fd: int | None = None
         self._end = 0  # where the next record goes
         try:
@@ -208,7 +203,7 @@ class FeatureArchive:
                     f"{utt_id!r}; the archive's config has {n_mels} mels"
                 )
             if utt_id not in self._index:
-                self._index[utt_id] = Slot(offset, head, crc32(head), nbytes, utt_id)
+                self._index[utt_id] = (offset, head, crc32(head), nbytes, utt_id)
             offset = end
         return offset
 
@@ -239,7 +234,7 @@ class FeatureArchive:
 
     def shape(self, utt_id: str) -> tuple[int, int]:
         """The stored matrix's (T, F), from the index; KeyError if absent."""
-        return _DIMS.unpack_from(self._index[utt_id].head)[1:]
+        return _DIMS.unpack_from(self._index[utt_id][1])[1:]
 
     def write(self, utt_id: str, feats: np.ndarray) -> None:
         if self.mode != "a":
@@ -260,21 +255,22 @@ class FeatureArchive:
         record = _encode_record(utt_id, feats)
         self._append(record)
         head = record[: len(record) - nbytes - _U32.size]
-        self._index[utt_id] = Slot(offset, head, crc32(head), nbytes, utt_id)
+        self._index[utt_id] = (offset, head, crc32(head), nbytes, utt_id)
 
-    def slot(self, utt_id: str) -> Slot:
-        """The index's slot of ``utt_id``'s record, for a reader that
-        reads it again (:meth:`read`); ArchiveError if absent."""
+    def slot(self, utt_id: str) -> tuple:
+        """The index's own entry of ``utt_id``'s record (see the module),
+        for a reader that reads it again (:meth:`read`); ArchiveError if
+        absent."""
         try:
             return self._index[utt_id]
         except KeyError:
             raise ArchiveError(f"id not in archive: {utt_id!r}") from None
 
-    def read(self, key: str | Slot, out=None):
+    def read(self, key: str | tuple, out=None):
         """Read a record's float32 payload, checking the record's length,
         CRC trailer and head, and return what it was read into.
 
-        ``key`` is the record's id, or its :class:`Slot` (:meth:`slot`),
+        ``key`` is the record's id, or its index entry (:meth:`slot`),
         which saves a reader that reads the record again the index
         lookup. The payload is read into a new ``(T, F)`` float32 array
         when ``out`` is None; into ``out`` when it is a writable
@@ -282,8 +278,8 @@ class FeatureArchive:
         record; else ``out`` is any writable buffer of the payload's
         bytes, such as a memoryview of a batch record's row.
         """
-        slot = key if isinstance(key, Slot) else self.slot(key)
-        offset, expected, expected_crc, nbytes, utt_id = slot
+        entry = key if isinstance(key, tuple) else self.slot(key)
+        offset, expected, expected_crc, nbytes, utt_id = entry
         if out is None or isinstance(out, np.ndarray):
             shape = _DIMS.unpack_from(expected)[1:]
             if out is None:

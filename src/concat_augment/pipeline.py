@@ -11,11 +11,11 @@ matrix is extracted once per run into a feature store (the run's
 archive) before the first epoch that references it, in the order the
 epoch's batches first use it (:meth:`augment.Survivors.first_use`).
 The extraction keeps, for each archived position, the archive index's
-own :class:`archive.Slot` of its record (offset, expected head and its
-CRC, payload size), so a read is one ``preadv`` and the record's
-checks. Without an ``archive_dir`` the archive is a scratch one that
-leaves the file system as soon as it is open, so a run that is killed
-leaves nothing of it behind. Every survivor's mask spans are drawn for
+own entry of its record (:meth:`archive.FeatureArchive.slot`), so a
+read is one ``preadv`` and the record's checks. Without an
+``archive_dir`` the archive is a scratch one that leaves the file
+system as soon as it is open, so a run that is killed leaves nothing of
+it behind. Every survivor's mask spans are drawn for
 the whole epoch at once, keyed by ordinal
 (:func:`specaugment.keyed_spans`). Each batch is then built as one CABX
 record in a single buffer (:class:`batchio.Record`), laid out from its
@@ -68,7 +68,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .archive import FeatureArchive, Slot
+from .archive import FeatureArchive
 from .augment import Strategy, Survivors, _join_targets, length_filter, plan_epoch
 from .batching import ACCOUNTING_MODES, Batch, compose_batches, target_codes
 from .batchio import Record, StreamWriter, decode_batch, write_batch_file
@@ -202,20 +202,19 @@ class _FeatureStore:
     ends, and then nothing of it is left on disk. After an extraction
     :meth:`read` reads a survivor's constituents without a lock. A
     position fails when its audio does not load or its features' frame
-    count (the archive index's ``T``) is not its manifest ``n_frames``;
-    it keeps its message, and every read of it raises
-    ``FeatureError(message)``. Every other position an extraction saw
-    keeps the archive index's own :class:`archive.Slot` of its record,
-    which :meth:`read` reads.
+    count (:meth:`FeatureArchive.shape`) is not its manifest
+    ``n_frames``. The store's one table holds an entry per corpus
+    position: None until an extraction sees it, then the archive index's
+    own entry of its record (:meth:`FeatureArchive.slot`), which
+    :meth:`read` reads, or the failure message, which every read of it
+    raises as ``FeatureError(message)``.
     """
 
     def __init__(self, config: PipelineConfig, corpus: Corpus):
         self._config = config
         self._corpus = corpus
         self._archive: FeatureArchive | None = None
-        self._checked = np.zeros(len(corpus), dtype=bool)
-        self._failed: dict[int, str] = {}
-        self._slots: list[Slot | None] = [None] * len(corpus)
+        self._entries: list[tuple | str | None] = [None] * len(corpus)
 
     def _open(self) -> FeatureArchive:
         # The open checks that the archive was extracted with this feature config.
@@ -229,30 +228,28 @@ class _FeatureStore:
 
     def _check_frames(self, pos: int) -> None:
         """Fail an archived position whose frame count is not its
-        manifest ``n_frames``; else keep the index's slot for :meth:`read`."""
+        manifest ``n_frames``; else keep the index's entry for :meth:`read`."""
         utt_id = self._corpus.ids[pos]
-        slot = self._archive.slot(utt_id)
-        # float32 rows of n_mels bins: the archive holds no other width
-        frames = slot.nbytes // (4 * self._config.feature.n_mels)
+        frames = self._archive.shape(utt_id)[0]
         expected = int(self._corpus.n_frames[pos])
         if frames != expected:
-            self._failed[pos] = (
+            self._entries[pos] = (
                 f"utterance {utt_id}: manifest says {expected} frames, features have {frames}"
             )
         else:
-            self._slots[pos] = slot
+            self._entries[pos] = self._archive.slot(utt_id)
 
     def extract(self, positions: np.ndarray, workers: int) -> dict[str, float]:
         """Extract ``positions`` (see the class); return the seconds by
         stage (:data:`EXTRACT_STAGES`)."""
         if self._archive is None:
             self._archive = self._open()
-        archive, ids = self._archive, self._corpus.ids
+        archive, ids, entries = self._archive, self._corpus.ids, self._entries
         start = time.perf_counter()
-        new = positions[~self._checked[positions]]
-        self._checked[new] = True
         missing = []
-        for pos in new.tolist():
+        for pos in positions.tolist():
+            if entries[pos] is not None:
+                continue
             if ids[pos] in archive:
                 self._check_frames(pos)
             else:
@@ -271,7 +268,7 @@ class _FeatureStore:
                     archive.write(ids[pos], feats)
                     self._check_frames(pos)
                 else:
-                    self._failed[pos] = error
+                    entries[pos] = error
                 load_s += seconds[0]
                 logmel_s += seconds[1]
                 append_s += time.perf_counter() - start
@@ -291,21 +288,21 @@ class _FeatureStore:
         return pos, feats, None, seconds
 
     def failed(self, pos: int) -> bool:
-        return pos in self._failed
+        return isinstance(self._entries[pos], str)
 
     def read(self, positions: list[int], out: memoryview | None) -> None:
         """Read a survivor's constituents, in order, into ``out``, the
         bytes of its row of a record, one after another; with ``out``
         None, read each into a new buffer only to check it. Each read
-        goes to the slot the extraction kept."""
-        read, slots = self._archive.read, self._slots
+        goes to the index entry the extraction kept."""
+        read, entries = self._archive.read, self._entries
         start = 0
         for pos in positions:
-            slot = slots[pos]
-            if slot is None:  # an extracted position without a slot has failed
-                raise FeatureError(self._failed[pos])
-            end = start + slot.nbytes
-            read(slot, None if out is None else out[start:end])
+            entry = entries[pos]
+            if isinstance(entry, str):
+                raise FeatureError(entry)
+            end = start + entry[3]  # the payload's size
+            read(entry, None if out is None else out[start:end])
             start = end
 
     def close(self) -> None:

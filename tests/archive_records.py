@@ -9,6 +9,6 @@ def record_span(root, utt_id: str) -> tuple[int, int, int]:
     """(start, payload start, end) of ``utt_id``'s record in the archive
     at ``root``, as byte offsets in its data file."""
     with FeatureArchive(root) as archive:
-        slot = archive.slot(utt_id)
-    payload = slot.offset + len(slot.head)
-    return slot.offset, payload, payload + slot.nbytes + 4
+        offset, head, _, nbytes, _ = archive.slot(utt_id)
+    payload = offset + len(head)
+    return offset, payload, payload + nbytes + 4

@@ -1,7 +1,8 @@
 """Every demo script runs to completion, and the top-level package
 exports exactly what the demos and the README's library sketch import
 from it, plus ``AuditReport`` and the ``PipelineError`` hierarchy.
-Every public module-level name of the package is used somewhere."""
+Every public module-level name of the package, and every public
+method and property of its classes, is used somewhere."""
 
 import ast
 import os
@@ -64,7 +65,9 @@ def test_exports_are_what_demos_and_readme_use():
 
 
 def defined_names(tree: ast.Module) -> set[str]:
-    """The names a module's top-level functions, classes and assignments define."""
+    """The names a module's top-level functions, classes and assignments
+    define, and as ``Class.name`` the methods and properties of its
+    top-level classes."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -72,6 +75,12 @@ def defined_names(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        if isinstance(node, ast.ClassDef):
+            names |= {
+                f"{node.name}.{member.name}"
+                for member in node.body
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
     return names
 
 
@@ -91,22 +100,37 @@ def referenced_names(tree: ast.AST) -> set[str]:
 
 def test_every_public_name_of_the_package_is_used():
     """The code the system does not need goes: each public name defined
-    at the top of a package module is referenced, by name, from the
-    package, the tests, the demos, perfbench or the README's code."""
-    sources = [
-        path.read_text(encoding="utf-8")
-        for folder in ("src", "tests", "demos", "perfbench")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-    ]
+    at the top of a package module, and each public method and property
+    of its classes, is referenced, by name, from the package, the tests,
+    the demos, perfbench or the README's code. A method counts as used
+    when any code looks up an attribute of its name, and a string
+    constant in perfbench counts too: its tracer wraps methods by name."""
     used = set()
-    for source in sources + readme_blocks():
+    for source in readme_blocks():
         used |= referenced_names(ast.parse(source))
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used |= referenced_names(tree)
+            if folder == "perfbench":
+                used |= {
+                    node.value
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                }
     modules = sorted((ROOT / "src" / "concat_augment").glob("*.py"))
-    dead = [
+    defined = {
         f"{module.stem}.{name}"
         for module in modules
-        for name in sorted(defined_names(ast.parse(module.read_text(encoding="utf-8"))))
-        if not name.startswith("_") and name not in used
+        for name in defined_names(ast.parse(module.read_text(encoding="utf-8")))
+    }
+    # the walk found the package, its methods and their uses
+    assert "rng.keyed_rng" in defined and "archive.FeatureArchive.slot" in defined
+    assert "keyed_rng" in used and "slot" in used
+    dead = [
+        name
+        for name in sorted(defined)
+        for member in [name.rpartition(".")[2]]
+        if not member.startswith("_") and member not in used
     ]
-    assert modules and "keyed_rng" in used  # the walk found the package and its uses
     assert not dead, f"defined but never used: {dead}"

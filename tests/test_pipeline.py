@@ -646,14 +646,14 @@ class TestFeatureStore:
         with FeatureArchive(tmp_path / "arch", "r") as archive:
             assert len(archive) == 12
             assert archive.shape("u000000")[0] == 300
-        looked_up = []  # the store checks an id's frame count from its slot
-        slot = FeatureArchive.slot
+        looked_up = []  # the store checks an id's frame count from the index's shape
+        shape = FeatureArchive.shape
 
-        def spied_slot(self, utt_id):
+        def spied_shape(self, utt_id):
             looked_up.append(utt_id)
-            return slot(self, utt_id)
+            return shape(self, utt_id)
 
-        monkeypatch.setattr(FeatureArchive, "slot", spied_slot)
+        monkeypatch.setattr(FeatureArchive, "shape", spied_shape)
 
         def one_run(out, archive_dir):
             return run(store_config(
